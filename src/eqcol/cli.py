@@ -16,7 +16,6 @@ import sys
 from pathlib import Path
 
 from .errors import EqcolError
-from .excol import Quiver
 from .report import emit_dot, emit_report_json, gram_text, molien_text
 from .reps import molien_dimension
 from .scenario import (DEFAULT_MOLIEN_DEGREE, build_setup, load_scenario,
@@ -107,11 +106,7 @@ def _cmd_quiver(args) -> int:
         print(f"error: {section.get('error', 'quiver failed')}",
               file=sys.stderr)
         return 1
-    q = Quiver(tuple(section["labels"]),
-               tuple(tuple(r) for r in section["hom_dims"]),
-               tuple(tuple(r) for r in section["arrows"]),
-               tuple(tuple(c) for c in section["components"]))
-    _write(emit_dot(q), args.out)
+    _write(emit_dot(section["labels"], section["arrows"]), args.out)
     _write_dots(report, args.dot)
     return 0
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvalidParameter
-from .reps import CharacterVec, Setup, sym_power_character
+from .reps import CharacterVec, Setup, setup_memo, sym_power_character
 
 
 @dataclass(frozen=True)
@@ -33,21 +33,16 @@ class EqLineBundle:
         return EqLineBundle(self.twist + k, self.irrep)
 
 
+@setup_memo
 def ext_character(setup: Setup, m: int, k: int) -> CharacterVec:
     """Character of Ext^k(O, O(m)) = H^k(P^n, O(m)) as a G-module."""
-    key = ("ext_char", m, k)
-    if key in setup._cache:
-        return setup._cache[key]
     n = setup.n
     if k == 0 and m >= 0:
-        value = setup.sym_dual(m)
-    elif k == n and m <= -n - 1:
-        value = sym_power_character(setup.defining_character(), -m - n - 1) \
+        return setup.sym_dual(m)
+    if k == n and m <= -n - 1:
+        return sym_power_character(setup.defining_character(), -m - n - 1) \
             * setup.det_character()
-    else:
-        value = CharacterVec.zero(setup.group)
-    setup._cache[key] = value
-    return value
+    return CharacterVec.zero(setup.group)
 
 
 def ext_dim_equivariant(setup: Setup, source: EqLineBundle,
@@ -142,6 +137,7 @@ def _decompose(setup: Setup, chi: CharacterVec) -> list[tuple[int, int]]:
     return out
 
 
+@setup_memo
 def _reduce_bundle(setup: Setup, m: int, j: int) -> KClass:
     """K-class of O(m) tensor rho_j, reduced into the twist window 0..n.
 
@@ -149,9 +145,6 @@ def _reduce_bundle(setup: Setup, m: int, j: int) -> KClass:
         sum_{k=0}^{n+1} (-1)^k [Lambda^k V-dual tensor O(m-k)] = 0
     recursively downward for m > n and upward for m < 0.
     """
-    key = ("koszul", m, j)
-    if key in setup._cache:
-        return setup._cache[key]
     n = setup.n
     if 0 <= m <= n:
         result = KClass.basis(setup, m, j)
@@ -173,7 +166,6 @@ def _reduce_bundle(setup: Setup, m: int, j: int) -> KClass:
             chi = det * setup.ext_dual(k) * chi_j
             for l, mult in _decompose(setup, chi):
                 result = result + _reduce_bundle(setup, m + n + 1 - k, l) * (sign * mult)
-    setup._cache[key] = result
     return result
 
 
@@ -203,12 +195,10 @@ def twist_kclass(kc: KClass, k: int) -> KClass:
     return result
 
 
+@setup_memo
 def _basis_pairing(setup: Setup):
     """Euler pairing on basis classes: only degree 0 contributes within the
     window, so the matrix is the forward Hom-dimension table."""
-    key = ("euler_basis",)
-    if key in setup._cache:
-        return setup._cache[key]
     size = setup.n_plus_1 * setup.r_plus_1
     table = [[0] * size for _ in range(size)]
     for i1 in range(setup.n_plus_1):
@@ -219,7 +209,6 @@ def _basis_pairing(setup: Setup):
                         table[KClass.index(setup, i1, j1)][
                             KClass.index(setup, i2, j2)] = \
                             setup.hom_dim(i1, i2, j1, j2)
-    setup._cache[key] = table
     return table
 
 

@@ -15,7 +15,7 @@ keeps F and glues the copies of E one degree lower.
 
 from __future__ import annotations
 
-from .cohomology import EqLineBundle, KClass, ext_dim_equivariant, line_bundle_class
+from .cohomology import EqLineBundle, KClass, ext_table, line_bundle_class
 from .errors import (
     BasisMismatch,
     InvalidParameter,
@@ -77,18 +77,12 @@ class EqComplex:
         for degree in self.diffs:
             if degree + 1 not in self.diffs:
                 continue
-            sources = self.terms[degree]
-            top = self.terms[degree + 2]
-            for s in range(len(sources)):
-                for u in range(len(top)):
-                    total = None
-                    for t in range(len(self.terms[degree + 1])):
-                        f = self.diff_block(degree, t, s)
-                        g = self.diff_block(degree + 1, u, t)
-                        if f is not None and g is not None:
-                            comp = compose_hom(f, g)
-                            total = comp if total is None else total + comp
-                    if total is not None and total:
+            middle = range(len(self.terms[degree + 1]))
+            for s in range(len(self.terms[degree])):
+                for u in range(len(self.terms[degree + 2])):
+                    if _composite_sum((self.diff_block(degree, t, s),
+                                       self.diff_block(degree + 1, u, t))
+                                      for t in middle) is not None:
                         raise InvalidParameter(
                             f"d following d is nonzero at degree {degree}, "
                             f"source {s}, target {u}")
@@ -104,14 +98,6 @@ class EqComplex:
         for degree in self.degrees:
             for index, bundle in enumerate(self.terms[degree]):
                 yield degree, index, bundle
-
-    @property
-    def min_twist(self) -> int:
-        return min(b.twist for _, _, b in self.summands())
-
-    @property
-    def max_twist(self) -> int:
-        return max(b.twist for _, _, b in self.summands())
 
     def is_line_bundle(self) -> bool:
         return len(self.terms) == 1 and len(next(iter(self.terms.values()))) == 1
@@ -215,26 +201,15 @@ class ChainMap:
         for degree in C.terms:
             if degree + 1 not in D.terms:
                 continue
-            n_src = len(C.terms[degree])
-            n_tgt = len(D.terms[degree + 1])
-            for s in range(n_src):
-                for u in range(n_tgt):
-                    total = None
-                    # down-then-across
-                    for t in range(len(D.terms.get(degree, ()))):
-                        f = self.block(degree, t, s)
-                        g = D.diff_block(degree, u, t)
-                        if f is not None and g is not None:
-                            comp = compose_hom(f, g)
-                            total = comp if total is None else total + comp
-                    # across-then-down
-                    for sp in range(len(C.terms.get(degree + 1, ()))):
-                        e = C.diff_block(degree, sp, s)
-                        g = self.block(degree + 1, u, sp)
-                        if e is not None and g is not None:
-                            comp = compose_hom(e, g)
-                            total = (-comp) if total is None else total - comp
-                    if total is not None and total:
+            for s in range(len(C.terms[degree])):
+                for u in range(len(D.terms[degree + 1])):
+                    down_then_across = _composite_sum(
+                        (self.block(degree, t, s), D.diff_block(degree, u, t))
+                        for t in range(len(D.terms.get(degree, ()))))
+                    across_then_down = _composite_sum(
+                        (C.diff_block(degree, sp, s), self.block(degree + 1, u, sp))
+                        for sp in range(len(C.terms.get(degree + 1, ()))))
+                    if down_then_across != across_then_down:
                         raise InvalidParameter(
                             "chain map does not commute with differentials")
 
@@ -246,6 +221,17 @@ class ChainMap:
 
     def __hash__(self) -> int:
         return hash((self.source, self.target, tuple(sorted(self.blocks))))
+
+
+def _composite_sum(pairs) -> HomElement | None:
+    """The sum of g o f over the (f, g) pairs in which both blocks exist;
+    None when that sum is empty or zero."""
+    total = None
+    for f, g in pairs:
+        if f is not None and g is not None:
+            comp = compose_hom(f, g)
+            total = comp if total is None else total + comp
+    return total if total else None
 
 
 def identity_chain_map(C: EqComplex) -> ChainMap:
@@ -268,19 +254,12 @@ def compose_chain_maps(f: ChainMap, g: ChainMap) -> ChainMap:
         if degree not in g.blocks:
             continue
         entry = {}
-        n_src = len(f.source.terms[degree])
-        n_mid = len(f.target.terms[degree])
-        n_tgt = len(g.target.terms[degree])
-        for s in range(n_src):
-            for u in range(n_tgt):
-                total = None
-                for t in range(n_mid):
-                    a = f.block(degree, t, s)
-                    b = g.block(degree, u, t)
-                    if a is not None and b is not None:
-                        comp = compose_hom(a, b)
-                        total = comp if total is None else total + comp
-                if total is not None and total:
+        middle = range(len(f.target.terms[degree]))
+        for s in range(len(f.source.terms[degree])):
+            for u in range(len(g.target.terms[degree])):
+                total = _composite_sum((f.block(degree, t, s), g.block(degree, u, t))
+                                       for t in middle)
+                if total is not None:
                     entry[(u, s)] = total
         if entry:
             blocks[degree] = entry
@@ -515,12 +494,7 @@ def pair_ext_dims(C: EqComplex, D: EqComplex) -> dict[int, int]:
     if C.is_line_bundle() and D.is_line_bundle():
         p, a = C.single()
         q, b = D.single()
-        out = {}
-        for k in (0, C.setup.n):
-            dim = ext_dim_equivariant(C.setup, a, b, k)
-            if dim:
-                out[k + q - p] = dim
-        return out
+        return {k + q - p: dim for k, dim in ext_table(C.setup, a, b).items()}
     return ext_dims(C, D)
 
 
@@ -531,13 +505,22 @@ def cohomology_basis(C: EqComplex, D: EqComplex, degree: int = 0) -> list[ChainM
     return [data.chain_map_from_vector(v) for v in data.h0_vectors()]
 
 
-def _concentrated_dim(E: EqComplex, F: EqComplex) -> int:
+def _evaluation_maps(E: EqComplex, F: EqComplex) -> list[ChainMap]:
+    """A basis of Hom(E, F), which must be concentrated in degree 0; empty
+    when the pair is orthogonal."""
     dims = pair_ext_dims(E, F)
     stray = {k: v for k, v in dims.items() if k != 0}
     if stray:
         raise NonConcentratedHom(
             f"Hom complex has cohomology in degrees {sorted(stray)}")
-    return dims.get(0, 0)
+    h = dims.get(0, 0)
+    if h == 0:
+        return []
+    maps = cohomology_basis(E, F, 0)
+    if len(maps) != h:
+        raise BasisMismatch(
+            f"{len(maps)} cohomology representatives for a Hom of dimension {h}")
+    return maps
 
 
 def right_mutation(E: EqComplex, F: EqComplex) -> EqComplex:
@@ -545,11 +528,10 @@ def right_mutation(E: EqComplex, F: EqComplex) -> EqComplex:
     F one degree above E via the evaluation maps, h = dim Hom(E, F).  When
     the pair is orthogonal the operation is a pure transposition and E is
     returned unchanged."""
-    h = _concentrated_dim(E, F)
-    if h == 0:
+    maps = _evaluation_maps(E, F)
+    if not maps:
         return E
-    maps = cohomology_basis(E, F, 0)
-    assert len(maps) == h
+    h = len(maps)
     terms: dict[int, tuple] = {}
     f_offset: dict[int, int] = {}
     for degree in set(E.degrees) | {d + 1 for d in F.degrees}:
@@ -589,11 +571,10 @@ def left_mutation(E: EqComplex, F: EqComplex) -> EqComplex:
     """Move E rightward past F: F is replaced by the cone under h copies of
     E one degree below, glued by the coevaluation maps.  Orthogonal pairs
     transpose and return F unchanged."""
-    h = _concentrated_dim(E, F)
-    if h == 0:
+    maps = _evaluation_maps(E, F)
+    if not maps:
         return F
-    maps = cohomology_basis(E, F, 0)
-    assert len(maps) == h
+    h = len(maps)
     terms: dict[int, tuple] = {}
     f_offset: dict[int, int] = {}
     for degree in set(F.degrees) | {d - 1 for d in E.degrees}:

@@ -60,23 +60,6 @@ def lcm(a: int, b: int) -> int:
     return a * b // gcd(a, b)
 
 
-def _poly_div_exact(num: list[Fraction], den: list[Fraction]) -> list[Fraction]:
-    """Divide polynomials with exact coefficients; remainder must be zero."""
-    num = list(num)
-    dn = len(den) - 1
-    lead = den[-1]
-    quot = [_ZERO] * (len(num) - dn)
-    for i in range(len(num) - 1, dn - 1, -1):
-        c = num[i] / lead
-        quot[i - dn] = c
-        if c:
-            for j, dj in enumerate(den):
-                num[i - dn + j] -= c * dj
-    if any(num[:dn]):
-        raise InvalidParameter("inexact polynomial division")
-    return quot
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Coefficients of the n-th cyclotomic polynomial, ascending degree.
@@ -91,7 +74,9 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     poly = [_ZERO] * (n + 1)
     poly[0], poly[n] = Fraction(-1), _ONE
     for d in divisors(n)[:-1]:
-        poly = _poly_div_exact(poly, [Fraction(c) for c in cyclotomic_polynomial(d)])
+        poly, rem = _poly_divmod(poly, [Fraction(c) for c in cyclotomic_polynomial(d)])
+        if any(rem):
+            raise InvalidParameter("inexact polynomial division")
     coeffs = []
     for c in poly:
         if c.denominator != 1:

@@ -409,8 +409,7 @@ def dsing_collection(setup: Setup, d: int, mode: str) -> ExcCollection:
             raise InvalidParameter("crossed-product size formula violated")
         return result
 
-    one = CycNum.one()
-    if any(v != one for v in setup.det_character().values):
+    if not setup.det_trivial():
         raise InvalidParameter(
             "invariant mode needs a determinant-trivial action")
 

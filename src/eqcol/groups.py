@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .config import ORDER_CAP
-from .cyclotomic import CycNum, lcm
+from .cyclotomic import CycNum
 from .errors import GroupMismatch, InvalidParameter, NotInvertible, OrderCapExceeded
 from .linalg import CycMatrix
 
@@ -48,15 +48,6 @@ class FiniteMatrixGroup:
 
     def element_order(self, i: int) -> int:
         return self._orders[i]
-
-    @property
-    def conductor(self) -> int:
-        n = 1
-        for m in self.elements:
-            for row in m.rows:
-                for v in row:
-                    n = lcm(n, v.reduced().conductor)
-        return n
 
     def mul(self, i: int, j: int) -> int:
         key = (i, j)
@@ -188,9 +179,6 @@ class CentralSubgroupInfo:
     generator: CycNum
     generator_index: int
     element_indices: tuple[int, ...]
-
-    def scalar_power(self, k: int) -> CycNum:
-        return self.generator ** (k % self.e)
 
 
 def central_scalar_subgroup(group: FiniteMatrixGroup, d: int) -> CentralSubgroupInfo:

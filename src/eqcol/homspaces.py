@@ -23,7 +23,7 @@ from fractions import Fraction
 from .cyclotomic import CycNum
 from .errors import BasisMismatch, NegativeDegree
 from .linalg import CycMatrix, rref_rows
-from .reps import Setup
+from .reps import Setup, setup_memo
 
 Monomial = tuple[int, ...]
 
@@ -56,12 +56,10 @@ def _poly_mul(p: dict, q: dict) -> dict:
     return {k: v for k, v in out.items() if v}
 
 
+@setup_memo
 def _monomial_actions(setup: Setup, degree: int):
     """Per group element, the image of each degree-d monomial under
     x_i -> sum_j (g^-1)_{ij} x_j, as index -> coefficient dicts."""
-    key = ("mono_actions", degree)
-    if key in setup._cache:
-        return setup._cache[key]
     group = setup.group
     monos = monomial_basis(setup.n_plus_1, degree)
     midx = {a: i for i, a in enumerate(monos)}
@@ -86,8 +84,7 @@ def _monomial_actions(setup: Setup, degree: int):
                     poly = _poly_mul(poly, forms[i])
             per_mono.append({midx[beta]: c for beta, c in poly.items()})
         actions.append(per_mono)
-    setup._cache[key] = (monos, actions)
-    return setup._cache[key]
+    return monos, actions
 
 
 class HomElement:
@@ -101,9 +98,6 @@ class HomElement:
             raise BasisMismatch("coordinate length does not match the space")
         self.space = space
         self.coords = coords
-
-    def coefficient(self, alpha: Monomial, s: int, t: int) -> CycNum:
-        return self.coords[self.space.flat_index(alpha, s, t)]
 
     def __bool__(self) -> bool:
         return any(self.coords)
@@ -172,8 +166,7 @@ class HomSpace:
     """All equivariant morphisms of a fixed twist difference m >= 0."""
 
     __slots__ = ("setup", "m", "rho_index", "sigma_index", "dim_rho",
-                 "dim_sigma", "monomials", "_mono_index", "basis",
-                 "_unit_images", "_solver")
+                 "dim_sigma", "monomials", "_mono_index", "basis", "_solver")
 
     def __init__(self, setup: Setup, m: int, rho_index: int, sigma_index: int):
         if m < 0:
@@ -210,12 +203,12 @@ class HomSpace:
                                         k = self.flat_index_by_mono(bi, s2, t2)
                                         vec[k] = vec[k] + cl * right
                     images.append([v * scale for v in vec])
-        self._unit_images = images
         basis_rows, _ = rref_rows(images)
         self.basis = tuple(HomElement(self, row) for row in basis_rows)
         expected = setup.hom_dim(0, m, rho_index, sigma_index)
-        assert len(self.basis) == expected, \
-            f"projector rank {len(self.basis)} != multiplicity {expected}"
+        if len(self.basis) != expected:
+            raise BasisMismatch(
+                f"projector rank {len(self.basis)} != multiplicity {expected}")
         self._solver = None
 
     @property
@@ -242,19 +235,6 @@ class HomSpace:
             coords[self.flat_index_by_mono(0, s, s)] = CycNum.one()
         return HomElement(self, coords)
 
-    def element_from_coords(self, coords) -> HomElement:
-        return HomElement(self, [c if isinstance(c, CycNum) else CycNum.from_rat(c)
-                                 for c in coords])
-
-    def project(self, elem: HomElement) -> HomElement:
-        """Reynolds projection of an arbitrary coordinate vector."""
-        total = [CycNum.zero()] * self.ambient_dim
-        for u, c in enumerate(elem.coords):
-            if c:
-                img = self._unit_images[u]
-                total = [acc + c * v for acc, v in zip(total, img)]
-        return HomElement(self, total)
-
     def coordinates_of(self, elem: HomElement) -> tuple[CycNum, ...]:
         """Coordinates of an invariant morphism in the echelon basis."""
         if elem.space is not self:
@@ -277,19 +257,11 @@ class HomSpace:
                 f"{names[self.sigma_index].name}, dim={len(self.basis)})")
 
 
+@setup_memo
 def hom_space(setup: Setup, m: int, rho_index: int, sigma_index: int) -> HomSpace:
-    key = ("homspace", m, rho_index, sigma_index)
-    if key not in setup._cache:
-        setup._cache[key] = HomSpace(setup, m, rho_index, sigma_index)
-    return setup._cache[key]
-
-
-def invariant_hom_basis(setup: Setup, a: int, b: int, rho_index: int,
-                        sigma_index: int) -> HomSpace:
-    """Basis of Hom(O(a) tensor rho, O(b) tensor sigma)."""
-    if b < a:
-        raise NegativeDegree(f"twist drops from {a} to {b}")
-    return hom_space(setup, b - a, rho_index, sigma_index)
+    """The space of invariant morphisms of twist difference m from rho to
+    sigma, built once per setup."""
+    return HomSpace(setup, m, rho_index, sigma_index)
 
 
 def compose_hom(f: HomElement, g: HomElement) -> HomElement:

@@ -45,11 +45,6 @@ class CycMatrix:
         return CycMatrix([[one if i == j else zero for j in range(n)] for i in range(n)])
 
     @staticmethod
-    def zeros(nrows: int, ncols: int) -> "CycMatrix":
-        zero = CycNum.zero()
-        return CycMatrix([[zero] * ncols for _ in range(nrows)])
-
-    @staticmethod
     def diagonal(entries: Sequence) -> "CycMatrix":
         entries = [_coerce_entry(v) for v in entries]
         zero = CycNum.zero()
@@ -156,23 +151,12 @@ class CycMatrix:
         if self.nrows != self.ncols:
             raise InvalidParameter("determinant of a non-square matrix")
         work = [list(row) for row in self.rows]
-        n = self.nrows
-        sign = 1
+        pivots, sign = _eliminate(work)
+        if len(pivots) < self.nrows:
+            return CycNum.zero()
         result = CycNum.one()
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if work[r][col]), None)
-            if pivot is None:
-                return CycNum.zero()
-            if pivot != col:
-                work[col], work[pivot] = work[pivot], work[col]
-                sign = -sign
-            head = work[col][col]
-            result = result * head
-            inv = head.inverse()
-            for r in range(col + 1, n):
-                factor = work[r][col] * inv
-                if factor:
-                    work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
+        for i in range(self.nrows):
+            result = result * work[i][i]
         return result * sign
 
     def inverse(self) -> "CycMatrix":
@@ -192,7 +176,7 @@ class CycMatrix:
         return CycMatrix(reduced), tuple(pivots)
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        return len(_eliminate([list(row) for row in self.rows])[0])
 
     def kernel_basis(self) -> list[tuple[CycNum, ...]]:
         """Basis of the right kernel, one vector per free column, ascending."""
@@ -234,26 +218,49 @@ def _dot(a: Sequence[CycNum], b: Sequence[CycNum]) -> CycNum:
     return total
 
 
-def _rref_inplace(work: list[list[CycNum]]) -> tuple[list[list[CycNum]], list[int]]:
+def _eliminate(work: list[list[CycNum]]) -> tuple[list[int], int]:
+    """Forward elimination in place, down to row echelon form.
+
+    Row r ends with its (unnormalized) pivot in column pivots[r], and rows
+    past the last pivot are zero.  Returns the pivot columns and the parity
+    of the row swaps, +1 or -1.
+    """
     nrows = len(work)
     ncols = len(work[0]) if work else 0
     pivots: list[int] = []
-    row = 0
+    sign = 1
     for col in range(ncols):
+        row = len(pivots)
         if row == nrows:
             break
         pivot = next((r for r in range(row, nrows) if work[r][col]), None)
         if pivot is None:
             continue
-        work[row], work[pivot] = work[pivot], work[row]
+        if pivot != row:
+            work[row], work[pivot] = work[pivot], work[row]
+            sign = -sign
+        head = work[row]
+        inv = head[col].inverse()
+        for r in range(row + 1, nrows):
+            if work[r][col]:
+                factor = work[r][col] * inv
+                work[r] = [a - factor * b for a, b in zip(work[r], head)]
+        pivots.append(col)
+    return pivots, sign
+
+
+def _rref_inplace(work: list[list[CycNum]]) -> tuple[list[list[CycNum]], list[int]]:
+    """Reduced row echelon form: forward elimination, then back-substitution
+    from the last pivot row up."""
+    pivots, _ = _eliminate(work)
+    for row in range(len(pivots) - 1, -1, -1):
+        col = pivots[row]
         inv = work[row][col].inverse()
         work[row] = [v * inv for v in work[row]]
-        for r in range(nrows):
-            if r != row and work[r][col]:
+        for r in range(row):
+            if work[r][col]:
                 factor = work[r][col]
                 work[r] = [a - factor * b for a, b in zip(work[r], work[row])]
-        pivots.append(col)
-        row += 1
     return work, pivots
 
 
@@ -272,4 +279,4 @@ def rref_rows(rows: list[Sequence[CycNum]]) -> tuple[list[tuple[CycNum, ...]], l
 
 
 def rank_of_rows(rows: list[Sequence[CycNum]]) -> int:
-    return len(rref_rows(rows)[0])
+    return len(_eliminate([[_coerce_entry(v) for v in row] for row in rows])[0])

@@ -9,23 +9,21 @@ from __future__ import annotations
 
 import json
 
-from .excol import Quiver
-
 
 def emit_report_json(report: dict) -> str:
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
-def emit_dot(q: Quiver, name: str = "quiver") -> str:
+def emit_dot(labels, arrows, name: str = "quiver") -> str:
     """Directed graph, one edge per arrow (parallel edges kept), nodes in
-    collection order."""
+    collection order; arrows[i][j] counts the arrows from node i to j."""
     lines = [f"digraph {name} {{", "  rankdir=LR;"]
-    for i, label in enumerate(q.labels):
+    for i, label in enumerate(labels):
         escaped = label.replace('"', '\\"')
         lines.append(f'  n{i} [label="{escaped}"];')
-    for i in range(len(q.labels)):
-        for j in range(len(q.labels)):
-            lines.extend([f"  n{i} -> n{j};"] * q.arrows[i][j])
+    for i in range(len(labels)):
+        for j in range(len(labels)):
+            lines.extend([f"  n{i} -> n{j};"] * arrows[i][j])
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import wraps
 
 from .cyclotomic import CycNum
 from .errors import GroupMismatch, InvalidParameter, NegativeDegree
@@ -49,9 +50,6 @@ class CharacterVec:
     @staticmethod
     def zero(group: FiniteMatrixGroup) -> "CharacterVec":
         return CharacterVec(group, [CycNum.zero()] * len(group.classes))
-
-    def value_on_element(self, i: int) -> CycNum:
-        return self.values[self.group.class_of[i]]
 
     def dim(self) -> CycNum:
         return self.values[0]
@@ -241,33 +239,28 @@ def sym_power_character(chi: CharacterVec, m: int) -> CharacterVec:
     h_m(g) = (1/m) * sum_{k=1..m} chi(g^k) h_{m-k}(g)."""
     if m < 0:
         raise NegativeDegree(f"symmetric power of negative degree {m}")
+    return _newton_power(chi, m, alternating=False)
+
+
+def ext_power_character(chi: CharacterVec, k: int) -> CharacterVec:
+    """Character of the k-th exterior power, by the dual recursion
+    e_k(g) = (1/k) * sum_{i=1..k} (-1)^(i-1) chi(g^i) e_{k-i}(g)."""
+    if k < 0:
+        raise NegativeDegree(f"exterior power of negative degree {k}")
+    return _newton_power(chi, k, alternating=True)
+
+
+def _newton_power(chi: CharacterVec, m: int, alternating: bool) -> CharacterVec:
     group = chi.group
-    h = [CharacterVec.trivial(group)]
+    out = [CharacterVec.trivial(group)]
     powers = [None] + [chi.power_map(k) for k in range(1, m + 1)]
     for degree in range(1, m + 1):
         total = CharacterVec.zero(group)
         for k in range(1, degree + 1):
-            total = total + powers[k] * h[degree - k]
-        h.append(total * Fraction(1, degree))
-    return h[m]
-
-
-def ext_power_character(chi: CharacterVec, k: int) -> CharacterVec:
-    """Character of the k-th exterior power (dual Newton recursion)."""
-    if k < 0:
-        raise NegativeDegree(f"exterior power of negative degree {k}")
-    group = chi.group
-    e = [CharacterVec.trivial(group)]
-    powers = [None] + [chi.power_map(i) for i in range(1, k + 1)]
-    for degree in range(1, k + 1):
-        total = CharacterVec.zero(group)
-        sign = 1
-        for i in range(1, degree + 1):
-            term = powers[i] * e[degree - i]
-            total = total + (term if sign > 0 else -term)
-            sign = -sign
-        e.append(total * Fraction(1, degree))
-    return e[k]
+            term = powers[k] * out[degree - k]
+            total = total - term if alternating and k % 2 == 0 else total + term
+        out.append(total * Fraction(1, degree))
+    return out[m]
 
 
 def molien_dimension(setup: "Setup", m: int) -> int:
@@ -275,11 +268,26 @@ def molien_dimension(setup: "Setup", m: int) -> int:
     return setup.sym_dual(m).inner_int(setup.trivial)
 
 
+def setup_memo(fn):
+    """Memoize fn(setup, *args) in the setup's cache, keyed by fn and args.
+
+    This is the one cache on a Setup: its own character data and the
+    morphism spaces and reductions of downstream modules all go through it,
+    so those modules stay stateless.
+    """
+    @wraps(fn)
+    def cached(setup: "Setup", *args):
+        key = (fn, *args)
+        if key not in setup._cache:
+            setup._cache[key] = fn(setup, *args)
+        return setup._cache[key]
+    return cached
+
+
 class Setup:
     """A finite matrix group acting on projective space plus its irrep table.
 
-    The group dimension is n + 1; projective space has dimension n.  All
-    character caches live here so downstream modules stay stateless.
+    The group dimension is n + 1; projective space has dimension n.
     """
 
     def __init__(self, group: FiniteMatrixGroup, irreps: list[Irrep],
@@ -291,10 +299,6 @@ class Setup:
         self.group = group
         self.irreps = tuple(irreps)
         self.trivial = CharacterVec.trivial(group)
-        self._sym_dual: dict[int, CharacterVec] = {}
-        self._hom_dims: dict[tuple[int, int, int], int] = {}
-        self._scalars: dict[int, CentralSubgroupInfo] = {}
-        # shared cache for downstream modules (morphism spaces, reductions)
         self._cache: dict = {}
 
     @property
@@ -317,11 +321,10 @@ class Setup:
              for c in range(len(group.classes))],
         )
 
+    @setup_memo
     def sym_dual(self, m: int) -> CharacterVec:
         """chi of Sym^m V-dual, the degree-m polynomial functions."""
-        if m not in self._sym_dual:
-            self._sym_dual[m] = sym_power_character(self.defining_character().dual(), m)
-        return self._sym_dual[m]
+        return sym_power_character(self.defining_character().dual(), m)
 
     def sym(self, m: int) -> CharacterVec:
         return sym_power_character(self.defining_character(), m)
@@ -335,21 +338,24 @@ class Setup:
     def det_character(self) -> CharacterVec:
         return self.ext(self.n_plus_1)
 
+    def det_trivial(self) -> bool:
+        """True when every element has determinant 1 (the group is in SL)."""
+        one = CycNum.one()
+        return all(v == one for v in self.det_character().values)
+
     def hom_dim(self, a: int, b: int, rho: int, sigma: int) -> int:
         """dim Hom(O(a) tensor rho, O(b) tensor sigma); zero when b < a."""
         m = b - a
-        if m < 0:
-            return 0
-        key = (m, rho, sigma)
-        if key not in self._hom_dims:
-            chi = self.sym_dual(m) * self.irreps[sigma].character()
-            self._hom_dims[key] = chi.inner_int(self.irreps[rho].character())
-        return self._hom_dims[key]
+        return self._multiplicity(m, rho, sigma) if m >= 0 else 0
 
+    @setup_memo
+    def _multiplicity(self, m: int, rho: int, sigma: int) -> int:
+        chi = self.sym_dual(m) * self.irreps[sigma].character()
+        return chi.inner_int(self.irreps[rho].character())
+
+    @setup_memo
     def central_scalars(self, d: int) -> CentralSubgroupInfo:
-        if d not in self._scalars:
-            self._scalars[d] = central_scalar_subgroup(self.group, d)
-        return self._scalars[d]
+        return central_scalar_subgroup(self.group, d)
 
     def irrep_scalar_weight(self, j: int, info: CentralSubgroupInfo) -> int:
         """The exponent c with rho_j(zeta*Id) = zeta^c * Id for the canonical

@@ -18,7 +18,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .cyclotomic import CycNum, parse_cyc
+from .cyclotomic import parse_cyc
 from .errors import (EqcolError, InvalidParameter, ParseError, ScenarioError,
                      ValidationError)
 from .excol import (beilinson_collection, cascade_mutation, check_exceptional,
@@ -279,12 +279,10 @@ def run_scenario(scenario, ensure: tuple[str, ...] = ()) -> dict:
     tasks.sort(key=lambda t: TASK_ORDER.index(t["task"]))
 
     setup = build_setup(scenario)
-    if scenario.mode == "invariant_veronese":
-        one = CycNum.one()
-        if any(v != one for v in setup.det_character().values):
-            raise ValidationError(
-                "mode invariant_veronese requires a determinant-trivial"
-                " action (group-in-SL check failed)")
+    if scenario.mode == "invariant_veronese" and not setup.det_trivial():
+        raise ValidationError(
+            "mode invariant_veronese requires a determinant-trivial"
+            " action (group-in-SL check failed)")
 
     report = {
         "scenario": {
@@ -460,8 +458,7 @@ def _task_quiver(state, entry) -> dict:
                "components": [list(c) for c in q.components]}
     scenario = state["scenario"]
     if scenario.output.get("dot", True):
-        section["dot"] = emit_dot(q)
-    state["quiver"] = q
+        section["dot"] = emit_dot(q.labels, q.arrows)
     return section
 
 

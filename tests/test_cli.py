@@ -1,14 +1,15 @@
 """Command-line interface: exit codes, file emission, text formats."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import eqcol
 from eqcol.cli import main
-from eqcol.excol import Quiver
 from eqcol.report import emit_dot, gram_text, molien_text
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -138,14 +139,12 @@ def test_gram_text(capsys):
 
 
 def test_dot_escapes_quotes():
-    q = Quiver(('say "hi"',), ((0,),), ((0,),), ((0,),))
-    dot = emit_dot(q)
+    dot = emit_dot(('say "hi"',), ((0,),))
     assert 'label="say \\"hi\\""' in dot
 
 
 def test_dot_empty_quiver():
-    q = Quiver((), (), (), ())
-    assert emit_dot(q) == "digraph quiver {\n  rankdir=LR;\n}\n"
+    assert emit_dot((), ()) == "digraph quiver {\n  rankdir=LR;\n}\n"
 
 
 def test_text_helpers():
@@ -155,9 +154,10 @@ def test_text_helpers():
 
 def test_console_script_subprocess(tmp_path):
     out = tmp_path / "r.json"
+    env = dict(os.environ, PYTHONPATH=str(Path(eqcol.__file__).resolve().parents[1]))
     proc = subprocess.run(
         [sys.executable, "-m", "eqcol.cli", "run",
          str(SCENARIOS / "q8_crossed_veronese_d2.json"), "--out", str(out)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert json.loads(out.read_text())["passed"] is True

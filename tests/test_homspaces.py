@@ -1,14 +1,19 @@
-"""Invariant morphism bases: equivariance, idempotence, composition ranks."""
+"""Invariant morphism bases: equivariance, multiplicity, composition ranks."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import eqcol
 from eqcol.cyclotomic import CycNum
 from eqcol.errors import BasisMismatch, NegativeDegree
 from eqcol.homspaces import (
     HomElement,
     compose_hom,
     hom_space,
-    invariant_hom_basis,
     monomial_basis,
 )
 from eqcol.linalg import rank_of_rows
@@ -98,11 +103,31 @@ def test_basis_length_equals_multiplicity(bd2, c3):
                     assert len(space) == setup.hom_dim(0, m, rho, sigma)
 
 
-def test_projector_idempotent(bd2):
-    for (m, rho, sigma) in [(1, 2, 0), (1, 0, 2), (2, 0, 0), (2, 2, 2)]:
-        space = hom_space(bd2, m, rho, sigma)
-        for f in space.basis:
-            assert space.project(f) == f
+# Run under -O: the multiplicity check must not depend on assert statements.
+_WRONG_MULTIPLICITY = """
+import sys
+from eqcol.errors import BasisMismatch
+from eqcol.homspaces import hom_space
+from eqcol.reps import binary_dihedral
+
+if __debug__:
+    sys.exit("not running under -O")
+setup = binary_dihedral(2)
+true_dim = setup.hom_dim
+setup.hom_dim = lambda a, b, rho, sigma: true_dim(a, b, rho, sigma) + 1
+try:
+    space = hom_space(setup, 1, 2, 0)
+except BasisMismatch:
+    sys.exit(0)
+sys.exit(f"built {len(space)} basis vectors against multiplicity 2")
+"""
+
+
+def test_basis_size_mismatch_raises_under_optimize():
+    env = dict(os.environ, PYTHONPATH=str(Path(eqcol.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-O", "-c", _WRONG_MULTIPLICITY],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_identity_element_is_basis_of_endos(bd2):
@@ -162,7 +187,7 @@ def test_compose_rejects_bad_middle(bd2):
 
 def test_negative_degree_raises(bd2):
     with pytest.raises(NegativeDegree):
-        invariant_hom_basis(bd2, 1, 0, 0, 0)
+        hom_space(bd2, -1, 0, 0)
 
 
 def test_coordinates_round_trip(c3):

@@ -56,11 +56,45 @@ def test_solve():
     assert CycMatrix([[1, 2], [2, 4]]).solve([1, 3]) is None
 
 
-def _random_matrix(rng: random.Random, n: int) -> CycMatrix:
+def _random_matrix(rng: random.Random, n: int, ncols: int | None = None) -> CycMatrix:
     z = CycNum.zeta(8)
     pool = [CycNum.zero(), CycNum.one(), -CycNum.one(), z, z ** 3, z * 2,
             CycNum.from_rat(Fraction(1, 2))]
-    return CycMatrix([[rng.choice(pool) for _ in range(n)] for _ in range(n)])
+    return CycMatrix([[rng.choice(pool) for _ in range(n if ncols is None else ncols)]
+                      for _ in range(n)])
+
+
+def _check_elimination(m: CycMatrix) -> int:
+    """Rank, transpose rank, RREF pivots, determinant and kernel agree."""
+    rank = m.rank()
+    assert rank == m.transpose().rank() == len(m.rref()[1])
+    assert rank == rank_of_rows(list(m.rows))
+    if m.nrows == m.ncols:
+        assert bool(m.det()) == (rank == m.nrows)
+    kernel = m.kernel_basis()
+    assert len(kernel) == m.ncols - rank
+    for vec in kernel:
+        assert all(not sum((row[j] * vec[j] for j in range(m.ncols)), CycNum.zero())
+                   for row in m.rows)
+    return rank
+
+
+def test_elimination_properties_random():
+    rng = random.Random(47)
+    full = 0
+    for _ in range(30):
+        n, k, m = rng.randint(1, 5), rng.randint(1, 4), rng.randint(1, 5)
+        a, b = _random_matrix(rng, n, k), _random_matrix(rng, k, m)
+        rank = _check_elimination(a * b)
+        assert rank <= min(n, k, m)
+        if (k <= min(n, m) and CycMatrix(a.rows[:k]).det()
+                and CycMatrix([row[:k] for row in b.rows]).det()):
+            assert rank == k
+            full += 1
+    assert full >= 5
+    for n in range(1, 5):
+        for _ in range(4):
+            _check_elimination(_random_matrix(rng, n))
 
 
 def test_det_is_multiplicative():
