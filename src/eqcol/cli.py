@@ -15,6 +15,7 @@ import argparse
 import sys
 from pathlib import Path
 
+from .config import conductor_cap, order_cap
 from .errors import EqcolError
 from .report import emit_dot, emit_report_json, gram_text, molien_text
 from .reps import molien_dimension
@@ -49,6 +50,9 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
+        # a malformed cap in the environment is an input that cannot run
+        conductor_cap()
+        order_cap()
         if args.command == "run":
             return _cmd_run(args)
         if args.command == "molien":

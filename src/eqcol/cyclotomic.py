@@ -1,11 +1,22 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_N).
 
-An element is a coordinate vector over the power basis
-1, z, ..., z^(phi(N)-1) taken modulo the N-th cyclotomic polynomial,
-with arbitrary-precision rational coefficients.  No floating point is
-used anywhere.  Conductors are normalized so that N is never congruent
-to 2 mod 4 (Q(zeta_2m) = Q(zeta_m) for odd m), which makes the minimal
-conductor of a value unique.
+An element is stored as integer numerators over one common denominator,
+
+    (num[0] + num[1] z + ... + num[phi(N)-1] z^(phi(N)-1)) / den,
+
+in the power basis modulo the N-th cyclotomic polynomial.  Every value is
+normalized where it is made, so that den > 0 and gcd(den, *num) == 1; a
+value therefore has exactly one (num, den) at a given conductor.  No
+floating point is used anywhere.  Conductors are normalized so that N is
+never congruent to 2 mod 4 (Q(zeta_2m) = Q(zeta_m) for odd m), which makes
+the minimal conductor of a value unique.
+
+Equality needs no reduction: the power basis modulo Phi_N is a basis of
+Q(zeta_N), so two values at one conductor are equal exactly when their
+(num, den) pairs are, and values at different conductors are compared
+after embedding both at the lcm.  The minimal-conductor form (`reduced()`)
+is computed only for hashing, printing and rationality tests, and cached
+on the value.  A rational value hashes as the equal `Fraction`.
 
 Division by zero raises the built-in ZeroDivisionError.
 """
@@ -17,7 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .config import CONDUCTOR_CAP
+from .config import conductor_cap
 from .errors import ConductorOverflow, InvalidParameter
 
 Rat = Fraction
@@ -26,21 +37,31 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
+@lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
     """Euler totient of a positive integer."""
     if n <= 0:
         raise InvalidParameter(f"totient of non-positive {n}")
     result = n
+    for p in _prime_factors(n):
+        result -= result // p
+    return result
+
+
+@lru_cache(maxsize=None)
+def _prime_factors(n: int) -> tuple[int, ...]:
+    """The distinct primes dividing n, ascending."""
+    primes = []
     m, p = n, 2
     while p * p <= m:
         if m % p == 0:
+            primes.append(p)
             while m % p == 0:
                 m //= p
-            result -= result // p
         p += 1
     if m > 1:
-        result -= result // m
-    return result
+        primes.append(m)
+    return tuple(primes)
 
 
 def divisors(n: int) -> list[int]:
@@ -69,8 +90,8 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """
     if n < 1:
         raise InvalidParameter(f"cyclotomic polynomial of {n}")
-    if n > CONDUCTOR_CAP:
-        raise ConductorOverflow(f"conductor {n} exceeds cap {CONDUCTOR_CAP}")
+    if n > conductor_cap():
+        raise ConductorOverflow(f"conductor {n} exceeds cap {conductor_cap()}")
     poly = [_ZERO] * (n + 1)
     poly[0], poly[n] = Fraction(-1), _ONE
     for d in divisors(n)[:-1]:
@@ -83,6 +104,13 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
             raise InvalidParameter("cyclotomic polynomial is not integral")
         coeffs.append(int(c))
     return tuple(coeffs)
+
+
+@lru_cache(maxsize=None)
+def _phi_tail(n: int) -> tuple[tuple[int, int], ...]:
+    """Nonzero (i, c) below the leading term of Phi_n, so that
+    x^phi(n) = -sum c x^i modulo Phi_n."""
+    return tuple((i, c) for i, c in enumerate(cyclotomic_polynomial(n)[:-1]) if c)
 
 
 @lru_cache(maxsize=None)
@@ -103,6 +131,12 @@ def _power_mod_phi(n: int, k: int) -> tuple[int, ...]:
     return tuple(shifted)
 
 
+@lru_cache(maxsize=None)
+def _power_terms(n: int, k: int) -> tuple[tuple[int, int], ...]:
+    """The nonzero (index, coefficient) pairs of x^k modulo Phi_n."""
+    return tuple((j, e) for j, e in enumerate(_power_mod_phi(n, k)) if e)
+
+
 def _normalize_conductor(n: int) -> int:
     if n == 2:
         return 1
@@ -111,21 +145,49 @@ def _normalize_conductor(n: int) -> int:
     return n
 
 
+def _make(conductor: int, num, den: int) -> "CycNum":
+    """The normalizing constructor: den > 0 and gcd(den, *num) == 1."""
+    g = gcd(den, *num)
+    if den < 0:
+        g = -g
+    if g != 1:
+        return CycNum(conductor, tuple(x // g for x in num), den // g)
+    return CycNum(conductor, tuple(num), den)
+
+
+def _from_fractions(conductor: int, values) -> "CycNum":
+    den = 1
+    for v in values:
+        den = lcm(den, v.denominator)
+    return _make(conductor, [v.numerator * (den // v.denominator) for v in values], den)
+
+
 class CycNum:
     """An element of Q(zeta_N) in the power basis modulo Phi_N."""
 
-    __slots__ = ("conductor", "coeffs", "_reduced")
+    __slots__ = ("conductor", "num", "den", "_reduced")
 
-    def __init__(self, conductor: int, coeffs: tuple[Fraction, ...]):
-        # Internal constructor: conductor must already be normalized and
-        # coeffs must have length phi(conductor).
+    def __init__(self, conductor: int, num: tuple[int, ...], den: int):
+        # Internal constructor: conductor must already be normalized, num
+        # must have length phi(conductor), den > 0 and gcd(den, *num) == 1.
+        # _make() establishes the last two.
         self.conductor = conductor
-        self.coeffs = coeffs
+        self.num = num
+        self.den = den
         self._reduced: CycNum | None = None
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """Rational power-basis coordinates (a read-only view)."""
+        den = self.den
+        return tuple(Fraction(x, den) for x in self.num)
 
     @staticmethod
     def from_rat(value: Fraction | int) -> "CycNum":
-        return CycNum(1, (Fraction(value),))
+        if type(value) is int:
+            return CycNum(1, (value,), 1)
+        value = Fraction(value)
+        return CycNum(1, (value.numerator,), value.denominator)
 
     @staticmethod
     def zeta(n: int, k: int = 1) -> "CycNum":
@@ -140,10 +202,10 @@ class CycNum:
             return CycNum.zeta(m, (k * ((m + 1) // 2)) % m) * sign
         if n == 1:
             return CycNum.from_rat(1)
-        if n > CONDUCTOR_CAP:
-            raise ConductorOverflow(f"conductor {n} exceeds cap {CONDUCTOR_CAP}")
-        row = _power_mod_phi(n, k)
-        return CycNum(n, tuple(Fraction(c) for c in row))
+        if n > conductor_cap():
+            raise ConductorOverflow(f"conductor {n} exceeds cap {conductor_cap()}")
+        # a root of unity is a unit of Z[zeta_n], so its content is 1
+        return CycNum(n, _power_mod_phi(n, k), 1)
 
     @staticmethod
     def zero() -> "CycNum":
@@ -163,37 +225,32 @@ class CycNum:
             return self
         if m % n != 0:
             raise InvalidParameter(f"cannot embed conductor {n} into {m}")
-        if m > CONDUCTOR_CAP:
-            raise ConductorOverflow(f"conductor {m} exceeds cap {CONDUCTOR_CAP}")
+        if m > conductor_cap():
+            raise ConductorOverflow(f"conductor {m} exceeds cap {conductor_cap()}")
+        out = [0] * euler_phi(m)
         step = m // n
-        out = [_ZERO] * euler_phi(m)
-        for i, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            for j, e in enumerate(_power_mod_phi(m, i * step)):
-                if e:
+        for i, c in enumerate(self.num):
+            if c:
+                for j, e in _power_terms(m, i * step):
                     out[j] += c * e
-        return CycNum(m, tuple(out))
+        # Z[zeta_n] is a direct summand of Z[zeta_m], so the content stays 1.
+        return CycNum(m, tuple(out), self.den)
 
     def reduced(self) -> "CycNum":
         """Equal value at the smallest possible conductor (canonical form)."""
-        if self._reduced is not None:
-            return self._reduced
-        n = self.conductor
-        if n == 1:
-            self._reduced = self
-            return self
-        for cand in divisors(n):
-            if cand % 4 == 2 or cand == n:
-                continue
-            coords = _subfield_coordinates(n, cand, self.coeffs)
-            if coords is not None:
-                red = CycNum(cand, coords)
-                red._reduced = red
-                self._reduced = red
-                return red
-        self._reduced = self
-        return self
+        red = self._reduced
+        if red is not None:
+            return red
+        num = self.num
+        if self.conductor == 1:
+            red = self
+        elif not any(num[1:]):
+            red = CycNum(1, (num[0],), self.den)
+        else:
+            red = _minimal_form(self)
+        red._reduced = red
+        self._reduced = red
+        return red
 
     def is_rational(self) -> bool:
         return self.reduced().conductor == 1
@@ -202,7 +259,7 @@ class CycNum:
         red = self.reduced()
         if red.conductor != 1:
             raise InvalidParameter(f"{self} is not rational")
-        return red.coeffs[0]
+        return Fraction(red.num[0], red.den)
 
     # -- arithmetic --------------------------------------------------
 
@@ -220,17 +277,54 @@ class CycNum:
         m = lcm(self.conductor, other.conductor)
         return self.to_conductor(m), other.to_conductor(m)
 
+    def _scale(self, p: int, q: int) -> "CycNum":
+        """self * p / q for integers p and q > 0, at self's conductor."""
+        if q == 1 and p == 1:
+            return self
+        if not p:
+            return CycNum(self.conductor, (0,) * len(self.num), 1)
+        return _make(self.conductor, [x * p for x in self.num], self.den * q)
+
+    def _shift(self, p: int, q: int) -> "CycNum":
+        """self + p / q for integers p and q > 0, at self's conductor."""
+        if not p:
+            return self
+        num = list(self.num)
+        da = self.den
+        if da == q:
+            num[0] += p
+            return _make(self.conductor, num, da)
+        g = gcd(da, q)
+        fa = q // g
+        num = [x * fa for x in num]
+        num[0] += p * (da // g)
+        return _make(self.conductor, num, da * fa)
+
     def __add__(self, other):
-        other = CycNum._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = self._common(other)
-        return CycNum(a.conductor, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+        if not isinstance(other, CycNum):
+            other = CycNum._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        if self.conductor != other.conductor:
+            if other.conductor == 1:
+                return self._shift(other.num[0], other.den)
+            if self.conductor == 1:
+                return other._shift(self.num[0], self.den)
+            self, other = self._common(other)
+        da, db = self.den, other.den
+        if da == db:
+            return _make(self.conductor,
+                         [x + y for x, y in zip(self.num, other.num)], da)
+        g = gcd(da, db)
+        fa, fb = db // g, da // g
+        return _make(self.conductor,
+                     [x * fa + y * fb for x, y in zip(self.num, other.num)],
+                     da * fa)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycNum(self.conductor, tuple(-x for x in self.coeffs))
+        return CycNum(self.conductor, tuple(-x for x in self.num), self.den)
 
     def __sub__(self, other):
         other = CycNum._coerce(other)
@@ -245,39 +339,46 @@ class CycNum:
         return other + (-self)
 
     def __mul__(self, other):
-        other = CycNum._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if not isinstance(other, CycNum):
+            if type(other) is int:
+                return self._scale(other, 1)
+            other = CycNum._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        if other.conductor == 1:
+            return self._scale(other.num[0], other.den)
+        if self.conductor == 1:
+            return other._scale(self.num[0], self.den)
         a, b = self._common(other)
         n = a.conductor
-        if n == 1:
-            return CycNum(1, (a.coeffs[0] * b.coeffs[0],))
-        phi = len(a.coeffs)
-        prod = [_ZERO] * (2 * phi - 1)
-        for i, x in enumerate(a.coeffs):
-            if not x:
-                continue
-            for j, y in enumerate(b.coeffs):
-                if y:
-                    prod[i + j] += x * y
-        out = list(prod[:phi])
-        for k in range(phi, 2 * phi - 1):
+        phi = len(a.num)
+        prod = [0] * (2 * phi - 1)
+        bnum = b.num
+        for i, x in enumerate(a.num):
+            if x:
+                for j, y in enumerate(bnum):
+                    if y:
+                        prod[i + j] += x * y
+        tail = _phi_tail(n)
+        for k in range(2 * phi - 2, phi - 1, -1):
             c = prod[k]
-            if not c:
-                continue
-            for j, e in enumerate(_power_mod_phi(n, k)):
-                if e:
-                    out[j] += c * e
-        return CycNum(n, tuple(out))
+            if c:
+                base = k - phi
+                for i, e in tail:
+                    prod[base + i] -= c * e
+        return _make(n, prod[:phi], a.den * b.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CycNum":
-        if not self:
+        num = self.num
+        if not any(num):
             raise ZeroDivisionError("division by zero in a cyclotomic field")
         n = self.conductor
-        if n == 1:
-            return CycNum(1, (1 / self.coeffs[0],))
+        if n == 1 or not any(num[1:]):
+            out = [0] * len(num)
+            out[0] = self.den if num[0] > 0 else -self.den
+            return CycNum(n, tuple(out), abs(num[0]))
         # Extended Euclid against Phi_n, which is irreducible over Q.
         phi_poly = [Fraction(c) for c in cyclotomic_polynomial(n)]
         r0, r1 = phi_poly, list(self.coeffs)
@@ -292,14 +393,13 @@ class CycNum:
             s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
         unit = r1[0]
         inv = [c / unit for c in s1]
-        out = [_ZERO] * len(self.coeffs)
+        out = [_ZERO] * len(num)
         for k, c in enumerate(inv):
             if not c:
                 continue
-            for j, e in enumerate(_power_mod_phi(n, k)):
-                if e:
-                    out[j] += c * e
-        return CycNum(n, tuple(out))
+            for j, e in _power_terms(n, k):
+                out[j] += c * e
+        return _from_fractions(n, out)
 
     def __truediv__(self, other):
         other = CycNum._coerce(other)
@@ -338,14 +438,13 @@ class CycNum:
         t %= n
         if gcd(t, n) != 1:
             raise InvalidParameter(f"galois exponent {t} not prime to {n}")
-        out = [_ZERO] * len(self.coeffs)
-        for i, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            for j, e in enumerate(_power_mod_phi(n, (i * t) % n)):
-                if e:
+        out = [0] * len(self.num)
+        for i, c in enumerate(self.num):
+            if c:
+                for j, e in _power_terms(n, (i * t) % n):
                     out[j] += c * e
-        return CycNum(n, tuple(out))
+        # an automorphism of Z[zeta_n] keeps the content at 1
+        return CycNum(n, tuple(out), self.den)
 
     def conjugate(self) -> "CycNum":
         """Complex conjugation, zeta -> zeta^(-1)."""
@@ -356,31 +455,43 @@ class CycNum:
     # -- comparisons and canonical form --------------------------------
 
     def __bool__(self) -> bool:
-        return any(self.coeffs)
+        return any(self.num)
 
     def __eq__(self, other) -> bool:
-        other = CycNum._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = self.reduced(), other.reduced()
-        return a.conductor == b.conductor and a.coeffs == b.coeffs
+        if not isinstance(other, CycNum):
+            other = CycNum._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        if self.conductor != other.conductor:
+            if self.conductor == 1:
+                self, other = other, self
+            if other.conductor == 1:
+                return (self.den == other.den and self.num[0] == other.num[0]
+                        and not any(self.num[1:]))
+            self, other = self._common(other)
+        return self.den == other.den and self.num == other.num
 
     def __hash__(self) -> int:
         red = self.reduced()
-        return hash((red.conductor, red.coeffs))
+        if red.conductor == 1:
+            if red.den == 1:
+                return hash(red.num[0])
+            return hash(Fraction(red.num[0], red.den))
+        return hash((red.conductor, red.num, red.den))
 
     def key(self) -> tuple:
         """Hashable canonical key (also usable as a sort key)."""
         red = self.reduced()
-        return (red.conductor, red.coeffs)
+        return (red.conductor, red.num, red.den)
 
     def __str__(self) -> str:
         red = self.reduced()
         if red.conductor == 1:
-            return str(red.coeffs[0])
+            return str(Fraction(red.num[0], red.den))
+        coeffs = red.coeffs
         parts: list[str] = []
-        for k in range(len(red.coeffs) - 1, -1, -1):
-            c = red.coeffs[k]
+        for k in range(len(coeffs) - 1, -1, -1):
+            c = coeffs[k]
             if not c:
                 continue
             mag = abs(c)
@@ -437,37 +548,75 @@ def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     return out
 
 
-def _subfield_coordinates(n: int, c: int, coeffs: tuple[Fraction, ...]):
-    """Coordinates of a conductor-n vector in the conductor-c subfield, or None."""
+@lru_cache(maxsize=None)
+def _subfield_section(n: int, c: int):
+    """A left inverse of the embedding Q(zeta_c) -> Q(zeta_n), as rows R of
+    the embedding matrix E that form an invertible square, and the integer
+    matrix M with divisor D such that E[R] M / D = 1.  For x in Q(zeta_c),
+    its conductor-c numerators are M x[R] / D."""
     phi_c = euler_phi(c)
-    phi_n = len(coeffs)
-    cols = [_power_mod_phi(n, j * (n // c)) for j in range(phi_c)]
-    # Solve cols * a = coeffs by Gaussian elimination over Q.
-    matrix = [[Fraction(cols[j][i]) for j in range(phi_c)] + [coeffs[i]] for i in range(phi_n)]
-    rank = 0
+    step = n // c
+    cols = [_power_mod_phi(n, j * step) for j in range(phi_c)]
+    rows: list[int] = []
+    echelon: list[tuple[int, list[Fraction]]] = []
+    for r in range(euler_phi(n)):
+        vec = [Fraction(col[r]) for col in cols]
+        for lead, base in echelon:
+            if vec[lead]:
+                f = vec[lead] / base[lead]
+                vec = [v - f * b for v, b in zip(vec, base)]
+        lead = next((j for j, v in enumerate(vec) if v), None)
+        if lead is not None:
+            rows.append(r)
+            echelon.append((lead, vec))
+            if len(rows) == phi_c:
+                break
+    # invert the square E[R] by Gauss-Jordan
+    work = [[Fraction(col[r]) for col in cols] + [Fraction(int(i == k)) for k in range(phi_c)]
+            for i, r in enumerate(rows)]
     for col in range(phi_c):
-        pivot = next((r for r in range(rank, phi_n) if matrix[r][col]), None)
-        if pivot is None:
-            continue
-        matrix[rank], matrix[pivot] = matrix[pivot], matrix[rank]
-        inv = 1 / matrix[rank][col]
-        matrix[rank] = [v * inv for v in matrix[rank]]
-        for r in range(phi_n):
-            if r != rank and matrix[r][col]:
-                factor = matrix[r][col]
-                matrix[r] = [v - factor * w for v, w in zip(matrix[r], matrix[rank])]
-        rank += 1
-    pivots = []
-    for row in matrix[:rank]:
-        lead = next(i for i, v in enumerate(row[:-1]) if v)
-        pivots.append(lead)
-    for row in matrix[rank:]:
-        if row[-1]:
-            return None
-    coords = [_ZERO] * phi_c
-    for lead, row in zip(pivots, matrix[:rank]):
-        coords[lead] = row[-1]
-    return tuple(coords)
+        pivot = next(r for r in range(col, phi_c) if work[r][col])
+        work[col], work[pivot] = work[pivot], work[col]
+        inv = 1 / work[col][col]
+        work[col] = [v * inv for v in work[col]]
+        for r in range(phi_c):
+            if r != col and work[r][col]:
+                f = work[r][col]
+                work[r] = [v - f * w for v, w in zip(work[r], work[col])]
+    inverse = [row[phi_c:] for row in work]
+    div = 1
+    for row in inverse:
+        for v in row:
+            div = lcm(div, v.denominator)
+    matrix = tuple(tuple(v.numerator * (div // v.denominator) for v in row)
+                   for row in inverse)
+    return tuple(rows), matrix, div
+
+
+def _restrict(x: CycNum, c: int) -> CycNum | None:
+    """x as a conductor-c value, or None when x is not in Q(zeta_c)."""
+    n = x.conductor
+    rows, matrix, div = _subfield_section(n, c)
+    picked = [x.num[r] for r in rows]
+    cand = _make(c, [sum(m * v for m, v in zip(row, picked)) for row in matrix],
+                 x.den * div)
+    return cand if cand.to_conductor(n) == x else None
+
+
+def _minimal_form(x: CycNum) -> CycNum:
+    """x at its minimal conductor.  The conductors whose field contains x
+    are closed under gcd, so while x is above the minimal one it lies in
+    Q(zeta_(N/p)) for some prime p | N, and stepping down one prime at a
+    time reaches it."""
+    while True:
+        n = x.conductor
+        for p in _prime_factors(n):
+            y = _restrict(x, _normalize_conductor(n // p))
+            if y is not None:
+                x = y
+                break
+        else:
+            return x
 
 
 # -- literal grammar ---------------------------------------------------

@@ -7,6 +7,10 @@ class EqcolError(Exception):
     """Base class for all package-specific errors."""
 
 
+class ConfigError(EqcolError):
+    """An EQCOL_* environment setting is malformed."""
+
+
 class ConductorOverflow(EqcolError):
     """A cyclotomic operation would exceed the conductor cap."""
 

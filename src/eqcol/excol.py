@@ -268,21 +268,54 @@ def _identity_rows(n: int):
 
 
 def _conjugate(gram, U):
-    n = len(gram)
-    out = [[0] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            out[a][b] = sum(U[i][a] * gram[i][j] * U[j][b]
-                            for i in range(n) for j in range(n) if U[i][a])
+    """U^T G U, as the two integer products U^T (G U)."""
+    return _int_product([list(col) for col in zip(*U)], _int_product(gram, U))
+
+
+def _int_product(A, B):
+    """A B for integer matrices given as row lists, skipping zero entries."""
+    sparse = [[(j, b) for j, b in enumerate(row) if b] for row in B]
+    width = len(B[0]) if B else 0
+    out = []
+    for row in A:
+        acc = [0] * width
+        for k, a in enumerate(row):
+            if a:
+                for j, b in sparse[k]:
+                    acc[j] += a * b
+        out.append(acc)
     return out
 
 
 def _is_unimodular(U) -> bool:
-    mat = CycMatrix([[CycNum.from_rat(x) for x in row] for row in U])
-    try:
-        return abs(mat.det().as_rat()) == 1
-    except InvalidParameter:
-        return False
+    n = len(U)
+    return n > 0 and all(len(row) == n for row in U) and abs(_int_det(U)) == 1
+
+
+def _int_det(M) -> int:
+    """Determinant of a square integer matrix by fraction-free (Bareiss)
+    elimination: every division below is exact."""
+    work = [list(row) for row in M]
+    n = len(work)
+    sign, prev = 1, 1
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if work[r][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            work[k], work[pivot] = work[pivot], work[k]
+            sign = -sign
+        head = work[k]
+        pk = head[k]
+        for i in range(k + 1, n):
+            row = work[i]
+            a = row[k]
+            if not a and pk == prev:
+                continue
+            for j in range(k + 1, n):
+                row[j] = (pk * row[j] - a * head[j]) // prev
+        prev = pk
+    return sign * work[n - 1][n - 1]
 
 
 # -- cascade ------------------------------------------------------------

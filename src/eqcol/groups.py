@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .config import ORDER_CAP
+from .config import order_cap as configured_order_cap
 from .cyclotomic import CycNum
 from .errors import GroupMismatch, InvalidParameter, NotInvertible, OrderCapExceeded
 from .linalg import CycMatrix
@@ -121,20 +121,23 @@ class FiniteMatrixGroup:
 
 def _element_order(matrix: CycMatrix) -> int:
     power = matrix
-    for k in range(1, ORDER_CAP + 1):
+    cap = configured_order_cap()
+    for k in range(1, cap + 1):
         if power.is_identity():
             return k
         power = power * matrix
-    raise OrderCapExceeded(f"element order exceeds cap {ORDER_CAP}")
+    raise OrderCapExceeded(f"element order exceeds cap {cap}")
 
 
 def generate_group(generators: list[CycMatrix], dimension: int | None = None,
-                   order_cap: int = ORDER_CAP) -> FiniteMatrixGroup:
+                   order_cap: int | None = None) -> FiniteMatrixGroup:
     """Close a generator list under multiplication.
 
     An empty generator list needs an explicit ambient dimension and gives
-    the trivial group.
+    the trivial group.  order_cap defaults to the configured cap.
     """
+    if order_cap is None:
+        order_cap = configured_order_cap()
     generators = list(generators)
     if not generators:
         if dimension is None:

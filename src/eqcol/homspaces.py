@@ -204,7 +204,11 @@ class HomSpace:
                                         vec[k] = vec[k] + cl * right
                     images.append([v * scale for v in vec])
         basis_rows, _ = rref_rows(images)
-        self.basis = tuple(HomElement(self, row) for row in basis_rows)
+        # Reynolds averages of rational data come out rational but stored at
+        # the group conductor; reducing once here keeps later arithmetic on
+        # the rational fast paths.
+        self.basis = tuple(HomElement(self, [v.reduced() for v in row])
+                           for row in basis_rows)
         expected = setup.hom_dim(0, m, rho_index, sigma_index)
         if len(self.basis) != expected:
             raise BasisMismatch(

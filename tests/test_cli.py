@@ -161,3 +161,21 @@ def test_console_script_subprocess(tmp_path):
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert json.loads(out.read_text())["passed"] is True
+
+
+@pytest.mark.parametrize("name, value", [
+    ("EQCOL_ORDER_CAP", "abc"),
+    ("EQCOL_ORDER_CAP", "0"),
+    ("EQCOL_CONDUCTOR_CAP", "-3"),
+])
+def test_malformed_cap_exits_two(name, value):
+    env = dict(os.environ, PYTHONPATH=str(Path(eqcol.__file__).resolve().parents[1]))
+    env[name] = value
+    proc = subprocess.run(
+        [sys.executable, "-m", "eqcol.cli", "run",
+         str(SCENARIOS / "q8_d1.json")],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"error: {name} must be a positive integer")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""

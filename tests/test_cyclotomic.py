@@ -1,6 +1,7 @@
 """Exact cyclotomic arithmetic: frozen oracles and field properties."""
 
 import random
+from math import gcd
 from fractions import Fraction
 
 import pytest
@@ -262,3 +263,269 @@ def test_hash_consistency():
     b = CycNum.zeta(4)
     assert a == b and hash(a) == hash(b)
     assert len({a, b}) == 1
+
+
+def test_rational_hash_matches_python_numbers():
+    assert len({CycNum.one(), 1}) == 1
+    assert hash(CycNum.one()) == hash(1)
+    half = CycNum.from_rat(Fraction(1, 2))
+    for n in (4, 12, 15):
+        lifted = half.to_conductor(n)
+        assert lifted.conductor == n
+        assert lifted == Fraction(1, 2) and hash(lifted) == hash(Fraction(1, 2))
+    assert {Fraction(-3, 4): "x"}[CycNum.zeta(8) ** 4 * Fraction(3, 4)] == "x"
+    assert hash(CycNum.zeta(3) + CycNum.zeta(3, 2)) == hash(-1)
+
+
+# -- the integer-coordinate fast path against the Fraction-tuple arithmetic --
+
+
+def _oracle_power_mod_phi(n, k):
+    phi = euler_phi(n)
+    row = [0] * phi
+    if k < phi:
+        row[k] = 1
+        return row
+    prev = _oracle_power_mod_phi(n, k - 1)
+    shifted = [0] + prev[:-1]
+    cyc = cyclotomic_polynomial(n)
+    for i in range(phi):
+        shifted[i] -= prev[-1] * cyc[i]
+    return shifted
+
+
+def _oracle_normalize(n):
+    return 1 if n == 2 else (n // 2 if n % 4 == 2 else n)
+
+
+def _oracle_poly_divmod(num, den):
+    num = list(num)
+    while den and not den[-1]:
+        den = den[:-1]
+    dn = len(den) - 1
+    if len(num) - 1 < dn:
+        return [Fraction(0)], num
+    quot = [Fraction(0)] * (len(num) - dn)
+    for i in range(len(num) - 1, dn - 1, -1):
+        c = num[i] / den[-1]
+        if c:
+            quot[i - dn] = c
+            for j, dj in enumerate(den):
+                num[i - dn + j] -= c * dj
+    return quot, num[:dn] if dn else [Fraction(0)]
+
+
+def _oracle_subfield(n, c, coeffs):
+    phi_c = euler_phi(c)
+    cols = [_oracle_power_mod_phi(n, j * (n // c)) for j in range(phi_c)]
+    matrix = [[Fraction(cols[j][i]) for j in range(phi_c)] + [coeffs[i]]
+              for i in range(len(coeffs))]
+    rank, pivots = 0, []
+    for col in range(phi_c):
+        pivot = next((r for r in range(rank, len(matrix)) if matrix[r][col]), None)
+        if pivot is None:
+            continue
+        matrix[rank], matrix[pivot] = matrix[pivot], matrix[rank]
+        inv = 1 / matrix[rank][col]
+        matrix[rank] = [v * inv for v in matrix[rank]]
+        for r in range(len(matrix)):
+            if r != rank and matrix[r][col]:
+                f = matrix[r][col]
+                matrix[r] = [v - f * w for v, w in zip(matrix[r], matrix[rank])]
+        pivots.append(col)
+        rank += 1
+    if any(row[-1] for row in matrix[rank:]):
+        return None
+    coords = [Fraction(0)] * phi_c
+    for lead, row in zip(pivots, matrix):
+        coords[lead] = row[-1]
+    return tuple(coords)
+
+
+class OracleCyc:
+    """The Fraction-tuple cyclotomic arithmetic the package used before its
+    integer-coordinate form: every operation lifts both sides to the lcm
+    conductor, and equality compares the reduced forms."""
+
+    def __init__(self, conductor, coeffs):
+        self.conductor = conductor
+        self.coeffs = tuple(Fraction(c) for c in coeffs)
+
+    def to_conductor(self, m):
+        m = _oracle_normalize(m)
+        n = self.conductor
+        out = [Fraction(0)] * euler_phi(m)
+        for i, c in enumerate(self.coeffs):
+            for j, e in enumerate(_oracle_power_mod_phi(m, i * (m // n))):
+                out[j] += c * e
+        return OracleCyc(m, out)
+
+    def _common(self, other):
+        m = self.conductor * other.conductor // gcd(self.conductor, other.conductor)
+        return self.to_conductor(m), other.to_conductor(m)
+
+    def _from_poly(self, n, poly):
+        out = [Fraction(0)] * euler_phi(n)
+        for k, c in enumerate(poly):
+            for j, e in enumerate(_oracle_power_mod_phi(n, k)):
+                out[j] += c * e
+        return OracleCyc(n, out)
+
+    def __add__(self, other):
+        a, b = self._common(other)
+        return OracleCyc(a.conductor, [x + y for x, y in zip(a.coeffs, b.coeffs)])
+
+    def __neg__(self):
+        return OracleCyc(self.conductor, [-x for x in self.coeffs])
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        a, b = self._common(other)
+        prod = [Fraction(0)] * (2 * len(a.coeffs) - 1)
+        for i, x in enumerate(a.coeffs):
+            for j, y in enumerate(b.coeffs):
+                prod[i + j] += x * y
+        return self._from_poly(a.conductor, prod)
+
+    def inverse(self):
+        n = self.conductor
+        if n == 1:
+            return OracleCyc(1, [1 / self.coeffs[0]])
+        r0 = [Fraction(c) for c in cyclotomic_polynomial(n)]
+        r1 = list(self.coeffs)
+        s0, s1 = [Fraction(0)], [Fraction(1)]
+        while True:
+            while r1 and not r1[-1]:
+                r1.pop()
+            if len(r1) == 1:
+                break
+            q, rem = _oracle_poly_divmod(r0, r1)
+            r0, r1 = r1, rem
+            qs = [Fraction(0)] * (len(q) + len(s1) - 1)
+            for i, x in enumerate(q):
+                for j, y in enumerate(s1):
+                    qs[i + j] += x * y
+            size = max(len(s0), len(qs))
+            s0, s1 = s1, [(s0[i] if i < len(s0) else 0) - (qs[i] if i < len(qs) else 0)
+                          for i in range(size)]
+        return self._from_poly(n, [c / r1[0] for c in s1])
+
+    def __truediv__(self, other):
+        return self * other.inverse()
+
+    def galois(self, t):
+        n = self.conductor
+        if n == 1:
+            return self
+        poly = [Fraction(0)] * n
+        for i, c in enumerate(self.coeffs):
+            poly[(i * t) % n] += c
+        return self._from_poly(n, poly)
+
+    def conjugate(self):
+        return self.galois(self.conductor - 1)
+
+    def reduced(self):
+        n = self.conductor
+        for cand in divisors(n):
+            if cand % 4 == 2 or cand == n:
+                continue
+            coords = _oracle_subfield(n, cand, self.coeffs)
+            if coords is not None:
+                return OracleCyc(cand, coords)
+        return self
+
+    def key(self):
+        red = self.reduced()
+        return (red.conductor, red.coeffs)
+
+    def __eq__(self, other):
+        return self.key() == other.key()
+
+    def __str__(self):
+        red = self.reduced()
+        if red.conductor == 1:
+            return str(red.coeffs[0])
+        parts = []
+        for k in range(len(red.coeffs) - 1, -1, -1):
+            c = red.coeffs[k]
+            if not c:
+                continue
+            z = f"z{red.conductor}" + (f"^{k}" if k > 1 else "")
+            body = str(abs(c)) if k == 0 else (z if abs(c) == 1 else f"{abs(c)}*{z}")
+            if not parts:
+                parts.append(body if c > 0 else f"-{body}")
+            else:
+                parts.append(f" + {body}" if c > 0 else f" - {body}")
+        return "".join(parts) if parts else "0"
+
+
+ORACLE_CONDUCTORS = (1, 3, 4, 5, 8, 12, 15, 24)
+
+
+def _random_pair(rng: random.Random, n: int):
+    """A value at conductor n in both arithmetics: zero, rational, lifted
+    from a subfield, a root of unity, or general."""
+    shape = rng.choice(["zero", "rational", "subfield", "root", "general",
+                        "general"])
+    phi = euler_phi(n)
+    coeffs = [Fraction(0)] * phi
+    if shape == "rational":
+        coeffs[0] = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+    elif shape == "root":
+        coeffs = list(CycNum.zeta(n, rng.randrange(n)).coeffs)
+    elif shape in ("general", "subfield"):
+        for k in range(phi):
+            if rng.random() < 0.6:
+                coeffs[k] = Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 3, 6]))
+    oracle = OracleCyc(n, coeffs)
+    if shape == "subfield":
+        sub = rng.choice([d for d in divisors(n) if d % 4 != 2])
+        oracle = OracleCyc(sub, coeffs[:euler_phi(sub)]).to_conductor(n)
+    value = CycNum.zero()
+    for k, c in enumerate(oracle.coeffs):
+        value = value + CycNum.zeta(n, k) * c
+    if n > 1 and not any(oracle.coeffs):
+        value = value.to_conductor(n)
+    return value, oracle
+
+
+def _assert_same(value: CycNum, oracle: OracleCyc):
+    assert value.conductor == oracle.conductor
+    assert value.coeffs == oracle.coeffs
+    assert value.den > 0 and gcd(value.den, *value.num) == 1
+    red, ored = value.reduced(), oracle.reduced()
+    assert (red.conductor, red.coeffs) == (ored.conductor, ored.coeffs)
+    assert red.den > 0 and gcd(red.den, *red.num) == 1
+    assert str(value) == str(oracle)
+
+
+def test_integer_arithmetic_matches_fraction_oracle():
+    rng = random.Random(2024)
+    for _ in range(250):
+        n1, n2 = rng.choice(ORACLE_CONDUCTORS), rng.choice(ORACLE_CONDUCTORS)
+        a, oa = _random_pair(rng, n1)
+        b, ob = _random_pair(rng, n2)
+        _assert_same(a, oa)
+        _assert_same(b, ob)
+        _assert_same(a + b, oa + ob)
+        _assert_same(a - b, oa - ob)
+        _assert_same(-a, -oa)
+        _assert_same(a * b, oa * ob)
+        if b:
+            _assert_same(a / b, oa / ob)
+        for t in (1, 5, 7, 11):
+            if gcd(t, n1) == 1:
+                _assert_same(a.galois(t), oa.galois(t))
+        _assert_same(a.conjugate(), oa.conjugate() if n1 > 1 else oa)
+        m = rng.choice([m for m in ORACLE_CONDUCTORS if m % n1 == 0])
+        _assert_same(a.to_conductor(m), oa.to_conductor(m))
+        # equality, keys and hashes agree with the reduced forms
+        assert (a == b) == (oa == ob) == (a.key() == b.key())
+        twin = (a * b + b).to_conductor(n1 * n2 // gcd(n1, n2)) - b
+        assert twin == a * b and twin.key() == (a * b).key()
+        assert hash(twin) == hash(a * b)
+        if (a * b).is_rational():
+            assert hash(twin) == hash((a * b).as_rat())

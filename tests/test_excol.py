@@ -6,6 +6,9 @@ surface model (direct bubbling with one cone) and the scalar cyclic model
 trail that every pipeline is required to leave behind.
 """
 
+import itertools
+import random
+
 import pytest
 
 from eqcol.cohomology import EqLineBundle, KClass, euler_pairing, twist_kclass
@@ -13,6 +16,9 @@ from eqcol.complexes import EqComplex, from_line_bundle
 from eqcol.errors import (InvalidParameter, NonConcentratedHom, NotADivisor,
                           NotStrong, OrthogonalityFailure)
 from eqcol.excol import (
+    _conjugate,
+    _int_det,
+    _Workbench,
     beilinson_collection,
     cascade_mutation,
     check_exceptional,
@@ -354,3 +360,71 @@ def test_euler_pairing_matches_ext_tables(bd2):
             table = coll.ext_table(i, j)
             chi = sum((-1) ** (k % 2) * v for k, v in table.items())
             assert chi == gram[i][j]
+
+
+# -- the audit can fail ----------------------------------------------------
+
+
+def _tamper_kclass(bench):
+    bench.kclasses[5] = bench.kclasses[5] * 2
+
+
+def _tamper_gram(bench):
+    bench.gram[2][7] += 1
+
+
+@pytest.mark.parametrize("tamper", [_tamper_kclass, _tamper_gram])
+def test_gram_audit_fires_on_tampered_state(bd2, tamper):
+    grid = beilinson_collection(bd2)
+    clean = _Workbench(grid)
+    clean.move_left(1, allow_fallback=False)
+    bench = _Workbench(grid)
+    tamper(bench)
+    with pytest.raises(InvalidParameter, match="Gram conjugation audit failed"):
+        bench.move_left(1, allow_fallback=False)
+
+
+def test_non_unimodular_base_change_rejected(bd2):
+    coll = cascade_mutation(beilinson_collection(bd2))
+    size = len(coll)
+    doubled = [[int(i == j) for j in range(size)] for i in range(size)]
+    doubled[0][0] = 2
+    assert _int_det(doubled) == 2
+    bench = _Workbench(coll)
+    with pytest.raises(InvalidParameter, match="not unimodular"):
+        bench._record({"op": "transpose"}, doubled)
+    trail = list(coll.provenance) + [{"op": "transpose",
+                                      "base_change": doubled}]
+    with pytest.raises(InvalidParameter, match="non-unimodular"):
+        replay_gram(trail)
+
+
+def test_conjugate_matches_double_sum():
+    rng = random.Random(5)
+    for _ in range(40):
+        n = rng.randint(1, 9)
+        gram = [[rng.choice([0, 0, 1, -1, 2, 5]) for _ in range(n)]
+                for _ in range(n)]
+        U = [[rng.choice([0, 0, 0, 1, -1, 3]) for _ in range(n)]
+             for _ in range(n)]
+        brute = [[sum(U[i][a] * gram[i][j] * U[j][b]
+                      for i in range(n) for j in range(n))
+                  for b in range(n)] for a in range(n)]
+        assert _conjugate(gram, U) == brute
+
+
+def test_int_det_matches_permutation_expansion():
+    rng = random.Random(8)
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        M = [[rng.choice([0, 0, 1, -1, 2, -3]) for _ in range(n)]
+             for _ in range(n)]
+        expected = 0
+        for perm in itertools.permutations(range(n)):
+            inversions = sum(perm[i] > perm[j]
+                             for i in range(n) for j in range(i + 1, n))
+            term = -1 if inversions % 2 else 1
+            for i in range(n):
+                term *= M[i][perm[i]]
+            expected += term
+        assert _int_det(M) == expected
