@@ -15,6 +15,8 @@ keeps F and glues the copies of E one degree lower.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .cohomology import EqLineBundle, KClass, ext_table, line_bundle_class
 from .errors import (
     BasisMismatch,
@@ -24,7 +26,7 @@ from .errors import (
 )
 from .cyclotomic import CycNum
 from .homspaces import HomElement, compose_hom, hom_space
-from .linalg import CycMatrix, rref_rows
+from .linalg import CycMatrix, eliminate_along, rref_rows
 from .reps import Setup
 
 
@@ -385,48 +387,40 @@ class HomComplexData:
                 out[k] = h
         return out
 
-    def _kernel_vectors(self, k: int) -> list[tuple[CycNum, ...]]:
-        dim = self.dim(k)
-        matrix = self.delta(k)
-        if matrix is None:
-            unit = []
-            for i in range(dim):
-                v = [CycNum.zero()] * dim
-                v[i] = CycNum.one()
-                unit.append(tuple(v))
-            return unit
-        return matrix.kernel_basis()
-
-    def _image_vectors(self, k: int) -> list[tuple[CycNum, ...]]:
-        matrix = self.delta(k)
-        if matrix is None:
-            return []
-        cols = [tuple(matrix.rows[i][j] for i in range(matrix.nrows))
-                for j in range(matrix.ncols)]
-        return [c for c in cols if any(c)]
+    @cached_property
+    def _h0(self):
+        """The span of the boundaries and the H^0 representatives, built
+        once: echelon rows with their leads, the boundaries' RREF rows first
+        and then one cycle per H^0 basis vector, and the boundary count.
+        Each kernel vector reduced along the span so far is kept, scaled to
+        1 at its first nonzero entry, when something is left."""
+        boundary = self.delta(-1)
+        span, leads = ([], []) if boundary is None else rref_rows(
+            list(boundary.transpose().rows))
+        count = len(span)
+        cycles = self.delta(0)
+        if cycles is None:
+            dim = self.dim(0)
+            kernel = [[CycNum.one() if i == j else CycNum.zero() for j in range(dim)]
+                      for i in range(dim)]
+        else:
+            kernel = cycles.kernel_basis()
+        for v in kernel:
+            _, v = eliminate_along(v, span, leads)
+            lead = next((i for i, c in enumerate(v) if c), None)
+            if lead is None:
+                continue
+            inv = v[lead].inverse()
+            span.append(tuple(c * inv for c in v))
+            leads.append(lead)
+        return span, leads, count
 
     def h0_vectors(self) -> list[tuple[CycNum, ...]]:
         """Cycle representatives of a basis of H^0, by echelon lifting:
-        kernel vectors reduced against the boundary space, kept when they
-        add rank, normalized to leading coefficient 1."""
-        span, _ = rref_rows(self._image_vectors(-1))
-        span = list(span)
-        reps = []
-        for v in self._kernel_vectors(0):
-            v = list(v)
-            for row in span:
-                lead = next(i for i, c in enumerate(row) if c)
-                if v[lead]:
-                    factor = v[lead]
-                    v = [a - factor * b for a, b in zip(v, row)]
-            if not any(v):
-                continue
-            lead = next(i for i, c in enumerate(v) if c)
-            inv = v[lead].inverse()
-            v = tuple(c * inv for c in v)
-            reps.append(v)
-            span, _ = rref_rows(span + [v])
-        return reps
+        each is the unique vector of its class modulo the boundaries and
+        the earlier representatives that is 0 at all their pivots."""
+        span, _, count = self._h0
+        return span[count:]
 
     def chain_map_from_vector(self, vector) -> ChainMap:
         if len(vector) != self.dim(0):
@@ -464,20 +458,11 @@ class HomComplexData:
 
     def h0_coordinates(self, cm: ChainMap) -> tuple[CycNum, ...]:
         """Coefficients of a cycle over h0_vectors, modulo boundaries."""
-        reps = self.h0_vectors()
-        boundary = self._image_vectors(-1)
-        vector = self.vector_from_chain_map(cm)
-        columns = [list(r) for r in reps] + [list(b) for b in boundary]
-        if not columns:
-            if any(vector):
-                raise BasisMismatch("nonzero map in a zero cohomology space")
-            return ()
-        matrix = CycMatrix([[columns[j][i] for j in range(len(columns))]
-                            for i in range(self.dim(0))])
-        sol = matrix.solve(list(vector))
-        if sol is None:
+        span, leads, count = self._h0
+        coords, residual = eliminate_along(self.vector_from_chain_map(cm), span, leads)
+        if any(residual):
             raise BasisMismatch("map is not a cycle in the given Hom complex")
-        return tuple(sol[: len(reps)])
+        return coords[count:]
 
 
 def hom_complex(C: EqComplex, D: EqComplex) -> HomComplexData:

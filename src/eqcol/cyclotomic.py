@@ -115,20 +115,18 @@ def _phi_tail(n: int) -> tuple[tuple[int, int], ...]:
 
 @lru_cache(maxsize=None)
 def _power_mod_phi(n: int, k: int) -> tuple[int, ...]:
-    """Integer coordinates of x^k modulo the n-th cyclotomic polynomial."""
+    """Integer coordinates of x^k modulo the n-th cyclotomic polynomial,
+    reduced from degree k down in one loop: k - phi(n) can exceed the
+    recursion limit at conductors far below the cap."""
     phi = euler_phi(n)
-    if k < phi:
-        row = [0] * phi
-        row[k] = 1
-        return tuple(row)
-    prev = _power_mod_phi(n, k - 1)
-    shifted = [0] + list(prev[:-1])
-    top = prev[-1]
-    if top:
-        cyc = cyclotomic_polynomial(n)
-        for i in range(phi):
-            shifted[i] -= top * cyc[i]
-    return tuple(shifted)
+    row = [0] * max(k + 1, phi)
+    row[k] = 1
+    for d in range(k, phi - 1, -1):
+        c = row[d]
+        if c:
+            for i, e in _phi_tail(n):
+                row[d - phi + i] -= c * e
+    return tuple(row[:phi])
 
 
 @lru_cache(maxsize=None)

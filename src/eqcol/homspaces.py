@@ -10,7 +10,9 @@ Bases are produced by averaging the standard spanning set under this
 action (the Reynolds projector) and echelonizing with a graded
 lexicographic monomial order, monomial-major, then target row, then
 source column.  The result is deterministic and its length always
-equals the character-theoretic multiplicity.
+equals the character-theoretic multiplicity.  Each basis vector is 1 at
+its pivot and 0 at every other pivot, so the coordinates of an invariant
+morphism are read at the pivots, with no solve.
 
 Only the twist difference m = b - a matters to the stored data, so
 spaces are cached by (m, rho, sigma) and shared across twists.
@@ -22,7 +24,7 @@ from fractions import Fraction
 
 from .cyclotomic import CycNum
 from .errors import BasisMismatch, NegativeDegree
-from .linalg import CycMatrix, rref_rows
+from .linalg import eliminate_along, rref_rows
 from .reps import Setup, setup_memo
 
 Monomial = tuple[int, ...]
@@ -166,7 +168,7 @@ class HomSpace:
     """All equivariant morphisms of a fixed twist difference m >= 0."""
 
     __slots__ = ("setup", "m", "rho_index", "sigma_index", "dim_rho",
-                 "dim_sigma", "monomials", "_mono_index", "basis", "_solver")
+                 "dim_sigma", "monomials", "_mono_index", "basis", "pivots")
 
     def __init__(self, setup: Setup, m: int, rho_index: int, sigma_index: int):
         if m < 0:
@@ -203,7 +205,7 @@ class HomSpace:
                                         k = self.flat_index_by_mono(bi, s2, t2)
                                         vec[k] = vec[k] + cl * right
                     images.append([v * scale for v in vec])
-        basis_rows, _ = rref_rows(images)
+        basis_rows, self.pivots = rref_rows(images)
         # Reynolds averages of rational data come out rational but stored at
         # the group conductor; reducing once here keeps later arithmetic on
         # the rational fast paths.
@@ -213,7 +215,6 @@ class HomSpace:
         if len(self.basis) != expected:
             raise BasisMismatch(
                 f"projector rank {len(self.basis)} != multiplicity {expected}")
-        self._solver = None
 
     @property
     def ambient_dim(self) -> int:
@@ -240,20 +241,15 @@ class HomSpace:
         return HomElement(self, coords)
 
     def coordinates_of(self, elem: HomElement) -> tuple[CycNum, ...]:
-        """Coordinates of an invariant morphism in the echelon basis."""
+        """Coordinates of an invariant morphism in the echelon basis: its
+        entries at the basis pivots, after reduction along the basis."""
         if elem.space is not self:
             raise BasisMismatch("element from a different space")
-        if not self.basis:
-            if elem:
-                raise BasisMismatch("nonzero element of a zero space")
-            return ()
-        if self._solver is None:
-            self._solver = CycMatrix(
-                [[b.coords[i] for b in self.basis] for i in range(self.ambient_dim)])
-        sol = self._solver.solve(list(elem.coords))
-        if sol is None:
+        coords, residual = eliminate_along(
+            elem.coords, [b.coords for b in self.basis], self.pivots)
+        if any(residual):
             raise BasisMismatch("element is outside the invariant span")
-        return sol
+        return coords
 
     def __repr__(self) -> str:
         names = self.setup.irreps

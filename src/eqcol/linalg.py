@@ -243,24 +243,20 @@ def _eliminate(work: list[list[CycNum]]) -> tuple[list[int], int]:
         inv = head[col].inverse()
         for r in range(row + 1, nrows):
             if work[r][col]:
-                factor = work[r][col] * inv
-                work[r] = [a - factor * b for a, b in zip(work[r], head)]
+                neg = -(work[r][col] * inv)
+                work[r] = [a + neg * b for a, b in zip(work[r], head)]
         pivots.append(col)
     return pivots, sign
 
 
 def _rref_inplace(work: list[list[CycNum]]) -> tuple[list[list[CycNum]], list[int]]:
     """Reduced row echelon form: forward elimination, then back-substitution
-    from the last pivot row up."""
+    from the last pivot row up, each row along the finished rows below it."""
     pivots, _ = _eliminate(work)
     for row in range(len(pivots) - 1, -1, -1):
-        col = pivots[row]
-        inv = work[row][col].inverse()
-        work[row] = [v * inv for v in work[row]]
-        for r in range(row):
-            if work[r][col]:
-                factor = work[r][col]
-                work[r] = [a - factor * b for a, b in zip(work[r], work[row])]
+        _, rest = eliminate_along(work[row], work[row + 1:len(pivots)], pivots[row + 1:])
+        inv = rest[pivots[row]].inverse()
+        work[row] = [v * inv for v in rest]
     return work, pivots
 
 
@@ -276,6 +272,26 @@ def rref_rows(rows: list[Sequence[CycNum]]) -> tuple[list[tuple[CycNum, ...]], l
     work = [[_coerce_entry(v) for v in row] for row in rows]
     reduced, pivots = _rref_inplace(work)
     return [tuple(reduced[i]) for i in range(len(pivots))], pivots
+
+
+def eliminate_along(vector: Sequence[CycNum], rows: Sequence[Sequence[CycNum]],
+                    leads: Sequence[int]) -> tuple[tuple[CycNum, ...], list[CycNum]]:
+    """Coordinates of a vector along echelon rows, and the residual.
+
+    Row i must be 1 at leads[i] and 0 at the lead of every earlier row
+    (RREF rows qualify).  Subtracting v[lead] times each row in turn leaves
+    the residual zero at every lead, so the coefficients are unique and the
+    residual is zero exactly when the vector lies in the span of the rows.
+    """
+    v = list(vector)
+    coeffs = []
+    for row, lead in zip(rows, leads):
+        c = v[lead]
+        coeffs.append(c)
+        if c:
+            neg = -c
+            v = [a + neg * b for a, b in zip(v, row)]
+    return tuple(coeffs), v
 
 
 def rank_of_rows(rows: list[Sequence[CycNum]]) -> int:

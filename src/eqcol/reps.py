@@ -237,24 +237,25 @@ def verify_irreps(group: FiniteMatrixGroup, irreps: list[Irrep]) -> VerifyReport
 def sym_power_character(chi: CharacterVec, m: int) -> CharacterVec:
     """Character of the m-th symmetric power, by the Newton-style recursion
     h_m(g) = (1/m) * sum_{k=1..m} chi(g^k) h_{m-k}(g)."""
-    if m < 0:
-        raise NegativeDegree(f"symmetric power of negative degree {m}")
     return _newton_power(chi, m, alternating=False)
 
 
 def ext_power_character(chi: CharacterVec, k: int) -> CharacterVec:
     """Character of the k-th exterior power, by the dual recursion
     e_k(g) = (1/k) * sum_{i=1..k} (-1)^(i-1) chi(g^i) e_{k-i}(g)."""
-    if k < 0:
-        raise NegativeDegree(f"exterior power of negative degree {k}")
     return _newton_power(chi, k, alternating=True)
 
 
-def _newton_power(chi: CharacterVec, m: int, alternating: bool) -> CharacterVec:
+def _newton_power(chi: CharacterVec, m: int, alternating: bool,
+                  lower=()) -> CharacterVec:
+    """Degree m of the recursion, extending the known degrees 0..len(lower)-1
+    one degree at a time."""
+    if m < 0:
+        raise NegativeDegree(f"power character of negative degree {m}")
     group = chi.group
-    out = [CharacterVec.trivial(group)]
+    out = list(lower) or [CharacterVec.trivial(group)]
     powers = [None] + [chi.power_map(k) for k in range(1, m + 1)]
-    for degree in range(1, m + 1):
+    for degree in range(len(out), m + 1):
         total = CharacterVec.zero(group)
         for k in range(1, degree + 1):
             term = powers[k] * out[degree - k]
@@ -323,8 +324,11 @@ class Setup:
 
     @setup_memo
     def sym_dual(self, m: int) -> CharacterVec:
-        """chi of Sym^m V-dual, the degree-m polynomial functions."""
-        return sym_power_character(self.defining_character().dual(), m)
+        """chi of Sym^m V-dual, the degree-m polynomial functions.  A miss
+        runs one Newton step on the memoized lower degrees, which are
+        fetched in ascending order so the call depth stays at two."""
+        return _newton_power(self.defining_character().dual(), m, False,
+                             [self.sym_dual(k) for k in range(m)])
 
     def sym(self, m: int) -> CharacterVec:
         return sym_power_character(self.defining_character(), m)

@@ -6,12 +6,14 @@ traces from principal minors, and invariant dimensions from averaging
 those traces over the group.
 """
 
+import inspect
+import sys
 from fractions import Fraction
 
 import pytest
 
 from eqcol.cyclotomic import CycNum
-from eqcol.errors import GroupMismatch
+from eqcol.errors import GroupMismatch, NegativeDegree
 from eqcol.linalg import CycMatrix
 from eqcol.reps import (
     CharacterVec,
@@ -140,6 +142,24 @@ def test_sym_power_matches_oracle(bd2, c3):
             for c in range(len(group.classes)):
                 rep = group.elements[group.class_representative(c)]
                 assert sym.values[c] == oracle_sym_trace(rep, m), (m, c)
+
+
+def test_sym_dual_steps_from_memoized_degrees():
+    # A fresh setup, so every degree is a miss.  Each miss fetches the lower
+    # degrees in ascending order, so the call depth must not grow with m.
+    setup = cyclic_diagonal(3, [1, 1, 1])
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 60)
+    try:
+        top = setup.sym_dual(150)
+    finally:
+        sys.setrecursionlimit(limit)
+    dual = setup.defining_character().dual()
+    assert top == sym_power_character(dual, 150)
+    for m in range(8):
+        assert setup.sym_dual(m) == sym_power_character(dual, m)
+    with pytest.raises(NegativeDegree):
+        setup.sym_dual(-1)
 
 
 def test_ext_power_matches_oracle(bd2, c3):

@@ -286,3 +286,39 @@ def test_pair_ext_dims_bypasses_window(c3):
         ext_dims(B, A)
     table = pair_ext_dims(B, A)
     assert table == closed_form(c3, EqLineBundle(4, 2), EqLineBundle(0, 0))
+
+
+@pytest.mark.parametrize("j, j2", [(0, 1), (1, 2), (2, 0)])
+def test_h0_coordinates_modulo_nonzero_boundary(c3, j, j2):
+    C = lb(c3, 0, j, degree=1)
+    D = right_mutation(lb(c3, 0, j), lb(c3, 1, j2))
+    data = hom_complex(C, D)
+    assert data.dims == {-1: 1, 0: 9}
+    assert data.rank(-1) == 1
+    reps = data.h0_vectors()
+    assert len(reps) == 8 == data.ext_dims()[0]
+    # reduced modulo the boundary e0 + e4 + e8
+    assert reps[0] == tuple(int(i in (4, 8)) for i in range(9))
+    for i, rep in enumerate(reps):
+        coords = data.h0_coordinates(data.chain_map_from_vector(rep))
+        assert coords == tuple(int(k == i) for k in range(8))
+    boundary = [data.delta(-1)[i, 0] for i in range(9)]
+    assert any(boundary)
+    shifted = [2 * a + b for a, b in zip(reps[0], boundary)]
+    coords = data.h0_coordinates(data.chain_map_from_vector(shifted))
+    assert coords == (2,) + (0,) * 7
+
+
+def test_h0_coordinates_reject_non_cycle(c3):
+    # Every degree-0 map into the cone above is a cycle (its Hom^1 is zero),
+    # so take the cone's endomorphisms: the identity on the E summand alone
+    # does not commute with the differential.
+    D = right_mutation(lb(c3, 0, 0), lb(c3, 1, 1))
+    data = hom_complex(D, D)
+    assert data.ext_dims() == {0: 1} and data.rank(0)
+    assert data.h0_coordinates(identity_chain_map(D)) == (1,)
+    ident_e = hom_space(c3, 0, 0, 0).identity_element()
+    with pytest.raises(InvalidParameter):
+        ChainMap(D, D, {0: {(0, 0): ident_e}})
+    with pytest.raises(BasisMismatch):
+        data.h0_coordinates(ChainMap(D, D, {0: {(0, 0): ident_e}}, check=False))

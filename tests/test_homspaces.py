@@ -1,8 +1,10 @@
 """Invariant morphism bases: equivariance, multiplicity, composition ranks."""
 
 import os
+import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -16,7 +18,7 @@ from eqcol.homspaces import (
     hom_space,
     monomial_basis,
 )
-from eqcol.linalg import rank_of_rows
+from eqcol.linalg import CycMatrix, rank_of_rows
 from eqcol.reps import binary_dihedral, cyclic_diagonal
 
 
@@ -195,3 +197,67 @@ def test_coordinates_round_trip(c3):
     for i, f in enumerate(space.basis):
         coords = space.coordinates_of(f)
         assert [bool(c) for c in coords] == [j == i for j in range(len(space))]
+
+
+def _solve_coordinates(space, elem):
+    """The column solve that coordinates_of replaced, kept as its oracle."""
+    columns = CycMatrix([[b.coords[i] for b in space.basis]
+                         for i in range(space.ambient_dim)])
+    return columns.solve(list(elem.coords))
+
+
+def _spaces(setup, degrees):
+    r = len(setup.irreps)
+    for m in degrees:
+        for rho in range(r):
+            for sigma in range(r):
+                yield hom_space(setup, m, rho, sigma)
+
+
+def test_coordinates_match_solve_oracle(bd2, c3):
+    # bd3 carries basis entries in Q(zeta_12) \ Q; bd2 and c3 bases are
+    # rational, so irrational coefficients give irrational elements there.
+    rng = random.Random(20261018)
+    scalars = [CycNum.from_rat(Fraction(p, q)) for p in (-3, -1, 1, 2) for q in (1, 5)]
+    scalars += [CycNum.zeta(3), CycNum.zeta(4) - 2, CycNum.zeta(8) * Fraction(1, 3)]
+    irrational_basis = checked = 0
+    for setup in (bd2, c3, binary_dihedral(3)):
+        for space in _spaces(setup, range(4)):
+            if not len(space):
+                continue
+            irrational_basis += any(not c.is_rational()
+                                    for b in space.basis for c in b.coords)
+            for _ in range(3):
+                coeffs = [rng.choice(scalars + [CycNum.zero()]) for _ in space.basis]
+                elem = space.zero_element()
+                for c, b in zip(coeffs, space.basis):
+                    elem = elem + b * c
+                got = space.coordinates_of(elem)
+                assert got == tuple(coeffs)
+                assert got == _solve_coordinates(space, elem)
+                checked += 1
+    assert irrational_basis and checked > 100
+
+
+def test_non_invariant_vector_raises(bd2, c3):
+    # Every unit vector of the ambient space is in the span exactly when the
+    # oracle solve finds coordinates; the others must raise, including every
+    # nonzero vector of a zero space.
+    outside = 0
+    for setup in (bd2, c3):
+        for space in _spaces(setup, range(3)):
+            for k in range(space.ambient_dim):
+                unit = [CycNum.zero()] * space.ambient_dim
+                unit[k] = CycNum.one()
+                elem = HomElement(space, unit)
+                expected = _solve_coordinates(space, elem) if len(space) else None
+                if expected is None:
+                    outside += 1
+                    with pytest.raises(BasisMismatch):
+                        space.coordinates_of(elem)
+                else:
+                    assert space.coordinates_of(elem) == expected
+    assert outside
+    zero_space = hom_space(c3, 0, 0, 1)
+    assert not len(zero_space)
+    assert zero_space.coordinates_of(zero_space.zero_element()) == ()
