@@ -26,7 +26,8 @@ from .errors import (
 )
 from .cyclotomic import CycNum
 from .homspaces import HomElement, compose_hom, hom_space
-from .linalg import CycMatrix, eliminate_along, rref_rows
+from .linalg import (SparseVec, eliminate_along, sparse_echelon, sparse_kernel,
+                     sparse_rank)
 from .reps import Setup
 
 
@@ -279,6 +280,17 @@ class _Slice:
         self.offset = offset
 
 
+def _accumulate(column: SparseVec, out: _Slice, elem: HomElement, negate: bool) -> None:
+    """Add the coordinates of elem, or subtract them, at out's rows."""
+    for i, c in enumerate(out.space.coordinates_of(elem)):
+        if c:
+            row = out.offset + i
+            if negate:
+                c = -c
+            old = column.get(row)
+            column[row] = c if old is None else old + c
+
+
 class HomComplexData:
     """The complex Hom^k = sum over p of Hom(C^p, D^(p+k)), with exact
     differentials delta(f) = d_D o f - (-1)^k f o d_C."""
@@ -318,65 +330,53 @@ class HomComplexData:
             if slices:
                 self.slices[k] = slices
                 self.dims[k] = offset
-        self._deltas: dict[int, CycMatrix | None] = {}
+        self._slice_at = {(k, sl.p, sl.s, sl.t): sl
+                          for k, slices in self.slices.items() for sl in slices}
+        self._deltas: dict[int, list[SparseVec]] = {}
         self._ranks: dict[int, int] = {}
 
     def dim(self, k: int) -> int:
         return self.dims.get(k, 0)
 
-    def _slice_for(self, k: int, p: int, s: int, t: int) -> _Slice | None:
-        for sl in self.slices.get(k, ()):
-            if sl.p == p and sl.s == s and sl.t == t:
-                return sl
-        return None
-
-    def delta(self, k: int) -> CycMatrix | None:
-        """Matrix of delta^k, or None when source or target space is zero."""
+    def delta(self, k: int) -> list[SparseVec]:
+        """delta^k as sparse columns, one per basis vector of Hom^k, each
+        {row: value} with the zero entries dropped.  The entries are read
+        from `coordinates_of`, whose invariance check touches only the
+        stored support of the basis."""
         if k in self._deltas:
             return self._deltas[k]
-        rows_n = self.dim(k + 1)
-        cols_n = self.dim(k)
-        if rows_n == 0 or cols_n == 0:
-            self._deltas[k] = None
-            return None
-        sign = 1 if k % 2 == 0 else -1
+        negate_pre = k % 2 == 0
         D, C = self.target, self.source
         columns = []
-        for sl in self.slices[k]:
+        for sl in self.slices.get(k, ()):
+            q = sl.p + k
+            # post-compose with the target differential
+            posts = []
+            for u in range(len(D.terms.get(q + 1, ()))):
+                g = D.diff_block(q, u, sl.t)
+                out = self._slice_at.get((k + 1, sl.p, sl.s, u))
+                if g is not None and out is not None:
+                    posts.append((g, out))
+            # pre-compose with the source differential
+            pres = []
+            for sp in range(len(C.terms.get(sl.p - 1, ()))):
+                e = C.diff_block(sl.p - 1, sl.s, sp)
+                out = self._slice_at.get((k + 1, sl.p - 1, sp, sl.t))
+                if e is not None and out is not None:
+                    pres.append((e, out))
             for f in sl.space.basis:
-                column = [CycNum.zero()] * rows_n
-                q = sl.p + k
-                # post-compose with the target differential
-                for u in range(len(D.terms.get(q + 1, ()))):
-                    g = D.diff_block(q, u, sl.t)
-                    if g is None:
-                        continue
-                    out = self._slice_for(k + 1, sl.p, sl.s, u)
-                    if out is None:
-                        continue
-                    for i, c in enumerate(out.space.coordinates_of(compose_hom(f, g))):
-                        column[out.offset + i] = column[out.offset + i] + c
-                # pre-compose with the source differential
-                for sp in range(len(C.terms.get(sl.p - 1, ()))):
-                    e = C.diff_block(sl.p - 1, sl.s, sp)
-                    if e is None:
-                        continue
-                    out = self._slice_for(k + 1, sl.p - 1, sp, sl.t)
-                    if out is None:
-                        continue
-                    comp = compose_hom(e, f)
-                    for i, c in enumerate(out.space.coordinates_of(comp)):
-                        column[out.offset + i] = column[out.offset + i] - c * sign
-                columns.append(column)
-        matrix = CycMatrix([[columns[j][i] for j in range(cols_n)]
-                            for i in range(rows_n)])
-        self._deltas[k] = matrix
-        return matrix
+                column: SparseVec = {}
+                for g, out in posts:
+                    _accumulate(column, out, compose_hom(f, g), False)
+                for e, out in pres:
+                    _accumulate(column, out, compose_hom(e, f), negate_pre)
+                columns.append({i: c for i, c in column.items() if c})
+        self._deltas[k] = columns
+        return columns
 
     def rank(self, k: int) -> int:
         if k not in self._ranks:
-            matrix = self.delta(k)
-            self._ranks[k] = 0 if matrix is None else matrix.rank()
+            self._ranks[k] = sparse_rank(self.delta(k))
         return self._ranks[k]
 
     def ext_dims(self) -> dict[int, int]:
@@ -390,37 +390,39 @@ class HomComplexData:
     @cached_property
     def _h0(self):
         """The span of the boundaries and the H^0 representatives, built
-        once: echelon rows with their leads, the boundaries' RREF rows first
-        and then one cycle per H^0 basis vector, and the boundary count.
-        Each kernel vector reduced along the span so far is kept, scaled to
-        1 at its first nonzero entry, when something is left."""
-        boundary = self.delta(-1)
-        span, leads = ([], []) if boundary is None else rref_rows(
-            list(boundary.transpose().rows))
+        once: sparse echelon rows, the boundaries' reduced echelon rows
+        first and then one cycle per H^0 basis vector, the index of each
+        row by its lead, and the boundary count.  The cycles are the
+        kernel of delta^0, read off the reduced echelon rows of its
+        transpose; each reduced along the span so far is kept, scaled to 1
+        at its first nonzero entry, when something is left."""
+        span, leads = sparse_echelon(self.delta(-1))
         count = len(span)
-        cycles = self.delta(0)
-        if cycles is None:
-            dim = self.dim(0)
-            kernel = [[CycNum.one() if i == j else CycNum.zero() for j in range(dim)]
-                      for i in range(dim)]
-        else:
-            kernel = cycles.kernel_basis()
+        transposed: dict[int, SparseVec] = {}
+        for j, column in enumerate(self.delta(0)):
+            for i, c in column.items():
+                transposed.setdefault(i, {})[j] = c
+        kernel = sparse_kernel(*sparse_echelon(transposed[i] for i in sorted(transposed)),
+                               self.dim(0))
+        position = {lead: i for i, lead in enumerate(leads)}
         for v in kernel:
-            _, v = eliminate_along(v, span, leads)
-            lead = next((i for i, c in enumerate(v) if c), None)
-            if lead is None:
+            _, v = eliminate_along(v, span, position)
+            if not v:
                 continue
+            lead = min(v)
             inv = v[lead].inverse()
-            span.append(tuple(c * inv for c in v))
-            leads.append(lead)
-        return span, leads, count
+            position[lead] = len(span)
+            span.append({j: c * inv for j, c in v.items()})
+        return span, position, count
 
     def h0_vectors(self) -> list[tuple[CycNum, ...]]:
         """Cycle representatives of a basis of H^0, by echelon lifting:
         each is the unique vector of its class modulo the boundaries and
         the earlier representatives that is 0 at all their pivots."""
         span, _, count = self._h0
-        return span[count:]
+        zero = CycNum.zero()
+        return [tuple(row.get(i, zero) for i in range(self.dim(0)))
+                for row in span[count:]]
 
     def chain_map_from_vector(self, vector) -> ChainMap:
         if len(vector) != self.dim(0):
@@ -458,11 +460,13 @@ class HomComplexData:
 
     def h0_coordinates(self, cm: ChainMap) -> tuple[CycNum, ...]:
         """Coefficients of a cycle over h0_vectors, modulo boundaries."""
-        span, leads, count = self._h0
-        coords, residual = eliminate_along(self.vector_from_chain_map(cm), span, leads)
-        if any(residual):
+        span, position, count = self._h0
+        coords, residual = eliminate_along(
+            dict(enumerate(self.vector_from_chain_map(cm))), span, position)
+        if residual:
             raise BasisMismatch("map is not a cycle in the given Hom complex")
-        return coords[count:]
+        zero = CycNum.zero()
+        return tuple(coords.get(i, zero) for i in range(count, len(span)))
 
 
 def hom_complex(C: EqComplex, D: EqComplex) -> HomComplexData:

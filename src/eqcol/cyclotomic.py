@@ -85,25 +85,41 @@ def lcm(a: int, b: int) -> int:
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Coefficients of the n-th cyclotomic polynomial, ascending degree.
 
-    Computed by exact division of x^n - 1 by the cyclotomic polynomials
-    of the proper divisors of n.  Monic with integer coefficients.
+    Computed by exact integer division of x^n - 1 by the cyclotomic
+    polynomials of the proper divisors of n.  Monic with integer
+    coefficients.
     """
     if n < 1:
         raise InvalidParameter(f"cyclotomic polynomial of {n}")
     if n > conductor_cap():
         raise ConductorOverflow(f"conductor {n} exceeds cap {conductor_cap()}")
-    poly = [_ZERO] * (n + 1)
-    poly[0], poly[n] = Fraction(-1), _ONE
+    poly = [0] * (n + 1)
+    poly[0], poly[n] = -1, 1
     for d in divisors(n)[:-1]:
-        poly, rem = _poly_divmod(poly, [Fraction(c) for c in cyclotomic_polynomial(d)])
-        if any(rem):
-            raise InvalidParameter("inexact polynomial division")
-    coeffs = []
-    for c in poly:
-        if c.denominator != 1:
+        poly = _int_poly_divexact(poly, cyclotomic_polynomial(d))
+    return tuple(poly)
+
+
+def _int_poly_divexact(num: list[int], den: tuple[int, ...]) -> list[int]:
+    """num / den for integer polynomials (ascending coefficients) when the
+    quotient has integer coefficients and the remainder is zero; long
+    division over the nonzero terms of den, InvalidParameter otherwise."""
+    num = list(num)
+    dn = len(den) - 1
+    lead = den[-1]
+    tail = [(j, c) for j, c in enumerate(den[:-1]) if c]
+    quot = [0] * (len(num) - dn)
+    for i in range(len(num) - 1, dn - 1, -1):
+        c, rem = divmod(num[i], lead)
+        if rem:
             raise InvalidParameter("cyclotomic polynomial is not integral")
-        coeffs.append(int(c))
-    return tuple(coeffs)
+        if c:
+            quot[i - dn] = c
+            for j, dj in tail:
+                num[i - dn + j] -= c * dj
+    if any(num[:dn]):
+        raise InvalidParameter("inexact polynomial division")
+    return quot
 
 
 @lru_cache(maxsize=None)

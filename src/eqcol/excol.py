@@ -602,6 +602,14 @@ def quiver(coll: ExcCollection) -> Quiver:
         for j in range(i + 1, size):
             hom[i][j] = coll.ext_table(i, j).get(0, 0)
 
+    bases: dict[tuple[int, int], list] = {}
+
+    def basis(i: int, k: int) -> list:
+        """H^0 basis of Hom(E_i, E_k), built once per pair."""
+        if (i, k) not in bases:
+            bases[(i, k)] = cohomology_basis(coll.objects[i], coll.objects[k])
+        return bases[(i, k)]
+
     arrows = [[0] * size for _ in range(size)]
     for i in range(size):
         for j in range(i + 1, size):
@@ -614,8 +622,8 @@ def quiver(coll: ExcCollection) -> Quiver:
             data = hom_complex(coll.objects[i], coll.objects[j])
             rows = []
             for k in middles:
-                for f in cohomology_basis(coll.objects[i], coll.objects[k]):
-                    for g in cohomology_basis(coll.objects[k], coll.objects[j]):
+                for f in basis(i, k):
+                    for g in basis(k, j):
                         composite = compose_chain_maps(f, g)
                         rows.append(list(data.h0_coordinates(composite)))
             arrows[i][j] = hom[i][j] - rank_of_rows(rows)

@@ -12,7 +12,9 @@ lexicographic monomial order, monomial-major, then target row, then
 source column.  The result is deterministic and its length always
 equals the character-theoretic multiplicity.  Each basis vector is 1 at
 its pivot and 0 at every other pivot, so the coordinates of an invariant
-morphism are read at the pivots, with no solve.
+morphism are read at the pivots, with no solve.  The invariance check
+subtracts each coordinate times the stored nonzero support of its basis
+vector only, so it costs the ambient dimension plus that support.
 
 Only the twist difference m = b - a matters to the stored data, so
 spaces are cached by (m, rho, sigma) and shared across twists.
@@ -24,7 +26,7 @@ from fractions import Fraction
 
 from .cyclotomic import CycNum
 from .errors import BasisMismatch, NegativeDegree
-from .linalg import eliminate_along, rref_rows
+from .linalg import rref_rows
 from .reps import Setup, setup_memo
 
 Monomial = tuple[int, ...]
@@ -168,7 +170,8 @@ class HomSpace:
     """All equivariant morphisms of a fixed twist difference m >= 0."""
 
     __slots__ = ("setup", "m", "rho_index", "sigma_index", "dim_rho",
-                 "dim_sigma", "monomials", "_mono_index", "basis", "pivots")
+                 "dim_sigma", "monomials", "_mono_index", "basis", "pivots",
+                 "_supports")
 
     def __init__(self, setup: Setup, m: int, rho_index: int, sigma_index: int):
         if m < 0:
@@ -211,6 +214,8 @@ class HomSpace:
         # the rational fast paths.
         self.basis = tuple(HomElement(self, [v.reduced() for v in row])
                            for row in basis_rows)
+        self._supports = tuple(tuple(j for j, c in enumerate(b.coords) if c)
+                               for b in self.basis)
         expected = setup.hom_dim(0, m, rho_index, sigma_index)
         if len(self.basis) != expected:
             raise BasisMismatch(
@@ -242,11 +247,17 @@ class HomSpace:
 
     def coordinates_of(self, elem: HomElement) -> tuple[CycNum, ...]:
         """Coordinates of an invariant morphism in the echelon basis: its
-        entries at the basis pivots, after reduction along the basis."""
+        entries at the basis pivots.  The element minus that combination
+        must vanish; only the basis supports are subtracted."""
         if elem.space is not self:
             raise BasisMismatch("element from a different space")
-        coords, residual = eliminate_along(
-            elem.coords, [b.coords for b in self.basis], self.pivots)
+        coords = tuple(elem.coords[p] for p in self.pivots)
+        residual = list(elem.coords)
+        for c, b, support in zip(coords, self.basis, self._supports):
+            if c:
+                neg = -c
+                for j in support:
+                    residual[j] = residual[j] + neg * b.coords[j]
         if any(residual):
             raise BasisMismatch("element is outside the invariant span")
         return coords

@@ -1,15 +1,26 @@
-"""Exact dense linear algebra over cyclotomic numbers.
+"""Exact linear algebra over cyclotomic numbers, dense and sparse.
 
 Everything here works over the field Q(zeta_N) with rational coordinates,
-so ranks and kernels are exact.  Row reduction chooses as pivot the first
-row with a nonzero entry in the current column, which makes every
-echelon form (and hence every derived basis) deterministic.
+so ranks and kernels are exact.  Dense row reduction (`CycMatrix`,
+`rref_rows`) chooses as pivot the first row with a nonzero entry in the
+current column, which makes every echelon form (and hence every derived
+basis) deterministic.
+
+Sparse vectors are dicts {index: CycNum} holding nonzero entries only.
+`sparse_echelon` keeps one row per lead, the lowest index of the row,
+scaled to 1 there: each incoming vector is reduced at its lowest index
+by the row with that lead until it is zero or has a new lead.  For the
+reduced form each row is then cleared at the other leads from the
+highest lead down, touching only the leads in its own support.  The
+result is the reduced row echelon basis of the span, which is unique,
+so it equals what `rref_rows` gives for the same vectors.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from heapq import heapify, heappop, heappush
+from typing import Iterable, Mapping, Sequence
 
 from .cyclotomic import CycNum
 from .errors import InvalidParameter, NotInvertible
@@ -254,7 +265,12 @@ def _rref_inplace(work: list[list[CycNum]]) -> tuple[list[list[CycNum]], list[in
     from the last pivot row up, each row along the finished rows below it."""
     pivots, _ = _eliminate(work)
     for row in range(len(pivots) - 1, -1, -1):
-        _, rest = eliminate_along(work[row], work[row + 1:len(pivots)], pivots[row + 1:])
+        rest = work[row]
+        for below in range(row + 1, len(pivots)):
+            c = rest[pivots[below]]
+            if c:
+                neg = -c
+                rest = [a + neg * b for a, b in zip(rest, work[below])]
         inv = rest[pivots[row]].inverse()
         work[row] = [v * inv for v in rest]
     return work, pivots
@@ -274,25 +290,113 @@ def rref_rows(rows: list[Sequence[CycNum]]) -> tuple[list[tuple[CycNum, ...]], l
     return [tuple(reduced[i]) for i in range(len(pivots))], pivots
 
 
-def eliminate_along(vector: Sequence[CycNum], rows: Sequence[Sequence[CycNum]],
-                    leads: Sequence[int]) -> tuple[tuple[CycNum, ...], list[CycNum]]:
-    """Coordinates of a vector along echelon rows, and the residual.
-
-    Row i must be 1 at leads[i] and 0 at the lead of every earlier row
-    (RREF rows qualify).  Subtracting v[lead] times each row in turn leaves
-    the residual zero at every lead, so the coefficients are unique and the
-    residual is zero exactly when the vector lies in the span of the rows.
-    """
-    v = list(vector)
-    coeffs = []
-    for row, lead in zip(rows, leads):
-        c = v[lead]
-        coeffs.append(c)
-        if c:
-            neg = -c
-            v = [a + neg * b for a, b in zip(v, row)]
-    return tuple(coeffs), v
-
-
 def rank_of_rows(rows: list[Sequence[CycNum]]) -> int:
-    return len(_eliminate([[_coerce_entry(v) for v in row] for row in rows])[0])
+    return CycMatrix(rows).rank() if rows else 0
+
+
+SparseVec = dict[int, CycNum]
+
+
+def _axpy(v: SparseVec, c: CycNum, row: Mapping[int, CycNum]) -> None:
+    """v += c * row in place, dropping the entries that cancel."""
+    for j, x in row.items():
+        old = v.get(j)
+        if old is None:
+            v[j] = c * x
+        else:
+            new = old + c * x
+            if new:
+                v[j] = new
+            else:
+                del v[j]
+
+
+def _sparse_forward(vectors: Iterable[Mapping[int, CycNum]]) -> dict[int, SparseVec]:
+    """Rows of an echelon basis keyed by lead: each row is 1 at its lead,
+    its lowest index, and the rows span the given vectors."""
+    rows: dict[int, SparseVec] = {}
+    for vector in vectors:
+        v = {j: c for j, c in vector.items() if c}
+        while v:
+            lead = min(v)
+            row = rows.get(lead)
+            if row is None:
+                inv = v[lead].inverse()
+                rows[lead] = {j: c * inv for j, c in v.items()}
+                break
+            _axpy(v, -v[lead], row)
+    return rows
+
+
+def sparse_rank(vectors: Iterable[Mapping[int, CycNum]]) -> int:
+    """Dimension of the span of sparse vectors (forward elimination only)."""
+    return len(_sparse_forward(vectors))
+
+
+def sparse_echelon(vectors: Iterable[Mapping[int, CycNum]]
+                   ) -> tuple[list[SparseVec], list[int]]:
+    """Reduced echelon basis of the span of sparse vectors, with leads.
+
+    Rows come in ascending lead order; each is 1 at its lead, its lowest
+    index, and 0 at every other lead.  These are the rows `rref_rows`
+    gives for the same vectors, stored sparsely.
+    """
+    rows = _sparse_forward(vectors)
+    leads = sorted(rows)
+    for lead in reversed(leads):
+        row = rows[lead]
+        # rows[other] is already 0 at every lead but its own, so each step
+        # clears exactly one lead of this row
+        for other, c in [(j, c) for j, c in row.items() if j != lead and j in rows]:
+            _axpy(row, -c, rows[other])
+    return [rows[lead] for lead in leads], leads
+
+
+def sparse_kernel(rows: Sequence[Mapping[int, CycNum]], leads: Sequence[int],
+                  ncols: int) -> list[SparseVec]:
+    """Basis of the right kernel of a matrix given by its reduced echelon
+    rows: one vector per free column, ascending, 1 there and minus the
+    free column's entries at the leads; `CycMatrix.kernel_basis` gives the
+    same vectors densely."""
+    lead_set = set(leads)
+    kernel = {f: {f: CycNum.one()} for f in range(ncols) if f not in lead_set}
+    for row, lead in zip(rows, leads):
+        for j, c in row.items():
+            if j != lead:
+                kernel[j][lead] = -c
+    return [kernel[f] for f in sorted(kernel)]
+
+
+def eliminate_along(vector: Mapping[int, CycNum], rows: Sequence[Mapping[int, CycNum]],
+                    position: Mapping[int, int]) -> tuple[dict[int, CycNum], SparseVec]:
+    """Coordinates of a sparse vector along echelon rows, and the residual.
+
+    `position` maps the lead of each row to the row's index.  Row i must be
+    1 at its lead and 0 at the lead of every earlier row.  Subtracting
+    v[lead] times each row in turn leaves the residual zero at every lead,
+    so the coefficients are unique and the residual is zero exactly when
+    the vector lies in the span of the rows.  Only the rows whose lead the
+    vector reaches are visited, in row order (a row adds no entries at
+    earlier leads), so the cost follows the supports, not the number of
+    rows.  The coefficients come back as {row index: c}, nonzero only.
+    """
+    v = {j: c for j, c in vector.items() if c}
+    queue = [(position[j], j) for j in v if j in position]
+    heapify(queue)
+    coeffs: dict[int, CycNum] = {}
+    last = -1
+    while queue:
+        i, lead = heappop(queue)
+        if i == last:
+            continue
+        last = i
+        c = v.get(lead)
+        if not c:
+            continue
+        coeffs[i] = c
+        row = rows[i]
+        reached = [j for j in row if j in position and j not in v]
+        _axpy(v, -c, row)
+        for j in reached:
+            heappush(queue, (position[j], j))
+    return coeffs, v

@@ -302,7 +302,7 @@ def test_h0_coordinates_modulo_nonzero_boundary(c3, j, j2):
     for i, rep in enumerate(reps):
         coords = data.h0_coordinates(data.chain_map_from_vector(rep))
         assert coords == tuple(int(k == i) for k in range(8))
-    boundary = [data.delta(-1)[i, 0] for i in range(9)]
+    boundary = [data.delta(-1)[0].get(i, 0) for i in range(9)]
     assert any(boundary)
     shifted = [2 * a + b for a, b in zip(reps[0], boundary)]
     coords = data.h0_coordinates(data.chain_map_from_vector(shifted))

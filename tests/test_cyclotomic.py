@@ -1,6 +1,7 @@
 """Exact cyclotomic arithmetic: frozen oracles and field properties."""
 
 import random
+from functools import lru_cache
 from math import gcd
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import pytest
 
 from eqcol.cyclotomic import (
     CycNum,
+    _int_poly_divexact,
     cyclotomic_polynomial,
     divisors,
     euler_phi,
@@ -84,6 +86,59 @@ def test_cyclotomic_product_over_divisors():
         expected = [Fraction(0)] * (n + 1)
         expected[0], expected[n] = Fraction(-1), Fraction(1)
         assert prod == expected
+
+
+@lru_cache(maxsize=None)
+def fraction_cyclotomic(n: int) -> tuple[int, ...]:
+    """The previous implementation, kept as an oracle: Fraction long
+    division of x^n - 1 by the cyclotomic polynomials of the proper
+    divisors, then an integrality check."""
+    def divmod_poly(num, den):
+        num = list(num)
+        dn = len(den) - 1
+        quot = [Fraction(0)] * (len(num) - dn)
+        for i in range(len(num) - 1, dn - 1, -1):
+            c = num[i] / den[-1]
+            if c:
+                quot[i - dn] = c
+                for j, dj in enumerate(den):
+                    num[i - dn + j] -= c * dj
+        return quot, num[:dn]
+
+    poly = [Fraction(0)] * (n + 1)
+    poly[0], poly[n] = Fraction(-1), Fraction(1)
+    for d in divisors(n)[:-1]:
+        poly, rem = divmod_poly(poly, [Fraction(c) for c in fraction_cyclotomic(d)])
+        assert not any(rem)
+    assert all(c.denominator == 1 for c in poly)
+    return tuple(int(c) for c in poly)
+
+
+def test_cyclotomic_polynomials_match_fraction_division():
+    for n in range(1, 301):
+        assert cyclotomic_polynomial(n) == fraction_cyclotomic(n)
+
+
+@pytest.mark.parametrize("n", [1680, 4620])
+def test_cyclotomic_product_is_x_n_minus_one_at_large_n(n):
+    prod = [1]
+    for d in divisors(n):
+        terms = [(j, c) for j, c in enumerate(cyclotomic_polynomial(d)) if c]
+        new = [0] * (len(prod) + terms[-1][0])
+        for i, a in enumerate(prod):
+            if a:
+                for j, b in terms:
+                    new[i + j] += a * b
+        prod = new
+    assert prod == [-1] + [0] * (n - 1) + [1]
+
+
+def test_integer_division_rejects_inexact_and_non_integral_quotients():
+    assert _int_poly_divexact([-1, 0, 1], (1, 1)) == [-1, 1]
+    with pytest.raises(InvalidParameter, match="inexact"):
+        _int_poly_divexact([1, 0, 1], (1, 1))  # x^2 + 1 = (x - 1)(x + 1) + 2
+    with pytest.raises(InvalidParameter, match="not integral"):
+        _int_poly_divexact([0, 1], (0, 2))  # x / 2x = 1/2
 
 
 def test_degree_is_totient():

@@ -7,7 +7,15 @@ import pytest
 
 from eqcol.cyclotomic import CycNum
 from eqcol.errors import NotInvertible
-from eqcol.linalg import CycMatrix, rank_of_rows, rref_rows
+from eqcol.linalg import (
+    CycMatrix,
+    eliminate_along,
+    rank_of_rows,
+    rref_rows,
+    sparse_echelon,
+    sparse_kernel,
+    sparse_rank,
+)
 
 
 def test_det_hand_values():
@@ -140,3 +148,134 @@ def test_trace_linear():
     b = CycMatrix([[0, 1], [1, 0]])
     assert (a + b).trace() == a.trace() + b.trace()
     assert (a * b).trace() == (b * a).trace()
+
+
+# -- the sparse echelon against the dense elimination --------------------
+
+
+def _entry_pool(irrational: bool) -> list[CycNum]:
+    pool = [CycNum.from_rat(v) for v in (1, -1, 2, -3, Fraction(1, 2), Fraction(-5, 3))]
+    if irrational:
+        z = CycNum.zeta(12)
+        pool += [z, z ** 5 - 1, z * Fraction(2, 3), z ** 3 + z ** 4]
+    return pool
+
+
+def _random_sparse(rng, nrows, ncols, density, pool) -> CycMatrix:
+    return CycMatrix([[rng.choice(pool) if rng.random() < density else 0
+                       for _ in range(ncols)] for _ in range(nrows)])
+
+
+def _arrow(rng, n, pool) -> CycMatrix:
+    """Dense first row and column over a diagonal (plus a few stray entries),
+    the shape in which eliminating the first column fills in everything."""
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[0][i] = rng.choice(pool)
+        rows[i][0] = rng.choice(pool)
+        rows[i][i] = rng.choice(pool)
+    for _ in range(n // 3):
+        rows[rng.randrange(n)][rng.randrange(n)] = rng.choice(pool)
+    return CycMatrix(rows)
+
+
+def _sparse_cases():
+    rng = random.Random(2024)
+    for irrational in (False, True):
+        pool = _entry_pool(irrational)
+        for density in (0.01, 0.05, 0.1, 0.2, 0.3):
+            # the sparsest draws need more cells to hold any entries at all
+            top = 14 if density >= 0.1 else 40
+            for _ in range(3):
+                nrows, ncols = rng.randint(1, top), rng.randint(1, top)
+                yield _random_sparse(rng, nrows, ncols, density, pool)
+        for _ in range(4):
+            n, k, m = rng.randint(3, 9), rng.randint(1, 4), rng.randint(3, 9)
+            a = _random_sparse(rng, n, k, 0.4, pool)
+            b = _random_sparse(rng, k, m, 0.4, pool)
+            yield a * b
+        for n in (2, 5, 9):
+            arrow = _arrow(rng, n, pool)
+            yield arrow
+            # a rank-deficient bordered shape: the last row repeats the first
+            yield CycMatrix(arrow.rows + (arrow.rows[0],))
+        yield _random_sparse(rng, 60, 70, 0.01, pool)
+
+
+def _sparse(row) -> dict:
+    return {j: c for j, c in enumerate(row) if c}
+
+
+def _dense(vec: dict, width: int) -> tuple:
+    return tuple(vec.get(j, CycNum.zero()) for j in range(width))
+
+
+def test_sparse_echelon_matches_dense_elimination():
+    checked = 0
+    for m in _sparse_cases():
+        rows = [_sparse(row) for row in m.rows]
+        cols = [_sparse(col) for col in m.transpose().rows]
+        rank = m.rank()
+        assert sparse_rank(rows) == sparse_rank(cols) == rank
+        echelon, leads = sparse_echelon(rows)
+        dense_rows, pivots = rref_rows(list(m.rows))
+        assert leads == pivots and len(echelon) == rank
+        assert [_dense(row, m.ncols) for row in echelon] == dense_rows
+        assert all(c for row in echelon for c in row.values())
+        kernel = sparse_kernel(echelon, leads, m.ncols)
+        assert [_dense(vec, m.ncols) for vec in kernel] == m.kernel_basis()
+        checked += 1
+    assert checked == 52
+
+
+def _dense_eliminate(vector, rows, leads):
+    """Sequential dense reduction along rows (1 at their lead, 0 at the
+    leads of the earlier rows), the definition eliminate_along follows."""
+    v = list(vector)
+    coeffs = []
+    for row, lead in zip(rows, leads):
+        c = v[lead]
+        coeffs.append(c)
+        if c:
+            v = [a - c * b for a, b in zip(v, row)]
+    return coeffs, v
+
+
+def test_eliminate_along_matches_sequential_reduction():
+    rng = random.Random(99)
+    for irrational in (False, True):
+        pool = _entry_pool(irrational)
+        for _ in range(12):
+            width = rng.randint(4, 14)
+            m = _random_sparse(rng, rng.randint(1, 6), width, 0.3, pool)
+            rows, leads = sparse_echelon(_sparse(row) for row in m.rows)
+            # append rows reduced along the ones before, as H^0 does: each
+            # is 0 at the earlier leads but the earlier rows are not 0 at
+            # its lead
+            position = {lead: i for i, lead in enumerate(leads)}
+            for _ in range(3):
+                extra = _sparse([rng.choice(pool) if rng.random() < 0.4 else 0
+                                 for _ in range(width)])
+                _, rest = eliminate_along(extra, rows, position)
+                if rest:
+                    lead = min(rest)
+                    inv = rest[lead].inverse()
+                    position[lead] = len(rows)
+                    rows.append({j: c * inv for j, c in rest.items()})
+                    leads.append(lead)
+            dense = [_dense(row, width) for row in rows]
+            for _ in range(4):
+                if rng.random() < 0.5:
+                    # a combination of the rows: zero residual
+                    vec = [CycNum.zero()] * width
+                    for row in dense:
+                        c = rng.choice(pool)
+                        vec = [a + c * b for a, b in zip(vec, row)]
+                else:
+                    vec = [rng.choice(pool) if rng.random() < 0.3 else CycNum.zero()
+                           for _ in range(width)]
+                coeffs, residual = eliminate_along(_sparse(vec), rows, position)
+                want_coeffs, want_residual = _dense_eliminate(vec, dense, leads)
+                assert [coeffs.get(i, 0) for i in range(len(rows))] == want_coeffs
+                assert _dense(residual, width) == tuple(want_residual)
+                assert all(residual.values())

@@ -1,10 +1,14 @@
 """Scenario parsing, validation, and pipeline reports."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import eqcol
 from eqcol.errors import ParseError, ValidationError
 from eqcol.report import emit_report_json
 from eqcol.scenario import (Scenario, build_setup, load_scenario,
@@ -303,3 +307,39 @@ def test_report_matches_fixture(name):
 def test_fixture_is_json_fixed_point(name):
     text = (FIXTURES / f"{name}.report.json").read_text()
     assert emit_report_json(json.loads(text)) == text
+
+
+_PIPELINE_CHILD = """
+import hashlib, json, resource, sys
+from eqcol.report import emit_report_json
+from eqcol.scenario import parse_scenario, run_scenario
+report = run_scenario(parse_scenario(json.loads(sys.argv[1])))
+text = emit_report_json(report)
+print(json.dumps({"passed": report["passed"],
+                  "sha256": hashlib.sha256(text.encode()).hexdigest(),
+                  "maxrss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}))
+"""
+
+
+def test_z5_on_p4_pipeline_pinned_in_bounded_memory():
+    # Z/5 on P^4, the paper's cyclic family one dimension up: its Hom-complex
+    # differentials reach 4900 x 4901 with about 5,000 nonzeros, which a
+    # dense elimination held as 660 MB of zeros.  A fresh interpreter keeps
+    # the peak RSS of this run alone; it inherits the -O flag.
+    data = {"name": "z5p4",
+            "group": {"kind": "cyclic_diagonal", "m": 5, "weights": [1] * 5},
+            "n_plus_1": 5, "mode": "invariant_veronese", "veronese_d": 1,
+            "tasks": ["beilinson", "cascade", "blocks", "dsing", "check", "gram",
+                      "quiver", {"task": "twist", "k": 1},
+                      {"task": "molien", "max_degree": 24}]}
+    env = dict(os.environ, PYTHONPATH=str(Path(eqcol.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, *["-O"] * sys.flags.optimize, "-c", _PIPELINE_CHILD,
+         json.dumps(data)],
+        capture_output=True, text=True, env=env, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["passed"] is True
+    assert result["sha256"] == (
+        "b0e6b630a7071505f0e0352d4b1c3f19afa5684392f0e36fee05a16356615d38")
+    assert result["maxrss_kb"] < 150 * 1024
