@@ -8,6 +8,11 @@ giving Sym^(-m-n-1) of the coordinates themselves times the determinant
 of the defining representation).  The determinant twist convention is
 self-verified by the Koszul alternating-sum test: the wrong dual breaks
 it for every group that is not self-dual.
+
+All dimensions here are integer work on the Setup's representation-ring
+tables (Setup.sym_decomposition, Setup.lambda_table, Setup.det_twist);
+only koszul_reduce of an arbitrary character decomposes it by inner
+products.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvalidParameter
-from .reps import CharacterVec, Setup, setup_memo, sym_power_character
+from .reps import CharacterVec, Setup, setup_memo
 
 
 @dataclass(frozen=True)
@@ -33,24 +38,23 @@ class EqLineBundle:
         return EqLineBundle(self.twist + k, self.irrep)
 
 
-@setup_memo
-def ext_character(setup: Setup, m: int, k: int) -> CharacterVec:
-    """Character of Ext^k(O, O(m)) = H^k(P^n, O(m)) as a G-module."""
-    n = setup.n
-    if k == 0 and m >= 0:
-        return setup.sym_dual(m)
-    if k == n and m <= -n - 1:
-        return sym_power_character(setup.defining_character(), -m - n - 1) \
-            * setup.det_character()
-    return CharacterVec.zero(setup.group)
-
-
 def ext_dim_equivariant(setup: Setup, source: EqLineBundle,
                         target: EqLineBundle, k: int) -> int:
-    """dim Ext^k(O(i1) tensor rho, O(i2) tensor sigma) in coh^G."""
-    chi = ext_character(setup, target.twist - source.twist, k)
-    chi = chi * setup.irreps[target.irrep].character()
-    return chi.inner_int(setup.irreps[source.irrep].character())
+    """dim Ext^k(O(i1) tensor rho, O(i2) tensor sigma) in coh^G.
+
+    Degree 0 is the Hom dimension <Sym^m V-dual tensor sigma, rho>, m =
+    i2 - i1.  Degree n is <Sym^j V tensor det tensor sigma, rho> with
+    j = -m-n-1, which by duality is the multiplicity of det tensor sigma in
+    Sym^j V-dual tensor rho.
+    """
+    m = target.twist - source.twist
+    n = setup.n
+    if k == 0 and m >= 0:
+        return setup.hom_dim(0, m, source.irrep, target.irrep)
+    if k == n and m <= -n - 1:
+        return setup.sym_decomposition(-m - n - 1, source.irrep)[
+            setup.det_twist(target.irrep)]
+    return 0
 
 
 def ext_table(setup: Setup, source: EqLineBundle,
@@ -143,29 +147,27 @@ def _reduce_bundle(setup: Setup, m: int, j: int) -> KClass:
 
     Uses the Koszul relation
         sum_{k=0}^{n+1} (-1)^k [Lambda^k V-dual tensor O(m-k)] = 0
-    recursively downward for m > n and upward for m < 0.
+    recursively downward for m > n and upward for m < 0, reading the
+    decompositions from the tables L_k (and the det permutation upward).
     """
     n = setup.n
     if 0 <= m <= n:
         result = KClass.basis(setup, m, j)
     elif m > n:
         result = KClass.zero(setup)
-        chi_j = setup.irreps[j].character()
         for k in range(1, n + 2):
             sign = 1 if k % 2 == 1 else -1
-            chi = setup.ext_dual(k) * chi_j
-            for l, mult in _decompose(setup, chi):
+            for l, mult in setup.lambda_table(k)[j]:
                 result = result + _reduce_bundle(setup, m - k, l) * (sign * mult)
     else:
         result = KClass.zero(setup)
-        det = setup.det_character()
-        chi_j = setup.irreps[j].character()
         outer_sign = 1 if n % 2 == 0 else -1
         for k in range(0, n + 1):
             sign = outer_sign * (1 if k % 2 == 0 else -1)
-            chi = det * setup.ext_dual(k) * chi_j
-            for l, mult in _decompose(setup, chi):
-                result = result + _reduce_bundle(setup, m + n + 1 - k, l) * (sign * mult)
+            row = setup.lambda_table(k)[j] if k else ((j, 1),)
+            for l, mult in row:
+                result = result + _reduce_bundle(
+                    setup, m + n + 1 - k, setup.det_twist(l)) * (sign * mult)
     return result
 
 

@@ -29,7 +29,7 @@ from functools import lru_cache
 from math import gcd
 
 from .config import conductor_cap
-from .errors import ConductorOverflow, InvalidParameter
+from .errors import CertificateFailure, ConductorOverflow, InvalidParameter
 
 Rat = Fraction
 
@@ -631,6 +631,59 @@ def _minimal_form(x: CycNum) -> CycNum:
                 break
         else:
             return x
+
+
+# -- reduction modulo a prime --------------------------------------------
+
+
+class ModularImage:
+    """The ring map from the cyclotomic integers of conductor dividing N,
+    with denominators prime to p, onto F_p: zeta_N goes to a primitive N-th
+    root of unity omega mod p, for the least prime p = 1 (mod N) above a
+    given bound.  Complex conjugation is zeta -> zeta^-1, so the conjugate
+    of x maps to x evaluated at omega^-1.
+
+    An integer value whose range [0, p) is known is recovered exactly from
+    its residue; this is J. D. Dixon's way of computing with characters
+    ("High speed computation of group characters", Numer. Math. 10, 1967).
+    A denominator that vanishes mod p raises CertificateFailure.
+    """
+
+    __slots__ = ("conductor", "p", "omega", "_powers")
+
+    def __init__(self, conductor: int, above: int):
+        conductor = _normalize_conductor(conductor)
+        p = -(-above // conductor) * conductor + 1
+        while _prime_factors(p) != (p,):
+            p += conductor
+        self.conductor = conductor
+        self.p = p
+        self.omega = next(
+            w for w in (pow(a, (p - 1) // conductor, p) for a in range(1, p))
+            if all(pow(w, conductor // q, p) != 1
+                   for q in _prime_factors(conductor)))
+        self._powers: dict[tuple[int, bool], tuple[int, ...]] = {}
+
+    def inverse(self, a: int) -> int:
+        """The inverse of the integer a mod p."""
+        if a % self.p == 0:
+            raise CertificateFailure(f"{a} is not invertible mod {self.p}")
+        return pow(a, -1, self.p)
+
+    def __call__(self, x: CycNum, conjugate: bool = False) -> int:
+        """The residue of x (or of its complex conjugate) mod p."""
+        key = (x.conductor, conjugate)
+        powers = self._powers.get(key)
+        if powers is None:
+            if self.conductor % x.conductor:
+                raise InvalidParameter(
+                    f"conductor {x.conductor} does not divide {self.conductor}")
+            step = self.conductor // x.conductor
+            root = pow(self.omega, -step if conjugate else step, self.p)
+            powers = tuple(pow(root, i, self.p) for i in range(len(x.num)))
+            self._powers[key] = powers
+        total = sum(c * w for c, w in zip(x.num, powers) if c)
+        return total * self.inverse(x.den) % self.p
 
 
 # -- literal grammar ---------------------------------------------------

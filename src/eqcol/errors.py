@@ -15,6 +15,10 @@ class ConductorOverflow(EqcolError):
     """A cyclotomic operation would exceed the conductor cap."""
 
 
+class CertificateFailure(EqcolError):
+    """An exact certificate of a computation modulo a prime failed."""
+
+
 class NotInvertible(EqcolError):
     """Attempt to invert a singular matrix."""
 

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cohomology import (EqLineBundle, KClass, euler_pairing, twist_kclass)
+from .cohomology import (EqLineBundle, KClass, _basis_pairing, euler_pairing,
+                         twist_kclass)
 from .complexes import (EqComplex, cohomology_basis, compose_chain_maps,
                         from_line_bundle, hom_complex, pair_ext_dims,
                         right_mutation)
@@ -91,7 +92,18 @@ class ExcCollection:
 
 
 def _euler_gram(kclasses) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(euler_pairing(a, b) for b in kclasses) for a in kclasses)
+    """All Euler pairings at once, as the two integer products K^T (B K):
+    the columns of K are the K-class coefficient vectors and B is the
+    pairing of basis classes."""
+    if not kclasses:
+        return ()
+    setup = kclasses[0].setup
+    if any(kc.setup is not setup for kc in kclasses):
+        raise InvalidParameter("pairing of K-classes over different setups")
+    rows = [kc.coeffs for kc in kclasses]
+    columns = [list(col) for col in zip(*rows)]
+    gram = _int_product(rows, _int_product(_basis_pairing(setup), columns))
+    return tuple(tuple(row) for row in gram)
 
 
 def is_unitriangular(gram) -> bool:
@@ -531,6 +543,8 @@ def _rotate_row(bench: _Workbench, positions: list[int], lead: int,
     shift = setup.n_plus_1
     size = len(bench.objects)
     old_kclasses = list(bench.kclasses)
+    old_gram = bench.gram
+    serre_sign = -1 if setup.n % 2 else 1
 
     updates = {}
     columns = {}
@@ -545,6 +559,13 @@ def _rotate_row(bench: _Workbench, positions: list[int], lead: int,
         else:
             obj = bench.objects[src].twisted(shift)
             kc = twist_kclass(bench.kclasses[src], shift)
+            # K-theoretic Serre duality for a determinant-trivial action,
+            # chi(E(n+1), F) = (-1)^n chi(F, E), audits the reduced twist
+            # against every old class
+            if any(euler_pairing(kc, b) != serre_sign * old_gram[i][src]
+                   for i, b in enumerate(old_kclasses)):
+                raise InvalidParameter(
+                    f"twisted {obj.label()} violates Serre duality")
             updates[pos] = (obj, kc, obj.label())
             columns[pos] = _integral_coordinates(kc, old_kclasses)
 

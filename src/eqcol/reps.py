@@ -3,8 +3,17 @@
 Irreducible representations are never computed from scratch: the builtin
 families carry hand-pinned tables, and user-supplied groups must provide
 generator images which are extended along the stored generator words and
-then verified (multiplicativity, character orthonormality, sum of squared
-dimensions).
+then verified once, when the Setup is built (multiplicativity, character
+orthonormality, sum of squared dimensions).
+
+Multiplicities live in the integer representation ring.  Once per Setup,
+on first use, the integer tables L_k (row sigma: the irrep decomposition of
+Lambda^k V-dual tensor rho_sigma, k = 1..n+1) are computed modulo a prime
+by Dixon's method and certified by their dimensions; the permutation
+"tensor with det" is read off L_(n+1).  Every Sym^m multiplicity then
+follows from the Koszul relation on integer vectors.  The CycNum character
+path (Newton power characters, inner products) stays for verification and
+for decomposing arbitrary characters.
 
 Conventions used throughout the package:
   * coordinates x_1..x_{n+1} span the dual of the defining representation,
@@ -18,9 +27,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import wraps
+from math import comb
 
-from .cyclotomic import CycNum
-from .errors import GroupMismatch, InvalidParameter, NegativeDegree
+from .cyclotomic import CycNum, ModularImage, lcm
+from .errors import (CertificateFailure, GroupMismatch, InvalidParameter,
+                     NegativeDegree)
 from .groups import (
     CentralSubgroupInfo,
     FiniteMatrixGroup,
@@ -165,8 +176,11 @@ def irrep_from_images(group: FiniteMatrixGroup, index: int, name: str,
                       images: list[CycMatrix]) -> Irrep:
     """Extend generator images along the stored generator words.
 
-    Multiplicativity is checked against every (element, generator) pair,
-    which by induction on word length pins the whole multiplication table.
+    Only shapes are checked here, and that each generator's element receives
+    that generator's image.  Multiplicativity is checked once, by
+    verify_irreps when the Setup is built: it tests every (element,
+    generator) pair, which by induction on word length pins the whole
+    multiplication table.
     """
     if len(images) != len(group.generators):
         raise InvalidParameter("one image per generator required")
@@ -174,18 +188,15 @@ def irrep_from_images(group: FiniteMatrixGroup, index: int, name: str,
     for img in images:
         if img.nrows != img.ncols or img.nrows != dim:
             raise InvalidParameter("irrep images must be square of equal size")
-    matrices = []
-    for word in group.words:
-        m = CycMatrix.identity(dim)
-        for gi in word:
-            m = m * images[gi]
-        matrices.append(m)
-    gen_indices = [group.index_of(g) for g in group.generators]
-    for i in range(group.order):
-        for gi, s in enumerate(gen_indices):
-            if matrices[group.mul(i, s)] != matrices[i] * images[gi]:
-                raise InvalidParameter(
-                    f"generator images for {name} are not multiplicative")
+    # each stored word extends the word of an element found before it
+    by_word = {(): CycMatrix.identity(dim)}
+    for word in sorted(group.words, key=len)[1:]:
+        by_word[word] = by_word[word[:-1]] * images[word[-1]]
+    matrices = [by_word[word] for word in group.words]
+    for g, img in zip(group.generators, images):
+        if matrices[group.index_of(g)] != img:
+            raise InvalidParameter(
+                f"generator images for {name} are not multiplicative")
     return Irrep(group, index, name, matrices)
 
 
@@ -246,16 +257,14 @@ def ext_power_character(chi: CharacterVec, k: int) -> CharacterVec:
     return _newton_power(chi, k, alternating=True)
 
 
-def _newton_power(chi: CharacterVec, m: int, alternating: bool,
-                  lower=()) -> CharacterVec:
-    """Degree m of the recursion, extending the known degrees 0..len(lower)-1
-    one degree at a time."""
+def _newton_power(chi: CharacterVec, m: int, alternating: bool) -> CharacterVec:
+    """Degree m of the recursion, one degree at a time from degree 0."""
     if m < 0:
         raise NegativeDegree(f"power character of negative degree {m}")
     group = chi.group
-    out = list(lower) or [CharacterVec.trivial(group)]
+    out = [CharacterVec.trivial(group)]
     powers = [None] + [chi.power_map(k) for k in range(1, m + 1)]
-    for degree in range(len(out), m + 1):
+    for degree in range(1, m + 1):
         total = CharacterVec.zero(group)
         for k in range(1, degree + 1):
             term = powers[k] * out[degree - k]
@@ -265,8 +274,9 @@ def _newton_power(chi: CharacterVec, m: int, alternating: bool,
 
 
 def molien_dimension(setup: "Setup", m: int) -> int:
-    """dim (Sym^m V-dual)^G: invariant polynomial functions of degree m."""
-    return setup.sym_dual(m).inner_int(setup.trivial)
+    """dim (Sym^m V-dual)^G: invariant polynomial functions of degree m
+    (irrep 0 is the trivial representation)."""
+    return setup.hom_dim(0, m, 0, 0)
 
 
 def setup_memo(fn):
@@ -322,14 +332,6 @@ class Setup:
              for c in range(len(group.classes))],
         )
 
-    @setup_memo
-    def sym_dual(self, m: int) -> CharacterVec:
-        """chi of Sym^m V-dual, the degree-m polynomial functions.  A miss
-        runs one Newton step on the memoized lower degrees, which are
-        fetched in ascending order so the call depth stays at two."""
-        return _newton_power(self.defining_character().dual(), m, False,
-                             [self.sym_dual(k) for k in range(m)])
-
     def sym(self, m: int) -> CharacterVec:
         return sym_power_character(self.defining_character(), m)
 
@@ -350,12 +352,38 @@ class Setup:
     def hom_dim(self, a: int, b: int, rho: int, sigma: int) -> int:
         """dim Hom(O(a) tensor rho, O(b) tensor sigma); zero when b < a."""
         m = b - a
-        return self._multiplicity(m, rho, sigma) if m >= 0 else 0
+        return self.sym_decomposition(m, sigma)[rho] if m >= 0 else 0
 
     @setup_memo
-    def _multiplicity(self, m: int, rho: int, sigma: int) -> int:
-        chi = self.sym_dual(m) * self.irreps[sigma].character()
-        return chi.inner_int(self.irreps[rho].character())
+    def sym_decomposition(self, m: int, sigma: int) -> tuple[int, ...]:
+        """Irrep multiplicities u_m of Sym^m V-dual tensor rho_sigma, by the
+        Koszul relation u_m = sum_{k>=1} (-1)^(k+1) L_k u_(m-k), u_0 = e_sigma.
+        A miss fetches the lower degrees in ascending order, so the call
+        depth stays at two."""
+        if m < 0:
+            raise NegativeDegree(f"symmetric power of negative degree {m}")
+        out = [0] * len(self.irreps)
+        if m == 0:
+            out[sigma] = 1
+            return tuple(out)
+        lower = [self.sym_decomposition(d, sigma) for d in range(m)]
+        for k in range(1, min(m, self.n_plus_1) + 1):
+            sign = 1 if k % 2 else -1
+            table = self.lambda_table(k)
+            for tau, u in enumerate(lower[m - k]):
+                if u:
+                    for rho, mult in table[tau]:
+                        out[rho] += sign * u * mult
+        return tuple(out)
+
+    def lambda_table(self, k: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """L_k for 1 <= k <= n+1: row sigma lists the nonzero (rho,
+        multiplicity) pairs of Lambda^k V-dual tensor rho_sigma."""
+        return _lambda_tables(self)[0][k - 1]
+
+    def det_twist(self, sigma: int) -> int:
+        """The index of det tensor rho_sigma, det the determinant of V."""
+        return _lambda_tables(self)[1][sigma]
 
     @setup_memo
     def central_scalars(self, d: int) -> CentralSubgroupInfo:
@@ -378,6 +406,73 @@ class Setup:
     def __repr__(self) -> str:
         return (f"Setup(|G|={self.group.order}, n+1={self.n_plus_1}, "
                 f"irreps={len(self.irreps)})")
+
+
+@setup_memo
+def _lambda_tables(setup: Setup):
+    """The tables L_1..L_(n+1) and the det permutation, by Dixon's method.
+
+    Every class value is mapped into F_p, p = 1 (mod N) for N the lcm of the
+    character conductors; Lambda^k V-dual comes from Newton's identities mod
+    p, and each entry is an inner product mod p.  The entries lie in
+    [0, C(n+1, k) * max dim] and p exceeds that and |G|, so each residue is
+    the exact integer.  Each row is certified by its dimension,
+    sum_rho L_k[sigma][rho] dim rho = C(n+1, k) dim sigma, and L_(n+1) must
+    be the permutation det^-1 tensor; anything else raises
+    CertificateFailure.
+    """
+    group = setup.group
+    n1 = setup.n_plus_1
+    classes = range(len(group.classes))
+    chars = [rep.character().values for rep in setup.irreps]
+    defining = setup.defining_character().values
+    conductor = 1
+    for values in (*chars, defining):
+        for v in values:
+            conductor = lcm(conductor, v.conductor)
+    dims = [rep.dim for rep in setup.irreps]
+    image = ModularImage(conductor,
+                         max(comb(n1, n1 // 2) * max(dims), group.order))
+    p = image.p
+    # e_k of V-dual at each class: chi_(V-dual)(g^i) = conj chi_V(g^i)
+    power_sums = [None] + [
+        [image(defining[group.class_power(c, i)], conjugate=True)
+         for c in classes] for i in range(1, n1 + 1)]
+    ext = [[1] * len(classes)]
+    for k in range(1, n1 + 1):
+        inv_k = image.inverse(k)
+        ext.append([
+            sum((power_sums[i][c] if i % 2 else -power_sums[i][c])
+                * ext[k - i][c] for i in range(1, k + 1)) * inv_k % p
+            for c in classes])
+    inv_order = image.inverse(group.order)
+    left = [[image(v) for v in values] for values in chars]
+    right = [[image(v, conjugate=True) * group.class_size(c) * inv_order % p
+              for c, v in enumerate(values)] for values in chars]
+    tables = []
+    for k in range(1, n1 + 1):
+        rows = []
+        for sigma, chi in enumerate(left):
+            prod = [e * x % p for e, x in zip(ext[k], chi)]
+            row = []
+            for rho, psi in enumerate(right):
+                mult = sum(a * b for a, b in zip(prod, psi)) % p
+                if mult:
+                    row.append((rho, mult))
+            if sum(mult * dims[rho] for rho, mult in row) != comb(n1, k) * dims[sigma]:
+                raise CertificateFailure(
+                    f"Lambda^{k} decomposition of {setup.irreps[sigma].name}"
+                    f" fails its dimension certificate mod {p}")
+            rows.append(tuple(row))
+        tables.append(tuple(rows))
+    det = [None] * len(dims)
+    for sigma, row in enumerate(tables[-1]):
+        if len(row) != 1 or row[0][1] != 1 or det[row[0][0]] is not None:
+            raise CertificateFailure(
+                f"Lambda^{n1} V-dual tensor {setup.irreps[sigma].name} does"
+                f" not permute the irreps mod {p}")
+        det[row[0][0]] = sigma
+    return tuple(tables), tuple(det)
 
 
 # -- builtin families ---------------------------------------------------

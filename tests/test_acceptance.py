@@ -25,7 +25,7 @@ from eqcol.homspaces import hom_space
 from eqcol.linalg import CycMatrix
 from eqcol.report import emit_report_json
 from eqcol.reps import (CharacterVec, binary_dihedral, cyclic_diagonal,
-                        molien_dimension)
+                        molien_dimension, sym_power_character)
 from eqcol.scenario import run_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -321,12 +321,13 @@ def _suite_koszul(golden):
         n1 = setup.n_plus_1
         zero = CharacterVec.zero(setup.group)
         trivial = CharacterVec.trivial(setup.group)
+        dual = setup.defining_character().dual()
         for m in range(-2 * n1, 2 * n1 + 1):
             total = zero
             for k in range(n1 + 1):
                 if m - k < 0:
                     continue
-                term = setup.sym_dual(m - k) * setup.ext_dual(k)
+                term = sym_power_character(dual, m - k) * setup.ext_dual(k)
                 total = total + (term if k % 2 == 0 else -term)
             assert total == (trivial if m == 0 else zero)
 

@@ -148,18 +148,25 @@ def test_sym_dual_steps_from_memoized_degrees():
     # A fresh setup, so every degree is a miss.  Each miss fetches the lower
     # degrees in ascending order, so the call depth must not grow with m.
     setup = cyclic_diagonal(3, [1, 1, 1])
+    pairs = [(rho, sigma) for rho in range(3) for sigma in range(3)]
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack()) + 60)
     try:
-        top = setup.sym_dual(150)
+        top = [setup.hom_dim(0, 150, rho, sigma) for rho, sigma in pairs]
     finally:
         sys.setrecursionlimit(limit)
     dual = setup.defining_character().dual()
-    assert top == sym_power_character(dual, 150)
+
+    def by_characters(m, rho, sigma):
+        chi = sym_power_character(dual, m) * setup.irreps[sigma].character()
+        return chi.inner_int(setup.irreps[rho].character())
+
+    assert top == [by_characters(150, rho, sigma) for rho, sigma in pairs]
     for m in range(8):
-        assert setup.sym_dual(m) == sym_power_character(dual, m)
+        for rho, sigma in pairs:
+            assert setup.hom_dim(0, m, rho, sigma) == by_characters(m, rho, sigma)
     with pytest.raises(NegativeDegree):
-        setup.sym_dual(-1)
+        setup.sym_decomposition(-1, 0)
 
 
 def test_ext_power_matches_oracle(bd2, c3):

@@ -17,6 +17,7 @@ from eqcol.errors import (InvalidParameter, NonConcentratedHom, NotADivisor,
                           NotStrong, OrthogonalityFailure)
 from eqcol.excol import (
     _conjugate,
+    _euler_gram,
     _int_det,
     _Workbench,
     beilinson_collection,
@@ -288,6 +289,14 @@ def test_invariant_extraction_scalar_cyclic_d1_helix(c3):
     assert check_strong(coll).passed
 
 
+def test_helix_twist_audited_by_serre_duality(c3, monkeypatch):
+    # an untwisted class pairs with the row like the object it came from,
+    # which breaks chi(E(n+1), F) = (-1)^n chi(F, E) for some old class F
+    monkeypatch.setattr("eqcol.excol.twist_kclass", lambda kc, k: kc)
+    with pytest.raises(InvalidParameter, match="violates Serre duality"):
+        dsing_collection(c3, 1, "invariant_veronese")
+
+
 def test_invariant_extraction_rejects_non_sl(c4_nonsl):
     with pytest.raises(InvalidParameter):
         dsing_collection(c4_nonsl, 2, "invariant_veronese")
@@ -411,6 +420,23 @@ def test_conjugate_matches_double_sum():
                       for i in range(n) for j in range(n))
                   for b in range(n)] for a in range(n)]
         assert _conjugate(gram, U) == brute
+
+
+def test_euler_gram_matches_pairing_double_loop(bd2, c4_nonsl):
+    # K^T (B K) against the pairing of each pair on its own, on seeded
+    # random K-classes, including a non-SL action
+    rng = random.Random(13)
+    for setup in (bd2, c4_nonsl):
+        width = setup.n_plus_1 * setup.r_plus_1
+        for _ in range(20):
+            kclasses = [KClass(setup, [rng.choice([0, 0, 0, 1, -1, 2, -3])
+                                       for _ in range(width)])
+                        for _ in range(rng.randint(1, 9))]
+            assert _euler_gram(kclasses) == tuple(
+                tuple(euler_pairing(a, b) for b in kclasses) for a in kclasses)
+    assert _euler_gram([]) == ()
+    with pytest.raises(InvalidParameter, match="different setups"):
+        _euler_gram([KClass.basis(bd2, 0, 0), KClass.basis(c4_nonsl, 0, 0)])
 
 
 def test_int_det_matches_permutation_expansion():

@@ -9,10 +9,12 @@ from pathlib import Path
 import pytest
 
 import eqcol
-from eqcol.errors import ParseError, ValidationError
+from eqcol.cli import main
+from eqcol.errors import InvalidParameter, ParseError, ValidationError
 from eqcol.report import emit_report_json
-from eqcol.scenario import (Scenario, build_setup, load_scenario,
-                            parse_scenario, run_scenario)
+from eqcol.reps import Setup, irrep_from_images
+from eqcol.scenario import (Scenario, _parse_matrix, build_setup,
+                            load_scenario, parse_scenario, run_scenario)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
@@ -198,6 +200,26 @@ def test_explicit_group_rejects_wrong_irrep():
         build_setup(parse_scenario(data))
 
 
+def test_explicit_group_rejects_non_multiplicative_irrep(tmp_path, capsys):
+    # rho_1 sends the first generator to 1 and the second to i, but the two
+    # generators have equal squares in Q8 while 1 != i^2: the images extend
+    # along the words, and the one multiplicativity check, run by Setup,
+    # refuses them.
+    data = json.loads((SCENARIOS / "q8_explicit.json").read_text())
+    data["group"]["irreps"][1]["images"] = [[["1"]], [["z4"]]]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main(["run", str(path)]) == 2
+    assert "rho_1 is not multiplicative" in capsys.readouterr().err
+
+    group = build_setup(load_scenario(SCENARIOS / "q8_explicit.json")).group
+    irreps = [irrep_from_images(group, j, entry["name"],
+                                [_parse_matrix(m, 4) for m in entry["images"]])
+              for j, entry in enumerate(data["group"]["irreps"])]
+    with pytest.raises(InvalidParameter, match="rho_1 is not multiplicative"):
+        Setup(group, irreps)
+
+
 def test_invariant_mode_rejects_non_sl_group():
     data = minimal(
         group={"kind": "cyclic_diagonal", "m": 4, "weights": [1, 0]},
@@ -321,14 +343,23 @@ print(json.dumps({"passed": report["passed"],
 """
 
 
-def test_z5_on_p4_pipeline_pinned_in_bounded_memory():
-    # Z/5 on P^4, the paper's cyclic family one dimension up: its Hom-complex
-    # differentials reach 4900 x 4901 with about 5,000 nonzeros, which a
-    # dense elimination held as 660 MB of zeros.  A fresh interpreter keeps
-    # the peak RSS of this run alone; it inherits the -O flag.
-    data = {"name": "z5p4",
-            "group": {"kind": "cyclic_diagonal", "m": 5, "weights": [1] * 5},
-            "n_plus_1": 5, "mode": "invariant_veronese", "veronese_d": 1,
+@pytest.mark.parametrize("name, group, n_plus_1, sha256", [
+    # Z/5 on P^4, the paper's cyclic family one dimension up: its
+    # Hom-complex differentials reach 4900 x 4901 with about 5,000
+    # nonzeros, which a dense elimination held as 660 MB of zeros.
+    ("z5p4", {"kind": "cyclic_diagonal", "m": 5, "weights": [1] * 5}, 5,
+     "b0e6b630a7071505f0e0352d4b1c3f19afa5684392f0e36fee05a16356615d38"),
+    # binary dihedral l = 24 (order 96, 27 irreps): the representation-ring
+    # tables are built modulo a prime at conductor 48.
+    ("bd24", {"kind": "binary_dihedral", "l": 24}, 2,
+     "36139ef514217c08b172a9cc831bade6b0c9c6f9c7389ba0dca7ae2847b48a5d"),
+], ids=["z5p4", "bd24"])
+def test_z5_on_p4_pipeline_pinned_in_bounded_memory(name, group, n_plus_1,
+                                                    sha256):
+    # A fresh interpreter keeps the peak RSS of this run alone; it inherits
+    # the -O flag.
+    data = {"name": name, "group": group,
+            "n_plus_1": n_plus_1, "mode": "invariant_veronese", "veronese_d": 1,
             "tasks": ["beilinson", "cascade", "blocks", "dsing", "check", "gram",
                       "quiver", {"task": "twist", "k": 1},
                       {"task": "molien", "max_degree": 24}]}
@@ -340,6 +371,5 @@ def test_z5_on_p4_pipeline_pinned_in_bounded_memory():
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
     assert result["passed"] is True
-    assert result["sha256"] == (
-        "b0e6b630a7071505f0e0352d4b1c3f19afa5684392f0e36fee05a16356615d38")
+    assert result["sha256"] == sha256
     assert result["maxrss_kb"] < 150 * 1024
