@@ -6,15 +6,20 @@ equivariant for the simultaneous action
 
     (g * H)(v) = sigma(g) . H(g^-1 v) . rho(g)^-1.
 
-Bases are produced by averaging the standard spanning set under this
-action (the Reynolds projector) and echelonizing with a graded
+The invariant morphisms are the common kernel of (g * -) - 1 over the
+generators g of the group: the action is multiplicative (Setup checks
+every irrep with verify_irreps), so a morphism fixed by the generators
+is fixed by the whole group, and a trivial group, with no generators,
+fixes every morphism.  The constraint rows of all generators are stacked
+and reduced sparsely, and the kernel is echelonized with a graded
 lexicographic monomial order, monomial-major, then target row, then
-source column.  The result is deterministic and its length always
-equals the character-theoretic multiplicity.  Each basis vector is 1 at
-its pivot and 0 at every other pivot, so the coordinates of an invariant
-morphism are read at the pivots, with no solve.  The invariance check
-subtracts each coordinate times the stored nonzero support of its basis
-vector only, so it costs the ambient dimension plus that support.
+source column.  The reduced echelon basis of a subspace is unique, so
+the result is deterministic, and its length must equal the
+character-theoretic multiplicity.  Each basis vector is 1 at its pivot
+and 0 at every other pivot, so the coordinates of an invariant morphism
+are read at the pivots, with no solve.  The invariance check subtracts
+each coordinate times the stored nonzero support of its basis vector
+only, so it costs the ambient dimension plus that support.
 
 Only the twist difference m = b - a matters to the stored data, so
 spaces are cached by (m, rho, sigma) and shared across twists.
@@ -22,11 +27,9 @@ spaces are cached by (m, rho, sigma) and shared across twists.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .cyclotomic import CycNum
 from .errors import BasisMismatch, NegativeDegree
-from .linalg import rref_rows
+from .linalg import rref_rows, sparse_echelon, sparse_kernel
 from .reps import Setup, setup_memo
 
 Monomial = tuple[int, ...]
@@ -62,15 +65,15 @@ def _poly_mul(p: dict, q: dict) -> dict:
 
 @setup_memo
 def _monomial_actions(setup: Setup, degree: int):
-    """Per group element, the image of each degree-d monomial under
+    """Per group generator g, the image of each degree-d monomial under
     x_i -> sum_j (g^-1)_{ij} x_j, as index -> coefficient dicts."""
     group = setup.group
     monos = monomial_basis(setup.n_plus_1, degree)
     midx = {a: i for i, a in enumerate(monos)}
     zero_exp = tuple([0] * setup.n_plus_1)
     actions = []
-    for gi in range(group.order):
-        ginv = group.elements[group.inv(gi)]
+    for g in group.generators:
+        ginv = group.elements[group.inv(group.index_of(g))]
         forms = []
         for i in range(setup.n_plus_1):
             form = {}
@@ -167,7 +170,9 @@ class HomElement:
 
 
 class HomSpace:
-    """All equivariant morphisms of a fixed twist difference m >= 0."""
+    """All equivariant morphisms of a fixed twist difference m >= 0: the
+    vectors of the ambient space fixed by every generator of the group,
+    in reduced echelon form with their pivots."""
 
     __slots__ = ("setup", "m", "rho_index", "sigma_index", "dim_rho",
                  "dim_sigma", "monomials", "_mono_index", "basis", "pivots",
@@ -187,16 +192,20 @@ class HomSpace:
         self._mono_index = {a: i for i, a in enumerate(monos)}
         group = setup.group
         total = self.ambient_dim
-        scale = Fraction(1, group.order)
-        images = []
-        for ai in range(len(monos)):
-            for s in range(self.dim_sigma):
-                for t in range(self.dim_rho):
-                    vec = [CycNum.zero()] * total
-                    for gi in range(group.order):
-                        sig = sigma.matrix(gi)
-                        rho_inv = rho.matrix(group.inv(gi))
-                        for bi, c in actions[gi][ai].items():
+        # Row k of (g * -) - 1 for each generator g: basis vector j maps to
+        # the combination sum_k A[k][j] e_k, so its image entries land in
+        # column j of the rows they reach.
+        constraints = []
+        for g, images in zip(group.generators, actions):
+            gi = group.index_of(g)
+            sig = sigma.matrix(gi)
+            rho_inv = rho.matrix(group.inv(gi))
+            rows: list[dict[int, CycNum]] = [{} for _ in range(total)]
+            for ai, image in enumerate(images):
+                for s in range(self.dim_sigma):
+                    for t in range(self.dim_rho):
+                        j = self.flat_index_by_mono(ai, s, t)
+                        for bi, c in image.items():
                             for s2 in range(self.dim_sigma):
                                 left = sig.rows[s2][s]
                                 if not left:
@@ -206,11 +215,19 @@ class HomSpace:
                                     right = rho_inv.rows[t][t2]
                                     if right:
                                         k = self.flat_index_by_mono(bi, s2, t2)
-                                        vec[k] = vec[k] + cl * right
-                    images.append([v * scale for v in vec])
-        basis_rows, self.pivots = rref_rows(images)
-        # Reynolds averages of rational data come out rational but stored at
-        # the group conductor; reducing once here keeps later arithmetic on
+                                        rows[k][j] = cl * right
+            for k, row in enumerate(rows):
+                diagonal = row.pop(k, CycNum.zero()) - 1
+                if diagonal:
+                    row[k] = diagonal
+                if row:
+                    constraints.append(row)
+        kernel = sparse_kernel(*sparse_echelon(constraints), total)
+        zero = CycNum.zero()
+        basis_rows, self.pivots = rref_rows(
+            [[vec.get(j, zero) for j in range(total)] for vec in kernel])
+        # The kernel is computed at the group conductor, so rational entries
+        # come out stored there; reducing once here keeps later arithmetic on
         # the rational fast paths.
         self.basis = tuple(HomElement(self, [v.reduced() for v in row])
                            for row in basis_rows)

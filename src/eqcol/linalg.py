@@ -321,8 +321,12 @@ def _sparse_forward(vectors: Iterable[Mapping[int, CycNum]]) -> dict[int, Sparse
             lead = min(v)
             row = rows.get(lead)
             if row is None:
-                inv = v[lead].inverse()
-                rows[lead] = {j: c * inv for j, c in v.items()}
+                if len(v) == 1:
+                    # scaled to 1 at its lead it is a unit vector: no inverse
+                    rows[lead] = {lead: CycNum.one()}
+                else:
+                    inv = v[lead].inverse()
+                    rows[lead] = {j: c * inv for j, c in v.items()}
                 break
             _axpy(v, -v[lead], row)
     return rows

@@ -8,18 +8,21 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
 
 import eqcol
 from eqcol.cyclotomic import CycNum
 from eqcol.errors import BasisMismatch, NegativeDegree
 from eqcol.homspaces import (
     HomElement,
+    _poly_mul,
     compose_hom,
     hom_space,
     monomial_basis,
 )
-from eqcol.linalg import CycMatrix, rank_of_rows
-from eqcol.reps import binary_dihedral, cyclic_diagonal
+from eqcol.linalg import CycMatrix, rank_of_rows, rref_rows
+from eqcol.reps import binary_dihedral, cyclic_diagonal, setup_memo
+from test_repring import build, specs
 
 
 @pytest.fixture(scope="module")
@@ -86,13 +89,20 @@ def _apply_group_action(space, elem, gi):
 
 
 def test_basis_vectors_are_equivariant(bd2, c3):
+    # bd3 has two generators and bases with entries in Q(zeta_12) \ Q.
+    bd3 = binary_dihedral(3)
+    irrational = 0
     for setup, pairs in ((bd2, [(1, 2, 0), (1, 0, 2), (2, 2, 2)]),
-                         (c3, [(1, 0, 1), (2, 0, 2), (3, 1, 1)])):
+                         (c3, [(1, 0, 1), (2, 0, 2), (3, 1, 1)]),
+                         (bd3, [(1, 3, 4), (1, 4, 3), (2, 2, 4), (3, 2, 3), (3, 4, 0)])):
         for m, rho, sigma in pairs:
             space = hom_space(setup, m, rho, sigma)
+            assert len(space)
             for f in space.basis:
+                irrational += any(not c.is_rational() for c in f.coords)
                 for gi in range(setup.group.order):
                     assert _apply_group_action(space, f, gi) == f
+    assert irrational
 
 
 def test_basis_length_equals_multiplicity(bd2, c3):
@@ -261,3 +271,72 @@ def test_non_invariant_vector_raises(bd2, c3):
     zero_space = hom_space(c3, 0, 0, 1)
     assert not len(zero_space)
     assert zero_space.coordinates_of(zero_space.zero_element()) == ()
+
+
+@setup_memo
+def _reynolds_basis(setup, m, rho_index, sigma_index):
+    """The echelon basis of the Reynolds average over all |G| elements,
+    the construction the generator kernel replaced, kept as its oracle."""
+    group = setup.group
+    rho, sigma = setup.irreps[rho_index], setup.irreps[sigma_index]
+    dr, ds = rho.dim, sigma.dim
+    nv = setup.n_plus_1
+    monos = monomial_basis(nv, m)
+    midx = {a: i for i, a in enumerate(monos)}
+    total = len(monos) * ds * dr
+    images = []
+    for ai, alpha in enumerate(monos):
+        for s in range(ds):
+            for t in range(dr):
+                vec = [CycNum.zero()] * total
+                for gi in range(group.order):
+                    ginv = group.elements[group.inv(gi)]
+                    poly = {tuple([0] * nv): CycNum.one()}
+                    for i, e in enumerate(alpha):
+                        form = {tuple(1 if u == j else 0 for u in range(nv)):
+                                ginv.rows[i][j]
+                                for j in range(nv) if ginv.rows[i][j]}
+                        for _ in range(e):
+                            poly = _poly_mul(poly, form)
+                    sig = sigma.matrix(gi)
+                    rho_inv = rho.matrix(group.inv(gi))
+                    for beta, c in poly.items():
+                        for s2 in range(ds):
+                            for t2 in range(dr):
+                                k = (midx[beta] * ds + s2) * dr + t2
+                                vec[k] = (vec[k] + c * sig.rows[s2][s]
+                                          * rho_inv.rows[t][t2])
+                images.append([v * Fraction(1, group.order) for v in vec])
+    rows, pivots = rref_rows(images)
+    return [tuple(v.reduced() for v in row) for row in rows], pivots
+
+
+def _stored(coords):
+    return tuple((c.conductor, c.num, c.den) for c in coords)
+
+
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(specs)
+@example(("cyclic", 4, (1, 1)))
+@example(("cyclic", 1, (1, 1)))
+@example(("binary_dihedral", 6))
+@example(("explicit",))
+def test_generator_kernel_matches_reynolds_average(spec):
+    # The reduced echelon basis of a subspace is unique, so the kernel of
+    # (g * -) - 1 over the generators must reproduce the average over the
+    # whole group entry for entry, with the same pivots and stored forms.
+    setup = build(spec)
+    r = len(setup.irreps)
+    for m in range(4):
+        for rho in range(r):
+            for sigma in range(r):
+                space = hom_space(setup, m, rho, sigma)
+                rows, pivots = _reynolds_basis(setup, m, rho, sigma)
+                assert list(space.pivots) == list(pivots)
+                assert [_stored(b.coords) for b in space.basis] == \
+                    [_stored(row) for row in rows]
+                if not setup.group.generators:
+                    # no generator, no constraint: every unit vector
+                    assert space.pivots == list(range(space.ambient_dim))
+                    assert all(b.coords[p] == 1 and sum(map(bool, b.coords)) == 1
+                               for b, p in zip(space.basis, space.pivots))

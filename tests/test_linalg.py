@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 
@@ -202,6 +203,57 @@ def _sparse_cases():
         yield _random_sparse(rng, 60, 70, 0.01, pool)
 
 
+def _generator_constraints(rng, n: int, permuted: bool) -> CycMatrix:
+    """Rows of (g - 1) over Q(zeta_12), stacked over a diagonal generator
+    and, if permuted, a signed permutation one: the shape of Hom-space
+    constraints.  A diagonal row is one entry zeta^k - 1; a permutation
+    row is +-zeta^k in the permuted column minus 1 on the diagonal.  The
+    diagonal exponent is constant on each cycle of the permutation, and
+    often 0, and the roots along a cycle often multiply to 1, so common
+    fixed vectors and zero rows occur."""
+    z, one = CycNum.zeta(12), CycNum.one()
+    perm = list(range(n))
+    if permuted:
+        rng.shuffle(perm)
+    exponent = [None] * n
+    roots = [None] * n
+    for start in range(n):
+        if exponent[start] is not None:
+            continue
+        cycle = [start]
+        while perm[cycle[-1]] != start:
+            cycle.append(perm[cycle[-1]])
+        k = rng.choice((0, 0, 0, 2, 3, 6, 9))
+        product = one
+        for i in cycle:
+            exponent[i] = k
+            roots[i] = rng.choice((one, -one)) * z ** rng.choice((0, 3, 4, 6, 11))
+            product = product * roots[i]
+        if rng.random() < 0.5:
+            # close the cycle: the product of its roots becomes 1
+            roots[cycle[-1]] = roots[cycle[-1]] * product.inverse()
+    rows = []
+    for i in range(n):
+        row = [0] * n
+        row[i] = z ** exponent[i] - one
+        rows.append(row)
+    if permuted:
+        for i in range(n):
+            row = [0] * n
+            row[perm[i]] = roots[i]
+            row[i] = row[i] - one
+            rows.append(row)
+    return CycMatrix(rows)
+
+
+def _generator_constraint_cases():
+    rng = random.Random(12)
+    for n in (1, 3, 6, 12):
+        for permuted in (False, True):
+            for _ in range(2):
+                yield _generator_constraints(rng, n, permuted)
+
+
 def _sparse(row) -> dict:
     return {j: c for j, c in enumerate(row) if c}
 
@@ -211,8 +263,11 @@ def _dense(vec: dict, width: int) -> tuple:
 
 
 def test_sparse_echelon_matches_dense_elimination():
-    checked = 0
-    for m in _sparse_cases():
+    checked = kernels = one_entry = 0
+    for m in chain(_sparse_cases(), _generator_constraint_cases()):
+        # one-entry rows take the shortcut that skips the inverse
+        one_entry += sum(1 for row in m.rows
+                         if sum(map(bool, row)) == 1 and not any(c == 1 for c in row))
         rows = [_sparse(row) for row in m.rows]
         cols = [_sparse(col) for col in m.transpose().rows]
         rank = m.rank()
@@ -224,8 +279,10 @@ def test_sparse_echelon_matches_dense_elimination():
         assert all(c for row in echelon for c in row.values())
         kernel = sparse_kernel(echelon, leads, m.ncols)
         assert [_dense(vec, m.ncols) for vec in kernel] == m.kernel_basis()
+        kernels += bool(kernel)
         checked += 1
-    assert checked == 52
+    assert checked == 52 + 16
+    assert kernels > 20 and one_entry > 50
 
 
 def _dense_eliminate(vector, rows, leads):

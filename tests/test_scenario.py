@@ -343,19 +343,24 @@ print(json.dumps({"passed": report["passed"],
 """
 
 
-@pytest.mark.parametrize("name, group, n_plus_1, sha256", [
+@pytest.mark.parametrize("name, group, n_plus_1, sha256, maxrss_mb", [
     # Z/5 on P^4, the paper's cyclic family one dimension up: its
     # Hom-complex differentials reach 4900 x 4901 with about 5,000
     # nonzeros, which a dense elimination held as 660 MB of zeros.
     ("z5p4", {"kind": "cyclic_diagonal", "m": 5, "weights": [1] * 5}, 5,
-     "b0e6b630a7071505f0e0352d4b1c3f19afa5684392f0e36fee05a16356615d38"),
+     "b0e6b630a7071505f0e0352d4b1c3f19afa5684392f0e36fee05a16356615d38", 150),
     # binary dihedral l = 24 (order 96, 27 irreps): the representation-ring
     # tables are built modulo a prime at conductor 48.
     ("bd24", {"kind": "binary_dihedral", "l": 24}, 2,
-     "36139ef514217c08b172a9cc831bade6b0c9c6f9c7389ba0dca7ae2847b48a5d"),
-], ids=["z5p4", "bd24"])
+     "36139ef514217c08b172a9cc831bade6b0c9c6f9c7389ba0dca7ae2847b48a5d", 150),
+    # binary dihedral l = 48 (order 192, 51 irreps): 300 Hom-space builds,
+    # each a kernel over the two generators; the irrep tables hold one
+    # matrix per element, about 150 MB.
+    ("bd48", {"kind": "binary_dihedral", "l": 48}, 2,
+     "e16421e945a449f5365185b3e34f7c9d0caf23c766f455a5cb6158a40b157eef", 200),
+], ids=["z5p4", "bd24", "bd48"])
 def test_z5_on_p4_pipeline_pinned_in_bounded_memory(name, group, n_plus_1,
-                                                    sha256):
+                                                    sha256, maxrss_mb):
     # A fresh interpreter keeps the peak RSS of this run alone; it inherits
     # the -O flag.
     data = {"name": name, "group": group,
@@ -372,4 +377,4 @@ def test_z5_on_p4_pipeline_pinned_in_bounded_memory(name, group, n_plus_1,
     result = json.loads(proc.stdout)
     assert result["passed"] is True
     assert result["sha256"] == sha256
-    assert result["maxrss_kb"] < 150 * 1024
+    assert result["maxrss_kb"] < maxrss_mb * 1024
