@@ -6,6 +6,15 @@ lexicographic order of the canonical entry string.  The identity is
 always element 0 and is alone in conjugacy class 0, and class order is
 pinned by (representative order, trace string, matrix string), so every
 downstream report is reproducible.
+
+The closure is a breadth-first search that forms m * g for every element
+m and generator g, so it also yields the right action of each generator
+as a permutation of the elements and a spanning tree of words (each
+element is its parent times one generator, its last letter).  From these
+the group law is an integer Cayley table: i * j = (i * parent(j)) * g for
+j = parent(j) * g.  Products, inverses, powers, element orders and
+conjugacy classes are lookups in that table; no matrix is multiplied or
+inverted after the closure.
 """
 
 from __future__ import annotations
@@ -22,7 +31,8 @@ class FiniteMatrixGroup:
     """Closure of a finite set of invertible matrices."""
 
     def __init__(self, elements: list[CycMatrix], words: list[tuple[int, ...]],
-                 generators: list[CycMatrix]):
+                 generators: list[CycMatrix], table: tuple[tuple[int, ...], ...],
+                 orders: tuple[int, ...], tree: tuple[tuple[int, int, int], ...]):
         # Internal: use generate_group.
         self.elements = tuple(elements)
         self.words = tuple(words)
@@ -30,9 +40,11 @@ class FiniteMatrixGroup:
         self.order = len(elements)
         self.dimension = elements[0].nrows
         self._index = {m: i for i, m in enumerate(elements)}
-        self._orders = tuple(_element_order(m) for m in elements)
-        self._mul_cache: dict[tuple[int, int], int] = {}
-        self._inv_cache: dict[int, int] = {}
+        self._table = table
+        self._orders = orders
+        # (element, parent, letter) in the order the closure found them
+        self.tree = tree
+        self._inverses = tuple(row.index(0) for row in table)
         self.classes, self.class_of = self._conjugacy_classes()
 
     # -- element access ----------------------------------------------
@@ -50,32 +62,37 @@ class FiniteMatrixGroup:
         return self._orders[i]
 
     def mul(self, i: int, j: int) -> int:
-        key = (i, j)
-        if key not in self._mul_cache:
-            self._mul_cache[key] = self.index_of(self.elements[i] * self.elements[j])
-        return self._mul_cache[key]
+        return self._table[i][j]
 
     def inv(self, i: int) -> int:
-        if i not in self._inv_cache:
-            self._inv_cache[i] = self.index_of(self.elements[i].inverse())
-        return self._inv_cache[i]
+        return self._inverses[i]
 
     def power(self, i: int, k: int) -> int:
-        k %= self._orders[i]
+        row = self._table[i]
         result = 0
-        for _ in range(k):
-            result = self.mul(result, i)
+        for _ in range(k % self._orders[i]):
+            result = row[result]
         return result
 
     def is_scalar(self) -> bool:
-        """True when every element is a scalar multiple of the identity."""
-        return all(m.is_scalar() for m in self.elements)
+        """True when every element is a scalar multiple of the identity,
+        that is, when every generator is."""
+        return all(g.is_scalar() for g in self.generators)
+
+    def schreier_edges(self) -> list[tuple[int, int]]:
+        """The pairs (element i, generator letter g) off the spanning tree,
+        i-major: those where i * g was already found by another word.  There
+        are |G| k - |G| + 1 of them for k generators."""
+        on_tree = {(parent, letter) for _, parent, letter in self.tree}
+        return [(i, g) for i in range(self.order)
+                for g in range(len(self.generators)) if (i, g) not in on_tree]
 
     # -- conjugacy ------------------------------------------------------
 
     def _conjugacy_classes(self):
-        n = len(self.elements)
-        gens = [(g, g.inverse()) for g in self.generators]
+        n = self.order
+        table, inverses = self._table, self._inverses
+        gens = [self.index_of(g) for g in self.generators]
         seen = [False] * n
         raw: list[list[int]] = []
         for start in range(n):
@@ -86,9 +103,8 @@ class FiniteMatrixGroup:
             seen[start] = True
             while stack:
                 i = stack.pop()
-                m = self.elements[i]
-                for g, ginv in gens:
-                    j = self.index_of(g * m * ginv)
+                for s in gens:
+                    j = table[table[s][i]][inverses[s]]
                     if not seen[j]:
                         seen[j] = True
                         orbit.add(j)
@@ -119,16 +135,6 @@ class FiniteMatrixGroup:
         return f"FiniteMatrixGroup(order={self.order}, dim={self.dimension})"
 
 
-def _element_order(matrix: CycMatrix) -> int:
-    power = matrix
-    cap = configured_order_cap()
-    for k in range(1, cap + 1):
-        if power.is_identity():
-            return k
-        power = power * matrix
-    raise OrderCapExceeded(f"element order exceeds cap {cap}")
-
-
 def generate_group(generators: list[CycMatrix], dimension: int | None = None,
                    order_cap: int | None = None) -> FiniteMatrixGroup:
     """Close a generator list under multiplication.
@@ -143,7 +149,7 @@ def generate_group(generators: list[CycMatrix], dimension: int | None = None,
         if dimension is None:
             raise InvalidParameter("trivial group needs an explicit dimension")
         identity = CycMatrix.identity(dimension)
-        return FiniteMatrixGroup([identity], [()], [])
+        return FiniteMatrixGroup([identity], [()], [], ((0,),), (1,), ())
     dim = generators[0].nrows
     for g in generators:
         if g.nrows != g.ncols or g.nrows != dim:
@@ -152,25 +158,49 @@ def generate_group(generators: list[CycMatrix], dimension: int | None = None,
             raise NotInvertible(f"generator {g} is singular")
     if dimension is not None and dimension != dim:
         raise InvalidParameter(f"generator size {dim} does not match dimension {dimension}")
-    identity = CycMatrix.identity(dim)
-    discovered: dict[CycMatrix, tuple[int, ...]] = {identity: ()}
-    frontier = [identity]
-    while frontier:
-        next_frontier = []
-        for m in frontier:
-            word = discovered[m]
-            for gi, g in enumerate(generators):
-                prod = m * g
-                if prod not in discovered:
-                    discovered[prod] = word + (gi,)
-                    next_frontier.append(prod)
-                    if len(discovered) > order_cap:
-                        raise OrderCapExceeded(
-                            f"group order exceeds cap {order_cap}")
-        frontier = next_frontier
-    ordered = sorted(discovered, key=lambda m: (_element_order(m), str(m)))
-    words = [discovered[m] for m in ordered]
-    return FiniteMatrixGroup(ordered, words, generators)
+    # Breadth-first closure; `found` grows while it is scanned.  right[g][i]
+    # is the index of found[i] * g, and tree holds (child, parent, letter).
+    found = [CycMatrix.identity(dim)]
+    index = {found[0]: 0}
+    words: list[tuple[int, ...]] = [()]
+    tree: list[tuple[int, int, int]] = []
+    right: list[list[int]] = [[] for _ in generators]
+    for i, m in enumerate(found):
+        for gi, g in enumerate(generators):
+            prod = m * g
+            j = index.get(prod)
+            if j is None:
+                j = index[prod] = len(found)
+                found.append(prod)
+                words.append(words[i] + (gi,))
+                tree.append((j, i, gi))
+                if len(found) > order_cap:
+                    raise OrderCapExceeded(f"group order exceeds cap {order_cap}")
+            right[gi].append(j)
+    n = len(found)
+    # column j of the Cayley table: i * j for every i, from its parent's
+    # column, since i * j = (i * parent) * letter
+    columns: list[list[int]] = [list(range(n))] + [[]] * (n - 1)
+    for j, parent, letter in tree:
+        perm = right[letter]
+        columns[j] = [perm[x] for x in columns[parent]]
+    rows = list(zip(*columns))
+    orders = []
+    for i, row in enumerate(rows):
+        x, k = i, 1
+        while x:
+            x, k = row[x], k + 1
+        orders.append(k)
+    ordered = sorted(range(n), key=lambda i: (orders[i], str(found[i])))
+    rank = [0] * n
+    for new, old in enumerate(ordered):
+        rank[old] = new
+    table = tuple(tuple([rank[row[j]] for j in ordered])
+                  for row in (rows[i] for i in ordered))
+    return FiniteMatrixGroup(
+        [found[i] for i in ordered], [words[i] for i in ordered], generators,
+        table, tuple(orders[i] for i in ordered),
+        tuple((rank[j], rank[parent], letter) for j, parent, letter in tree))
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,11 @@
 """Irreducible representations, characters, and power-character calculus.
 
 Irreducible representations are never computed from scratch: the builtin
-families carry hand-pinned tables, and user-supplied groups must provide
-generator images which are extended along the stored generator words and
-then verified once, when the Setup is built (multiplicativity, character
-orthonormality, sum of squared dimensions).
+families carry hand-pinned generator images, and user-supplied groups must
+provide them.  The images are extended along the group's spanning tree of
+words and then verified once, when the Setup is built: multiplicativity on
+the Schreier edges (the pairs off the tree), class constancy, character
+orthonormality from residues mod p, and the sum of squared dimensions.
 
 Multiplicities live in the integer representation ring.  Once per Setup,
 on first use, the integer tables L_k (row sigma: the irrep decomposition of
@@ -12,8 +13,8 @@ Lambda^k V-dual tensor rho_sigma, k = 1..n+1) are computed modulo a prime
 by Dixon's method and certified by their dimensions; the permutation
 "tensor with det" is read off L_(n+1).  Every Sym^m multiplicity then
 follows from the Koszul relation on integer vectors.  The CycNum character
-path (Newton power characters, inner products) stays for verification and
-for decomposing arbitrary characters.
+path (Newton power characters, inner products) stays for decomposing
+arbitrary characters.
 
 Conventions used throughout the package:
   * coordinates x_1..x_{n+1} span the dual of the defining representation,
@@ -137,7 +138,12 @@ class CharacterVec:
 
 
 class Irrep:
-    """An irreducible representation given by one matrix per group element."""
+    """An irreducible representation given by one matrix per group element.
+
+    Internal: use irrep_from_images, which forms every matrix from the
+    generator images along the group's spanning tree; verify_irreps relies
+    on that to skip the tree edges.
+    """
 
     __slots__ = ("group", "index", "name", "matrices", "_character")
 
@@ -174,13 +180,12 @@ class Irrep:
 
 def irrep_from_images(group: FiniteMatrixGroup, index: int, name: str,
                       images: list[CycMatrix]) -> Irrep:
-    """Extend generator images along the stored generator words.
+    """Extend generator images along the group's spanning tree.
 
-    Only shapes are checked here, and that each generator's element receives
-    that generator's image.  Multiplicativity is checked once, by
-    verify_irreps when the Setup is built: it tests every (element,
-    generator) pair, which by induction on word length pins the whole
-    multiplication table.
+    Each element's matrix is its parent's times the image of its last
+    letter.  Only shapes are checked here, and that each generator's
+    element receives that generator's image.  Multiplicativity is checked
+    once, by verify_irreps when the Setup is built.
     """
     if len(images) != len(group.generators):
         raise InvalidParameter("one image per generator required")
@@ -188,11 +193,9 @@ def irrep_from_images(group: FiniteMatrixGroup, index: int, name: str,
     for img in images:
         if img.nrows != img.ncols or img.nrows != dim:
             raise InvalidParameter("irrep images must be square of equal size")
-    # each stored word extends the word of an element found before it
-    by_word = {(): CycMatrix.identity(dim)}
-    for word in sorted(group.words, key=len)[1:]:
-        by_word[word] = by_word[word[:-1]] * images[word[-1]]
-    matrices = [by_word[word] for word in group.words]
+    matrices = [CycMatrix.identity(dim)] * group.order
+    for j, parent, letter in group.tree:
+        matrices[j] = matrices[parent] * images[letter]
     for g, img in zip(group.generators, images):
         if matrices[group.index_of(g)] != img:
             raise InvalidParameter(
@@ -208,7 +211,22 @@ class VerifyReport:
 
 
 def verify_irreps(group: FiniteMatrixGroup, irreps: list[Irrep]) -> VerifyReport:
-    """Check a claimed irrep table; reports rather than throws."""
+    """Check a claimed irrep table; reports rather than throws.
+
+    Multiplicativity, rho(i * g) = rho(i) rho(g) for every element i and
+    generator g, pins the whole multiplication table by induction on word
+    length.  irrep_from_images forms rho(i * g) as rho(i) times the image of
+    g whenever (i, g) is an edge of the group's spanning tree, and checks
+    that each generator's element carries its image, so those |G| - 1 edges
+    hold by construction; only the Schreier edges, the other |G| k - |G| + 1
+    pairs, are compared.
+
+    Once every irrep is multiplicative and its character constant on
+    classes, <chi_a, chi_b> = dim Hom_G(rho_b, rho_a) is an integer in
+    [0, dim_a dim_b].  It is computed in F_p by Dixon's method, p = 1 (mod
+    the characters' conductor) and p above max dim^2 and |G|, so the residue
+    is the exact integer.
+    """
     dim_sq = sum(r.dim ** 2 for r in irreps)
 
     def fail(msg: str) -> VerifyReport:
@@ -220,23 +238,27 @@ def verify_irreps(group: FiniteMatrixGroup, irreps: list[Irrep]) -> VerifyReport
     if first.dim != 1 or any(not m.is_identity() for m in first.matrices):
         return fail("first irrep is not the trivial representation")
     gen_indices = [group.index_of(g) for g in group.generators]
+    edges = [(i, gen_indices[g]) for i, g in group.schreier_edges()]
     for rep in irreps:
         if rep.group is not group:
             return fail(f"{rep.name} belongs to a different group")
         if not rep.matrices[0].is_identity():
             return fail(f"{rep.name} does not send the identity to the identity")
-        for i in range(group.order):
-            for s in gen_indices:
-                if rep.matrices[group.mul(i, s)] != rep.matrices[i] * rep.matrices[s]:
-                    return fail(f"{rep.name} is not multiplicative at ({i}, {s})")
+        for i, s in edges:
+            if rep.matrices[group.mul(i, s)] != rep.matrices[i] * rep.matrices[s]:
+                return fail(f"{rep.name} is not multiplicative at ({i}, {s})")
         traces = [m.trace() for m in rep.matrices]
         for c, orbit in enumerate(group.classes):
             if any(traces[i] != traces[orbit[0]] for i in orbit):
                 return fail(f"character of {rep.name} is not constant on class {c}")
+    chars = [rep.character().values for rep in irreps]
+    image = ModularImage(_conductor(chars),
+                         max(max(r.dim for r in irreps) ** 2, group.order))
+    left, right = _character_residues(group, chars, image)
     for a in range(len(irreps)):
         for b in range(a, len(irreps)):
-            expect = Fraction(1 if a == b else 0)
-            got = irreps[a].character().inner(irreps[b].character())
+            expect = 1 if a == b else 0
+            got = sum(x * y for x, y in zip(left[a], right[b])) % image.p
             if got != expect:
                 return fail(
                     f"<{irreps[a].name}, {irreps[b].name}> = {got}, expected {expect}")
@@ -426,12 +448,8 @@ def _lambda_tables(setup: Setup):
     classes = range(len(group.classes))
     chars = [rep.character().values for rep in setup.irreps]
     defining = setup.defining_character().values
-    conductor = 1
-    for values in (*chars, defining):
-        for v in values:
-            conductor = lcm(conductor, v.conductor)
     dims = [rep.dim for rep in setup.irreps]
-    image = ModularImage(conductor,
+    image = ModularImage(_conductor([*chars, defining]),
                          max(comb(n1, n1 // 2) * max(dims), group.order))
     p = image.p
     # e_k of V-dual at each class: chi_(V-dual)(g^i) = conj chi_V(g^i)
@@ -445,10 +463,7 @@ def _lambda_tables(setup: Setup):
             sum((power_sums[i][c] if i % 2 else -power_sums[i][c])
                 * ext[k - i][c] for i in range(1, k + 1)) * inv_k % p
             for c in classes])
-    inv_order = image.inverse(group.order)
-    left = [[image(v) for v in values] for values in chars]
-    right = [[image(v, conjugate=True) * group.class_size(c) * inv_order % p
-              for c, v in enumerate(values)] for values in chars]
+    left, right = _character_residues(group, chars, image)
     tables = []
     for k in range(1, n1 + 1):
         rows = []
@@ -475,6 +490,27 @@ def _lambda_tables(setup: Setup):
     return tuple(tables), tuple(det)
 
 
+def _conductor(value_lists) -> int:
+    """The lcm of the conductors of every value in the lists."""
+    conductor = 1
+    for values in value_lists:
+        for v in values:
+            conductor = lcm(conductor, v.conductor)
+    return conductor
+
+
+def _character_residues(group: FiniteMatrixGroup, chars, image: ModularImage):
+    """Each character's class values mod p, and their conjugates weighted by
+    |class| / |G|: the dot product of a left and a right row is the inner
+    product <chi_a, chi_b> mod p."""
+    p = image.p
+    inv_order = image.inverse(group.order)
+    left = [[image(v) for v in values] for values in chars]
+    right = [[image(v, conjugate=True) * group.class_size(c) * inv_order % p
+              for c, v in enumerate(values)] for values in chars]
+    return left, right
+
+
 # -- builtin families ---------------------------------------------------
 
 def cyclic_diagonal(m: int, weights: list[int]) -> Setup:
@@ -489,26 +525,16 @@ def cyclic_diagonal(m: int, weights: list[int]) -> Setup:
         raise InvalidParameter("weights must be non-empty")
     if m == 1:
         group = generate_group([], dimension=len(weights))
-        return Setup(group, [Irrep(group, 0, "rho_0", [CycMatrix.identity(1)])])
+        return Setup(group, [irrep_from_images(group, 0, "rho_0", [])])
     gen = CycMatrix.diagonal([CycNum.zeta(m, w % m) for w in weights])
-    order = next((k for k in range(1, m + 1) if (gen ** k).is_identity()), None)
-    if order != m:
-        raise InvalidParameter(
-            f"diagonal generator has order {order}, expected exactly {m}")
     group = generate_group([gen])
-    # discrete logs: element index -> exponent t with element = gen^t
-    logs = [0] * group.order
-    power = CycMatrix.identity(len(weights))
-    for t in range(m):
-        logs[group.index_of(power)] = t
-        power = power * gen
-    irreps = []
-    for j in range(m):
-        mats = [CycMatrix([[CycNum.zeta(m, (j * logs[i]) % m)]])
-                for i in range(group.order)]
-        irreps.append(Irrep(group, j, f"rho_{j}", mats))
-    setup = Setup(group, irreps)
-    return setup
+    if group.order != m:
+        raise InvalidParameter(
+            f"diagonal generator has order {group.order}, expected exactly {m}")
+    irreps = [irrep_from_images(group, j, f"rho_{j}",
+                                [CycMatrix([[CycNum.zeta(m, j)]])])
+              for j in range(m)]
+    return Setup(group, irreps)
 
 
 def binary_dihedral(l: int) -> Setup:

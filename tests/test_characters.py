@@ -12,19 +12,22 @@ from fractions import Fraction
 
 import pytest
 
+import eqcol.reps as reps_mod
 from eqcol.cyclotomic import CycNum
 from eqcol.errors import GroupMismatch, NegativeDegree
 from eqcol.linalg import CycMatrix
 from eqcol.reps import (
     CharacterVec,
-    Irrep,
     binary_dihedral,
     cyclic_diagonal,
     ext_power_character,
+    irrep_from_images,
     molien_dimension,
     sym_power_character,
     verify_irreps,
 )
+from eqcol.scenario import build_setup, load_scenario
+from test_repring import SCENARIOS
 
 
 # -- oracles -----------------------------------------------------------
@@ -125,6 +128,110 @@ def test_verify_irreps_pass_and_fail(bd2):
     # trivial group with the trivial irrep passes
     t = cyclic_diagonal(1, [1])
     assert verify_irreps(t.group, list(t.irreps)).passed
+
+
+# -- orthonormality from residues against CharacterVec.inner ---------------
+
+def oracle_orthonormality_failure(group, irreps):
+    """The orthonormality and dimension checks through exact CycNum inner
+    products, for tables that are multiplicative and class-constant."""
+    for a in range(len(irreps)):
+        for b in range(a, len(irreps)):
+            expect = Fraction(1 if a == b else 0)
+            got = irreps[a].character().inner(irreps[b].character())
+            if got != expect:
+                return (f"<{irreps[a].name}, {irreps[b].name}> = {got},"
+                        f" expected {expect}")
+    dim_sq = sum(r.dim ** 2 for r in irreps)
+    if dim_sq != group.order:
+        return f"dimension squares sum to {dim_sq}, group order is {group.order}"
+    return None
+
+
+def direct_sum(setup, name, summands):
+    """The direct sum of irreps, built from block-diagonal generator images."""
+    group = setup.group
+    images = []
+    for g in group.generators:
+        s = group.index_of(g)
+        blocks = [setup.irreps[j].matrix(s) for j in summands]
+        size = sum(b.nrows for b in blocks)
+        rows = [[CycNum.zero()] * size for _ in range(size)]
+        offset = 0
+        for b in blocks:
+            for i in range(b.nrows):
+                rows[offset + i][offset:offset + b.nrows] = b.rows[i]
+            offset += b.nrows
+        images.append(CycMatrix(rows))
+    return irrep_from_images(group, len(summands), name, images)
+
+
+@pytest.mark.parametrize("case", [
+    "bd2 duplicated", "bd2 rho_1+rho_3", "bd2 rho_0+rho_1", "c3 rho_1+rho_2",
+    "c3 rho_0+rho_1", "bd2 without rho_4", "bd3 without rho_2", "bd2", "c3"])
+def test_orthonormality_residues_match_inner_products(case, bd2, c3):
+    setup = {"bd2": bd2, "c3": c3, "bd3": binary_dihedral(3)}[case.split()[0]]
+    irreps = list(setup.irreps)
+    if case == "bd2 duplicated":
+        irreps = [irreps[0], irreps[0]]
+    elif "+" in case:
+        i, j = (int(t[-1]) for t in case.split()[1].split("+"))
+        irreps = [irreps[0], direct_sum(setup, case.split()[1], [i, j])]
+    elif "without" in case:
+        irreps.pop(int(case[-1]))
+    expected = {
+        "bd2 rho_1+rho_3": "<rho_1+rho_3, rho_1+rho_3> = 2, expected 1",
+        "c3 rho_1+rho_2": "<rho_1+rho_2, rho_1+rho_2> = 2, expected 1",
+        "bd2 rho_0+rho_1": "<rho_0, rho_0+rho_1> = 1, expected 0",
+        "bd2 without rho_4": "dimension squares sum to 7, group order is 8",
+        "bd3 without rho_2": "dimension squares sum to 8, group order is 12",
+    }
+    failure = oracle_orthonormality_failure(setup.group, irreps)
+    if case in expected:
+        assert failure == expected[case]
+    report = verify_irreps(setup.group, irreps)
+    assert report.failure == failure
+    assert report.passed == (failure is None)
+
+
+def test_orthonormality_prime_exceeds_dim_squares_and_order(monkeypatch, bd2, c3):
+    primes = []
+
+    class Recording(reps_mod.ModularImage):
+        def __init__(self, conductor, above):
+            super().__init__(conductor, above)
+            primes.append(self.p)
+
+    monkeypatch.setattr(reps_mod, "ModularImage", Recording)
+    q8 = build_setup(load_scenario(SCENARIOS / "q8_explicit.json"))
+    for setup in (bd2, c3, q8, binary_dihedral(3), cyclic_diagonal(1, [1])):
+        primes.clear()
+        assert verify_irreps(setup.group, list(setup.irreps)).passed
+        assert len(primes) == 1
+        assert primes[0] > max(r.dim for r in setup.irreps) ** 2
+        assert primes[0] > setup.group.order
+
+
+def test_verify_irreps_compares_the_schreier_edges_only(monkeypatch):
+    # one matrix product per Schreier edge and irrep: |G| k - |G| + 1 edges,
+    # 49 of the 96 (element, generator) pairs on binary dihedral l = 12
+    q8 = build_setup(load_scenario(SCENARIOS / "q8_explicit.json"))
+    products = []
+    multiply = CycMatrix.__mul__
+
+    def counting(self, other):
+        products.append(1)
+        return multiply(self, other)
+
+    monkeypatch.setattr(CycMatrix, "__mul__", counting)
+    for setup, edges in ((binary_dihedral(2), 9), (binary_dihedral(12), 49),
+                         (q8, 9)):
+        group = setup.group
+        assert len(group.schreier_edges()) == edges == \
+            group.order * len(group.generators) - group.order + 1
+        products.clear()
+        assert verify_irreps(group, list(setup.irreps)).passed
+        assert len(products) == edges * len(setup.irreps)
 
 
 def test_sym_power_low_degrees(bd2):

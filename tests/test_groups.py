@@ -1,6 +1,12 @@
-"""Group closure, canonical ordering, conjugacy classes, central scalars."""
+"""Group closure, canonical ordering, conjugacy classes, central scalars.
+
+The group law is an integer Cayley table derived from the closure; here it
+is swept against the law by matrix products (products and inverses looked
+up by index, classes by conjugation with the generator matrices).
+"""
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from eqcol.cyclotomic import CycNum
 from eqcol.errors import (
@@ -12,6 +18,8 @@ from eqcol.errors import (
 from eqcol.groups import central_scalar_subgroup, generate_group
 from eqcol.linalg import CycMatrix
 from eqcol.reps import binary_dihedral, cyclic_diagonal
+from eqcol.scenario import build_setup, load_scenario
+from test_repring import SCENARIOS, SWEEP, build, specs
 
 
 def test_trivial_group():
@@ -142,3 +150,133 @@ def test_canonical_element_order_is_stable():
     orders = [a.element_order(i) for i in range(a.order)]
     assert orders == sorted(orders)
     assert orders[0] == 1
+
+
+# -- the group law against matrix products ----------------------------------
+
+def oracle_element_order(matrix: CycMatrix) -> int:
+    power, k = matrix, 1
+    while not power.is_identity():
+        power, k = power * matrix, k + 1
+    return k
+
+
+class OracleGroup:
+    """The closure by frontiers of matrix products, sorted by (element
+    order, matrix string); every operation multiplies or inverts matrices
+    and looks the result up by index."""
+
+    def __init__(self, generators, dimension):
+        self.generators = list(generators)
+        identity = CycMatrix.identity(dimension)
+        discovered = {identity: ()}
+        frontier = [identity]
+        while frontier:
+            next_frontier = []
+            for m in frontier:
+                for gi, g in enumerate(self.generators):
+                    prod = m * g
+                    if prod not in discovered:
+                        discovered[prod] = discovered[m] + (gi,)
+                        next_frontier.append(prod)
+            frontier = next_frontier
+        orders = {m: oracle_element_order(m) for m in discovered}
+        self.elements = sorted(discovered, key=lambda m: (orders[m], str(m)))
+        self.words = tuple(discovered[m] for m in self.elements)
+        self.orders = tuple(orders[m] for m in self.elements)
+        self.index = {m: i for i, m in enumerate(self.elements)}
+
+    def mul(self, i, j):
+        return self.index[self.elements[i] * self.elements[j]]
+
+    def inv(self, i):
+        return self.index[self.elements[i].inverse()]
+
+    def power(self, i, k):
+        base = self.elements[i] if k >= 0 else self.elements[i].inverse()
+        result = CycMatrix.identity(base.nrows)
+        for _ in range(abs(k)):
+            result = result * base
+        return self.index[result]
+
+    def classes(self):
+        seen, raw = set(), []
+        for start in range(len(self.elements)):
+            if start in seen:
+                continue
+            orbit, stack = {start}, [start]
+            while stack:
+                m = self.elements[stack.pop()]
+                for g in self.generators:
+                    j = self.index[g * m * g.inverse()]
+                    if j not in orbit:
+                        orbit.add(j)
+                        stack.append(j)
+            seen |= orbit
+            raw.append(tuple(sorted(orbit)))
+        raw.sort(key=lambda orbit: (self.orders[orbit[0]],
+                                    str(self.elements[orbit[0]].trace()),
+                                    str(self.elements[orbit[0]])))
+        return tuple(raw)
+
+
+def group_of(spec):
+    if spec == ("trivial",):
+        return generate_group([], dimension=2)
+    return build(spec).group
+
+
+@SWEEP
+@given(st.one_of(specs, st.just(("trivial",))))
+@example(("binary_dihedral", 3))
+@example(("trivial",))
+@example(("explicit",))
+def test_group_law_matches_matrix_products(spec):
+    group = group_of(spec)
+    oracle = OracleGroup(group.generators, group.dimension)
+    assert [str(m) for m in group.elements] == [str(m) for m in oracle.elements]
+    assert group.words == oracle.words
+    n = group.order
+    for i in range(n):
+        assert group.element_order(i) == oracle.orders[i]
+        assert group.inv(i) == oracle.inv(i)
+        assert [group.power(i, k) for k in range(-1, 4)] == \
+            [oracle.power(i, k) for k in range(-1, 4)]
+        assert [group.mul(i, j) for j in range(n)] == \
+            [oracle.mul(i, j) for j in range(n)], i
+    classes = oracle.classes()
+    assert group.classes == classes
+    assert group.class_of == tuple(
+        next(c for c, orbit in enumerate(classes) if i in orbit) for i in range(n))
+    assert group.is_scalar() == all(m.is_scalar() for m in group.elements)
+
+
+def test_is_scalar_reads_the_generators():
+    # Z/4 by diag(i, i) is scalar; Z/4 by diag(i, -i) is not, though its
+    # square -1 is; binary dihedral groups contain the scalar -1 but are not
+    # scalar; the trivial group is
+    assert cyclic_diagonal(4, [1, 1]).group.is_scalar()
+    assert not cyclic_diagonal(4, [1, 3]).group.is_scalar()
+    assert not binary_dihedral(2).group.is_scalar()
+    assert generate_group([], dimension=3).is_scalar()
+
+
+@pytest.mark.parametrize("case", ["bd2", "bd12", "q8_explicit"])
+def test_spanning_tree_and_schreier_edges(case):
+    if case == "q8_explicit":
+        group = build_setup(load_scenario(SCENARIOS / "q8_explicit.json")).group
+    else:
+        group = binary_dihedral(int(case[2:])).group
+    n, k = group.order, len(group.generators)
+    gens = [group.index_of(g) for g in group.generators]
+    assert len(group.tree) == n - 1
+    assert sorted(j for j, _, _ in group.tree) == list(range(1, n))
+    for j, parent, letter in group.tree:
+        assert group.words[j] == group.words[parent] + (letter,)
+        assert group.mul(parent, gens[letter]) == j
+    edges = group.schreier_edges()
+    assert len(edges) == n * k - n + 1
+    on_tree = {(parent, letter) for _, parent, letter in group.tree}
+    assert sorted(edges + sorted(on_tree)) == \
+        [(i, g) for i in range(n) for g in range(k)]
+    assert edges == sorted(edges)
