@@ -282,13 +282,12 @@ class _Slice:
 
 def _accumulate(column: SparseVec, out: _Slice, elem: HomElement, negate: bool) -> None:
     """Add the coordinates of elem, or subtract them, at out's rows."""
-    for i, c in enumerate(out.space.coordinates_of(elem)):
-        if c:
-            row = out.offset + i
-            if negate:
-                c = -c
-            old = column.get(row)
-            column[row] = c if old is None else old + c
+    for i, c in out.space.sparse_coordinates(elem).items():
+        row = out.offset + i
+        if negate:
+            c = -c
+        old = column.get(row)
+        column[row] = c if old is None else old + c
 
 
 class HomComplexData:
@@ -340,9 +339,11 @@ class HomComplexData:
 
     def delta(self, k: int) -> list[SparseVec]:
         """delta^k as sparse columns, one per basis vector of Hom^k, each
-        {row: value} with the zero entries dropped.  The entries are read
-        from `coordinates_of`, whose invariance check touches only the
-        stored support of the basis."""
+        {row: value} with the zero entries dropped.  Each column composes a
+        basis vector with the differential blocks it meets and reads the
+        composites' coordinates with `sparse_coordinates`; both visit the
+        nonzero entries only, so a column costs the supports it receives,
+        not the ambient dimensions of its Hom spaces."""
         if k in self._deltas:
             return self._deltas[k]
         negate_pre = k % 2 == 0
@@ -439,30 +440,37 @@ class HomComplexData:
                 blocks.setdefault(sl.p, {})[(sl.t, sl.s)] = total
         return ChainMap(self.source, self.target, blocks)
 
-    def vector_from_chain_map(self, cm: ChainMap) -> tuple[CycNum, ...]:
+    def _sparse_vector(self, cm: ChainMap) -> SparseVec:
+        """The Hom^0 coordinates of a chain map, {row: value} with the
+        zeros dropped, read block by block with `sparse_coordinates`."""
         if cm.source != self.source or cm.target != self.target:
             raise BasisMismatch("chain map belongs to a different Hom complex")
-        vector = [CycNum.zero()] * self.dim(0)
+        vector: SparseVec = {}
         covered = set()
         for sl in self.slices.get(0, ()):
             covered.add((sl.p, sl.t, sl.s))
             elem = cm.block(sl.p, sl.t, sl.s)
             if elem is None:
                 continue
-            for i, c in enumerate(sl.space.coordinates_of(elem)):
+            for i, c in sl.space.sparse_coordinates(elem).items():
                 vector[sl.offset + i] = c
         for degree, entry in cm.blocks.items():
             for key in entry:
                 if (degree, *key) not in covered:
                     raise BasisMismatch(
                         "chain map has a block in a zero morphism space")
-        return tuple(vector)
+        return vector
+
+    def vector_from_chain_map(self, cm: ChainMap) -> tuple[CycNum, ...]:
+        """The dense tuple view of a chain map's Hom^0 coordinates."""
+        vector = self._sparse_vector(cm)
+        zero = CycNum.zero()
+        return tuple(vector.get(i, zero) for i in range(self.dim(0)))
 
     def h0_coordinates(self, cm: ChainMap) -> tuple[CycNum, ...]:
         """Coefficients of a cycle over h0_vectors, modulo boundaries."""
         span, position, count = self._h0
-        coords, residual = eliminate_along(
-            dict(enumerate(self.vector_from_chain_map(cm))), span, position)
+        coords, residual = eliminate_along(self._sparse_vector(cm), span, position)
         if residual:
             raise BasisMismatch("map is not a cycle in the given Hom complex")
         zero = CycNum.zero()

@@ -15,11 +15,16 @@ and reduced sparsely, and the kernel is echelonized with a graded
 lexicographic monomial order, monomial-major, then target row, then
 source column.  The reduced echelon basis of a subspace is unique, so
 the result is deterministic, and its length must equal the
-character-theoretic multiplicity.  Each basis vector is 1 at its pivot
-and 0 at every other pivot, so the coordinates of an invariant morphism
-are read at the pivots, with no solve.  The invariance check subtracts
-each coordinate times the stored nonzero support of its basis vector
-only, so it costs the ambient dimension plus that support.
+character-theoretic multiplicity.
+
+An element stores its nonzero ambient entries only, by flat index, and
+every operation visits those entries.  Composition pairs each entry of f
+with the entries of g on the same middle index.  Each basis vector is 1
+at its pivot and 0 at every other pivot, so the coordinates of an
+invariant morphism are its entries at the pivots, with no solve; the
+invariance check subtracts the entries of the basis vectors with a
+nonzero coordinate and must leave nothing.  Composition and coordinates
+thus cost the supports, not the ambient dimension.
 
 Only the twist difference m = b - a matters to the stored data, so
 spaces are cached by (m, rho, sigma) and shared across twists.
@@ -27,9 +32,11 @@ spaces are cached by (m, rho, sigma) and shared across twists.
 
 from __future__ import annotations
 
+from operator import add
+
 from .cyclotomic import CycNum
 from .errors import BasisMismatch, NegativeDegree
-from .linalg import rref_rows, sparse_echelon, sparse_kernel
+from .linalg import _axpy, rref_rows, sparse_echelon, sparse_kernel
 from .reps import Setup, setup_memo
 
 Monomial = tuple[int, ...]
@@ -95,45 +102,82 @@ def _monomial_actions(setup: Setup, degree: int):
 
 
 class HomElement:
-    """A single equivariant morphism, stored as a dense coordinate vector."""
+    """A single equivariant morphism, stored as its nonzero ambient entries
+    {flat index: value}.  No zero value is stored, so sums, scalar
+    multiples, composition and coordinates cost the supports, not the
+    ambient dimension."""
 
-    __slots__ = ("space", "coords")
+    __slots__ = ("space", "entries")
 
     def __init__(self, space: "HomSpace", coords):
         coords = tuple(coords)
         if len(coords) != space.ambient_dim:
             raise BasisMismatch("coordinate length does not match the space")
         self.space = space
-        self.coords = coords
+        self.entries: dict[int, CycNum] = {j: c for j, c in enumerate(coords) if c}
+
+    @classmethod
+    def _from_entries(cls, space: "HomSpace", entries: dict) -> "HomElement":
+        """An element from a dict that already holds no zero value."""
+        elem = cls.__new__(cls)
+        elem.space = space
+        elem.entries = entries
+        return elem
+
+    @property
+    def coords(self) -> tuple[CycNum, ...]:
+        """Dense ambient coordinates (a read-only view)."""
+        zero = CycNum.zero()
+        get = self.entries.get
+        return tuple(get(j, zero) for j in range(self.space.ambient_dim))
 
     def __bool__(self) -> bool:
-        return any(self.coords)
+        return bool(self.entries)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, HomElement):
             return NotImplemented
-        return self.space is other.space and self.coords == other.coords
+        return self.space is other.space and self.entries == other.entries
 
     def __hash__(self) -> int:
-        return hash(tuple(v.key() for v in self.coords))
+        return hash(tuple(sorted((j, v.key()) for j, v in self.entries.items())))
+
+    def _merged(self, other: "HomElement", negate: bool) -> "HomElement":
+        """self + other, or self - other, dropping the entries that cancel."""
+        entries = dict(self.entries)
+        for j, c in other.entries.items():
+            old = entries.get(j)
+            if old is None:
+                entries[j] = -c if negate else c
+            else:
+                new = old - c if negate else old + c
+                if new:
+                    entries[j] = new
+                else:
+                    del entries[j]
+        return HomElement._from_entries(self.space, entries)
 
     def __add__(self, other: "HomElement") -> "HomElement":
         if self.space is not other.space:
             raise BasisMismatch("sum of morphisms from different spaces")
-        return HomElement(self.space,
-                          [a + b for a, b in zip(self.coords, other.coords)])
+        return self._merged(other, False)
 
     def __sub__(self, other: "HomElement") -> "HomElement":
         if self.space is not other.space:
             raise BasisMismatch("difference of morphisms from different spaces")
-        return HomElement(self.space,
-                          [a - b for a, b in zip(self.coords, other.coords)])
+        return self._merged(other, True)
 
     def __neg__(self) -> "HomElement":
-        return HomElement(self.space, [-a for a in self.coords])
+        return HomElement._from_entries(
+            self.space, {j: -c for j, c in self.entries.items()})
 
     def __mul__(self, scalar) -> "HomElement":
-        return HomElement(self.space, [a * scalar for a in self.coords])
+        entries = {}
+        for j, c in self.entries.items():
+            v = c * scalar
+            if v:
+                entries[j] = v
+        return HomElement._from_entries(self.space, entries)
 
     __rmul__ = __mul__
 
@@ -141,29 +185,26 @@ class HomElement:
         """Human-readable matrix of polynomial entries (row s, column t)."""
         space = self.space
         names = [f"x{i + 1}" for i in range(space.setup.n_plus_1)]
-        grid = []
-        for s in range(space.dim_sigma):
-            row = []
-            for t in range(space.dim_rho):
-                terms = []
-                for mi, alpha in enumerate(space.monomials):
-                    c = self.coords[space.flat_index_by_mono(mi, s, t)]
-                    if not c:
-                        continue
-                    mono = "*".join(
-                        names[i] + (f"^{e}" if e > 1 else "")
-                        for i, e in enumerate(alpha) if e
-                    )
-                    cs = str(c)
-                    if mono:
-                        term = mono if cs == "1" else (f"-{mono}" if cs == "-1"
-                                                       else f"({cs})*{mono}")
-                    else:
-                        term = cs if "/" not in cs and " " not in cs else f"({cs})"
-                    terms.append(term)
-                row.append(" + ".join(terms).replace("+ -", "- ") if terms else "0")
-            grid.append(row)
-        return grid
+        terms = [[[] for _ in range(space.dim_rho)] for _ in range(space.dim_sigma)]
+        # ascending flat index is monomial-major, so each entry's terms
+        # come in monomial order
+        for k in sorted(self.entries):
+            c = self.entries[k]
+            rest, t = divmod(k, space.dim_rho)
+            mi, s = divmod(rest, space.dim_sigma)
+            mono = "*".join(
+                names[i] + (f"^{e}" if e > 1 else "")
+                for i, e in enumerate(space.monomials[mi]) if e
+            )
+            cs = str(c)
+            if mono:
+                term = mono if cs == "1" else (f"-{mono}" if cs == "-1"
+                                               else f"({cs})*{mono}")
+            else:
+                term = cs if "/" not in cs and " " not in cs else f"({cs})"
+            terms[s][t].append(term)
+        return [[" + ".join(cell).replace("+ -", "- ") if cell else "0"
+                 for cell in row] for row in terms]
 
     def __repr__(self) -> str:
         return f"HomElement({self.poly_entries()})"
@@ -176,7 +217,7 @@ class HomSpace:
 
     __slots__ = ("setup", "m", "rho_index", "sigma_index", "dim_rho",
                  "dim_sigma", "monomials", "_mono_index", "basis", "pivots",
-                 "_supports")
+                 "_pivot_at")
 
     def __init__(self, setup: Setup, m: int, rho_index: int, sigma_index: int):
         if m < 0:
@@ -231,8 +272,7 @@ class HomSpace:
         # the rational fast paths.
         self.basis = tuple(HomElement(self, [v.reduced() for v in row])
                            for row in basis_rows)
-        self._supports = tuple(tuple(j for j, c in enumerate(b.coords) if c)
-                               for b in self.basis)
+        self._pivot_at = {p: i for i, p in enumerate(self.pivots)}
         expected = setup.hom_dim(0, m, rho_index, sigma_index)
         if len(self.basis) != expected:
             raise BasisMismatch(
@@ -252,7 +292,7 @@ class HomSpace:
         return len(self.basis)
 
     def zero_element(self) -> HomElement:
-        return HomElement(self, [CycNum.zero()] * self.ambient_dim)
+        return HomElement._from_entries(self, {})
 
     def identity_element(self) -> HomElement:
         if self.m != 0 or self.rho_index != self.sigma_index:
@@ -262,22 +302,27 @@ class HomSpace:
             coords[self.flat_index_by_mono(0, s, s)] = CycNum.one()
         return HomElement(self, coords)
 
-    def coordinates_of(self, elem: HomElement) -> tuple[CycNum, ...]:
-        """Coordinates of an invariant morphism in the echelon basis: its
-        entries at the basis pivots.  The element minus that combination
-        must vanish; only the basis supports are subtracted."""
+    def sparse_coordinates(self, elem: HomElement) -> dict[int, CycNum]:
+        """Coordinates of an invariant morphism in the echelon basis, as
+        {basis index: c} with the zeros dropped: its entries at the basis
+        pivots.  The element minus that combination must vanish; only the
+        entries of the basis vectors with a nonzero c are subtracted."""
         if elem.space is not self:
             raise BasisMismatch("element from a different space")
-        coords = tuple(elem.coords[p] for p in self.pivots)
-        residual = list(elem.coords)
-        for c, b, support in zip(coords, self.basis, self._supports):
-            if c:
-                neg = -c
-                for j in support:
-                    residual[j] = residual[j] + neg * b.coords[j]
-        if any(residual):
+        pivot_at = self._pivot_at
+        coords = {pivot_at[j]: c for j, c in elem.entries.items() if j in pivot_at}
+        residual = dict(elem.entries)
+        for i, c in coords.items():
+            _axpy(residual, -c, self.basis[i].entries)
+        if residual:
             raise BasisMismatch("element is outside the invariant span")
         return coords
+
+    def coordinates_of(self, elem: HomElement) -> tuple[CycNum, ...]:
+        """The dense tuple view of `sparse_coordinates`."""
+        coords = self.sparse_coordinates(elem)
+        zero = CycNum.zero()
+        return tuple(coords.get(i, zero) for i in range(len(self.basis)))
 
     def __repr__(self) -> str:
         names = self.setup.irreps
@@ -293,7 +338,11 @@ def hom_space(setup: Setup, m: int, rho_index: int, sigma_index: int) -> HomSpac
 
 
 def compose_hom(f: HomElement, g: HomElement) -> HomElement:
-    """The composite g o f of f: (rho, m1) -> sigma and g: (sigma, m2) -> tau."""
+    """The composite g o f of f: (rho, m1) -> sigma and g: (sigma, m2) -> tau.
+
+    Each nonzero entry of f at (alpha, s, t) meets only the nonzero entries
+    of g whose source column is s, so the cost is the product of the
+    supports that meet, not of the ambient dimensions."""
     fs, gs = f.space, g.space
     if fs.setup is not gs.setup:
         raise BasisMismatch("morphisms over different setups")
@@ -301,19 +350,22 @@ def compose_hom(f: HomElement, g: HomElement) -> HomElement:
         raise BasisMismatch(
             f"middle object mismatch: {fs.sigma_index} vs {gs.rho_index}")
     target = hom_space(fs.setup, fs.m + gs.m, fs.rho_index, gs.sigma_index)
-    coords = [CycNum.zero()] * target.ambient_dim
-    for ai, alpha in enumerate(fs.monomials):
-        for s in range(fs.dim_sigma):
-            for t in range(fs.dim_rho):
-                cf = f.coords[fs.flat_index_by_mono(ai, s, t)]
-                if not cf:
-                    continue
-                for bi, beta in enumerate(gs.monomials):
-                    for s2 in range(gs.dim_sigma):
-                        cg = g.coords[gs.flat_index_by_mono(bi, s2, s)]
-                        if not cg:
-                            continue
-                        gamma = tuple(x + y for x, y in zip(alpha, beta))
-                        k = target.flat_index(gamma, s2, t)
-                        coords[k] = coords[k] + cf * cg
-    return HomElement(target, coords)
+    # g's entries grouped by their source column, the middle index
+    by_middle: dict[int, list] = {}
+    for k, cg in g.entries.items():
+        rest, s = divmod(k, gs.dim_rho)
+        bi, s2 = divmod(rest, gs.dim_sigma)
+        by_middle.setdefault(s, []).append((gs.monomials[bi], s2, cg))
+    mono_index, dim_tau, dim_rho = target._mono_index, gs.dim_sigma, fs.dim_rho
+    entries: dict[int, CycNum] = {}
+    for k, cf in f.entries.items():
+        rest, t = divmod(k, dim_rho)
+        ai, s = divmod(rest, fs.dim_sigma)
+        alpha = fs.monomials[ai]
+        for beta, s2, cg in by_middle.get(s, ()):
+            gamma = tuple(map(add, alpha, beta))
+            j = (mono_index[gamma] * dim_tau + s2) * dim_rho + t
+            old = entries.get(j)
+            entries[j] = cf * cg if old is None else old + cf * cg
+    return HomElement._from_entries(target,
+                                    {j: c for j, c in entries.items() if c})

@@ -22,13 +22,14 @@ from eqcol.complexes import (
     pair_ext_dims,
     right_mutation,
 )
+from eqcol.cyclotomic import CycNum
 from eqcol.errors import (
     BasisMismatch,
     InvalidParameter,
     NonConcentratedHom,
     WindowViolation,
 )
-from eqcol.homspaces import hom_space
+from eqcol.homspaces import HomElement, hom_space
 from eqcol.reps import binary_dihedral, cyclic_diagonal
 
 
@@ -300,7 +301,9 @@ def test_h0_coordinates_modulo_nonzero_boundary(c3, j, j2):
     # reduced modulo the boundary e0 + e4 + e8
     assert reps[0] == tuple(int(i in (4, 8)) for i in range(9))
     for i, rep in enumerate(reps):
-        coords = data.h0_coordinates(data.chain_map_from_vector(rep))
+        cm = data.chain_map_from_vector(rep)
+        assert data.vector_from_chain_map(cm) == rep
+        coords = data.h0_coordinates(cm)
         assert coords == tuple(int(k == i) for k in range(8))
     boundary = [data.delta(-1)[0].get(i, 0) for i in range(9)]
     assert any(boundary)
@@ -322,3 +325,17 @@ def test_h0_coordinates_reject_non_cycle(c3):
         ChainMap(D, D, {0: {(0, 0): ident_e}})
     with pytest.raises(BasisMismatch):
         data.h0_coordinates(ChainMap(D, D, {0: {(0, 0): ident_e}}, check=False))
+
+
+def test_chain_map_block_in_zero_space_rejected(c3):
+    # Hom(O rho_0, O rho_1) is zero, so Hom^0 has no slice for the block;
+    # a nonzero (non-invariant) element there must not be dropped silently.
+    C, D = lb(c3, 0, 0), lb(c3, 0, 1)
+    data = hom_complex(C, D)
+    assert data.dim(0) == 0
+    space = hom_space(c3, 0, 0, 1)
+    stray = HomElement(space, [CycNum.one()] + [CycNum.zero()] * (space.ambient_dim - 1))
+    cm = ChainMap(C, D, {0: {(0, 0): stray}}, check=False)
+    for read in (data.vector_from_chain_map, data.h0_coordinates):
+        with pytest.raises(BasisMismatch, match="zero morphism space"):
+            read(cm)

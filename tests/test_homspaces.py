@@ -340,3 +340,137 @@ def test_generator_kernel_matches_reynolds_average(spec):
                     assert space.pivots == list(range(space.ambient_dim))
                     assert all(b.coords[p] == 1 and sum(map(bool, b.coords)) == 1
                                for b, p in zip(space.basis, space.pivots))
+
+
+def _dense_compose(f, g):
+    """The dense composition loop compose_hom replaced, kept as its oracle:
+    every ambient pair of f and g, zeros included."""
+    fs, gs = f.space, g.space
+    target = hom_space(fs.setup, fs.m + gs.m, fs.rho_index, gs.sigma_index)
+    fc, gc = f.coords, g.coords
+    coords = [CycNum.zero()] * target.ambient_dim
+    for ai, alpha in enumerate(fs.monomials):
+        for s in range(fs.dim_sigma):
+            for t in range(fs.dim_rho):
+                cf = fc[fs.flat_index_by_mono(ai, s, t)]
+                if not cf:
+                    continue
+                for bi, beta in enumerate(gs.monomials):
+                    for s2 in range(gs.dim_sigma):
+                        cg = gc[gs.flat_index_by_mono(bi, s2, s)]
+                        if not cg:
+                            continue
+                        gamma = tuple(x + y for x, y in zip(alpha, beta))
+                        k = target.flat_index(gamma, s2, t)
+                        coords[k] = coords[k] + cf * cg
+    return target, tuple(coords)
+
+
+def _dense_coordinates(space, elem):
+    """The dense coordinate read sparse_coordinates replaced, kept as its
+    oracle: the entries at the pivots, then the whole ambient residual;
+    None when the element is outside the span."""
+    values = elem.coords
+    coords = tuple(values[p] for p in space.pivots)
+    residual = list(values)
+    for c, b in zip(coords, space.basis):
+        if c:
+            for j, x in enumerate(b.coords):
+                residual[j] = residual[j] - c * x
+    return None if any(residual) else coords
+
+
+_SCALARS = ([CycNum.from_rat(Fraction(p, q)) for p in (-2, 1, 3) for q in (1, 4)]
+            + [CycNum.zeta(3), CycNum.zeta(4) - 2, CycNum.zero()])
+
+
+def _combination(rng, space):
+    elem = space.zero_element()
+    for b in space.basis:
+        elem = elem + b * rng.choice(_SCALARS)
+    return elem
+
+
+def _check_coordinates(space, elem):
+    oracle = _dense_coordinates(space, elem)
+    if oracle is None:
+        with pytest.raises(BasisMismatch):
+            space.sparse_coordinates(elem)
+        with pytest.raises(BasisMismatch):
+            space.coordinates_of(elem)
+        return False
+    assert space.sparse_coordinates(elem) == {i: c for i, c in enumerate(oracle) if c}
+    assert space.coordinates_of(elem) == oracle
+    return True
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(specs)
+@example(("cyclic", 4, (1, 1)))
+@example(("cyclic", 1, (1, 1)))
+@example(("binary_dihedral", 6))
+@example(("explicit",))
+def test_sparse_composition_and_coordinates_match_dense_oracles(spec):
+    # Composition and coordinates visit the stored nonzero entries only;
+    # the dense loops over every ambient index must agree with them on
+    # every basis pair and on random combinations, irrational ones
+    # included, and every unit vector outside a span must raise in both.
+    setup = build(spec)
+    rng = random.Random(repr(spec))
+    r = len(setup.irreps)
+    for m in range(3):
+        for rho in range(r):
+            for sigma in range(r):
+                space = hom_space(setup, m, rho, sigma)
+                for k in range(space.ambient_dim):
+                    unit = [CycNum.zero()] * space.ambient_dim
+                    unit[k] = CycNum.one()
+                    _check_coordinates(space, HomElement(space, unit))
+    for m1 in range(3):
+        for m2 in range(3):
+            for rho in range(r):
+                for sigma in range(r):
+                    first = hom_space(setup, m1, rho, sigma)
+                    if not len(first):
+                        continue
+                    for tau in range(r):
+                        second = hom_space(setup, m2, sigma, tau)
+                        if not len(second):
+                            continue
+                        pairs = [(f, g) for f in first.basis for g in second.basis]
+                        pairs += [(_combination(rng, first), _combination(rng, second))
+                                  for _ in range(2)]
+                        for f, g in pairs:
+                            comp = compose_hom(f, g)
+                            target, expected = _dense_compose(f, g)
+                            assert comp.space is target
+                            assert comp.coords == expected
+                            assert all(comp.entries.values())
+                            assert _check_coordinates(target, comp)
+
+
+def test_element_invariants(bd2):
+    space = hom_space(bd2, 2, 2, 2)
+    f = space.basis[0] + space.basis[1] * Fraction(-1, 3)
+    zeta = CycNum.zeta(3)
+    # the round trip stores its values at conductor 3, f at conductor 1
+    back = (f * zeta + f) - f * zeta
+    assert {v.conductor for v in back.entries.values()} == {3}
+    assert {v.conductor for v in f.entries.values()} == {1}
+    assert back == f and hash(back) == hash(f)
+    assert len({back, f}) == 1
+    assert -f == f * -1 and hash(-f) == hash(f * -1)
+    for empty in (f - f, space.zero_element(), f * 0, 0 * f, f + (-f)):
+        assert not empty and empty.entries == {}
+        assert empty == space.zero_element()
+        assert hash(empty) == hash(space.zero_element())
+    assert all(f.entries.values())
+    assert f.coords == tuple(f.entries.get(j, CycNum.zero())
+                             for j in range(space.ambient_dim))
+    other = hom_space(bd2, 1, 2, 0).basis[0]
+    with pytest.raises(BasisMismatch):
+        f + other
+    with pytest.raises(BasisMismatch):
+        f - other
+    with pytest.raises(BasisMismatch):
+        HomElement(space, [CycNum.one()] * (space.ambient_dim + 1))

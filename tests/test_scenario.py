@@ -358,7 +358,11 @@ print(json.dumps({"passed": report["passed"],
     # matrix per element, about 150 MB.
     ("bd48", {"kind": "binary_dihedral", "l": 48}, 2,
      "e16421e945a449f5365185b3e34f7c9d0caf23c766f455a5cb6158a40b157eef", 200),
-], ids=["z5p4", "bd24", "bd48"])
+    # Z/6 on P^5: about 200,000 compositions of Hom-space elements, each
+    # costing the nonzero entries it meets rather than the ambient dimension.
+    ("z6p5", {"kind": "cyclic_diagonal", "m": 6, "weights": [1] * 6}, 6,
+     "a930f7bc10443267df8a618ea1f810ba217734069fd16d35d1036eefe330444f", 150),
+], ids=["z5p4", "bd24", "bd48", "z6p5"])
 def test_z5_on_p4_pipeline_pinned_in_bounded_memory(name, group, n_plus_1,
                                                     sha256, maxrss_mb):
     # A fresh interpreter keeps the peak RSS of this run alone; it inherits
