@@ -6,7 +6,8 @@
     eqcol gram <scenario.json> [--out FILE]
 
 Exit codes: 0 when every requested check passed, 1 when a check failed,
-2 when the scenario could not be parsed, validated, or executed.
+2 when the scenario could not be parsed, validated, or executed, or its
+output could not be written.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import conductor_cap, order_cap
-from .errors import EqcolError
-from .report import emit_dot, emit_report_json, gram_text, molien_text
+from .config import conductor_cap, hom_complex_cap, order_cap
+from .errors import EqcolError, OutputError
+from .report import emit_dot, gram_text, molien_text, write_report_json
 from .reps import molien_dimension
 from .scenario import (DEFAULT_MOLIEN_DEGREE, build_setup, load_scenario,
                        run_scenario)
@@ -53,6 +54,7 @@ def main(argv=None) -> int:
         # a malformed cap in the environment is an input that cannot run
         conductor_cap()
         order_cap()
+        hom_complex_cap()
         if args.command == "run":
             return _cmd_run(args)
         if args.command == "molien":
@@ -66,10 +68,19 @@ def main(argv=None) -> int:
 
 
 def _write(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _emit(lambda fp: fp.write(text), out)
+
+
+def _emit(write, out: str | None) -> None:
+    """Call write on the file out, or on stdout when out is not given."""
+    if not out:
+        write(sys.stdout)
+        return
+    try:
+        with open(out, "w") as fp:
+            write(fp)
+    except OSError as exc:
+        raise OutputError(f"cannot write {out}: {exc.strerror or exc}") from None
 
 
 def _write_dots(report: dict, dot_dir: str | None) -> None:
@@ -79,14 +90,19 @@ def _write_dots(report: dict, dot_dir: str | None) -> None:
     if not section or not section.get("ok", False) or "dot" not in section:
         return
     directory = Path(dot_dir)
-    directory.mkdir(parents=True, exist_ok=True)
     name = report["scenario"]["name"]
-    (directory / f"{name}.dot").write_text(section["dot"])
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+        (directory / f"{name}.dot").write_text(section["dot"])
+    except OSError as exc:
+        raise OutputError(
+            f"cannot write {name}.dot into {dot_dir}: {exc.strerror or exc}"
+        ) from None
 
 
 def _cmd_run(args) -> int:
     report = run_scenario(args.scenario)
-    _write(emit_report_json(report), args.out)
+    _emit(lambda fp: write_report_json(report, fp), args.out)
     _write_dots(report, args.dot)
     return 0 if report["passed"] else 1
 

@@ -18,6 +18,9 @@ products.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
+from numbers import Rational
+from operator import add, mul, neg, sub
 
 from .errors import InvalidParameter
 from .reps import CharacterVec, Setup, setup_memo
@@ -69,26 +72,38 @@ def ext_table(setup: Setup, source: EqLineBundle,
 
 
 class KClass:
-    """Integer vector over the basis [O(i) tensor rho_j], 0<=i<=n, 0<=j<=r."""
+    """Integer vector over the basis [O(i) tensor rho_j], 0<=i<=n, 0<=j<=r.
+
+    The constructor and the scalar of `*` accept integers only: ints, or
+    rationals with denominator 1.  Sums, differences, negations and
+    multiples of classes are built through `_of`, which trusts its tuple."""
 
     __slots__ = ("setup", "coeffs")
 
     def __init__(self, setup: Setup, coeffs):
-        coeffs = tuple(int(c) for c in coeffs)
+        coeffs = tuple(_integer(c, "coefficient") for c in coeffs)
         if len(coeffs) != setup.n_plus_1 * setup.r_plus_1:
             raise InvalidParameter("K-class length mismatch")
         self.setup = setup
         self.coeffs = coeffs
 
+    @classmethod
+    def _of(cls, setup: Setup, coeffs: tuple[int, ...]) -> "KClass":
+        """A class from a tuple of ints of the right length, unchecked."""
+        kc = object.__new__(cls)
+        kc.setup = setup
+        kc.coeffs = coeffs
+        return kc
+
     @staticmethod
     def zero(setup: Setup) -> "KClass":
-        return KClass(setup, [0] * (setup.n_plus_1 * setup.r_plus_1))
+        return KClass._of(setup, (0,) * (setup.n_plus_1 * setup.r_plus_1))
 
     @staticmethod
     def basis(setup: Setup, twist: int, irrep: int) -> "KClass":
         coeffs = [0] * (setup.n_plus_1 * setup.r_plus_1)
         coeffs[KClass.index(setup, twist, irrep)] = 1
-        return KClass(setup, coeffs)
+        return KClass._of(setup, tuple(coeffs))
 
     @staticmethod
     def index(setup: Setup, twist: int, irrep: int) -> int:
@@ -100,16 +115,17 @@ class KClass:
         return self.coeffs[KClass.index(self.setup, twist, irrep)]
 
     def __add__(self, other: "KClass") -> "KClass":
-        return KClass(self.setup, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        return KClass._of(self.setup, tuple(map(add, self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "KClass") -> "KClass":
-        return KClass(self.setup, [a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return KClass._of(self.setup, tuple(map(sub, self.coeffs, other.coeffs)))
 
     def __neg__(self) -> "KClass":
-        return KClass(self.setup, [-a for a in self.coeffs])
+        return KClass._of(self.setup, tuple(map(neg, self.coeffs)))
 
-    def __mul__(self, scalar: int) -> "KClass":
-        return KClass(self.setup, [a * scalar for a in self.coeffs])
+    def __mul__(self, scalar) -> "KClass":
+        k = _integer(scalar, "scalar")
+        return KClass._of(self.setup, tuple(map(mul, self.coeffs, repeat(k))))
 
     __rmul__ = __mul__
 
@@ -129,6 +145,14 @@ class KClass:
                 if c:
                     terms.append(f"{c:+d}[{EqLineBundle(i, j).label(self.setup)}]")
         return "KClass(" + (" ".join(terms) if terms else "0") + ")"
+
+
+def _integer(value, what: str) -> int:
+    if isinstance(value, int):
+        return int(value)
+    if isinstance(value, Rational) and value.denominator == 1:
+        return int(value)
+    raise InvalidParameter(f"K-class {what} {value!r} is not an integer")
 
 
 def _decompose(setup: Setup, chi: CharacterVec) -> list[tuple[int, int]]:

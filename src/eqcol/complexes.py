@@ -18,8 +18,10 @@ from __future__ import annotations
 from functools import cached_property
 
 from .cohomology import EqLineBundle, KClass, ext_table, line_bundle_class
+from .config import hom_complex_cap
 from .errors import (
     BasisMismatch,
+    HomComplexCapExceeded,
     InvalidParameter,
     NonConcentratedHom,
     WindowViolation,
@@ -326,6 +328,11 @@ class HomComplexData:
                         if len(space):
                             slices.append(_Slice(p, s, t, space, offset))
                             offset += len(space)
+            if offset > hom_complex_cap():
+                raise HomComplexCapExceeded(
+                    f"Hom complex {C.label()} -> {D.label()} has dimension"
+                    f" {offset} in degree {k}, above the cap"
+                    f" EQCOL_HOM_COMPLEX_CAP={hom_complex_cap()}")
             if slices:
                 self.slices[k] = slices
                 self.dims[k] = offset

@@ -1,6 +1,6 @@
 """Resource caps.
 
-Both caps guard against runaway inputs, not against correct use; every
+The caps guard against runaway inputs, not against correct use; every
 shipped scenario stays far below them.  They may be raised through the
 environment when someone really wants a larger computation.  The
 environment is read on first use rather than at import, so a malformed
@@ -37,3 +37,11 @@ def conductor_cap() -> int:
 @lru_cache(maxsize=None)
 def order_cap() -> int:
     return _cap("EQCOL_ORDER_CAP", 512)
+
+
+@lru_cache(maxsize=None)
+def hom_complex_cap() -> int:
+    """Largest dimension of one degree of a Hom complex.  Z/7 on P^6 builds
+    a degree of dimension 853,777, whose differential holds about 650 bytes
+    per nonzero."""
+    return _cap("EQCOL_HOM_COMPLEX_CAP", 1_000_000)

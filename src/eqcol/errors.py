@@ -27,6 +27,15 @@ class OrderCapExceeded(EqcolError):
     """Group closure grew past the configured order cap."""
 
 
+class HomComplexCapExceeded(EqcolError):
+    """A degree of a Hom complex is larger than the configured cap; the run
+    stops instead of recording a failed task."""
+
+
+class OutputError(EqcolError):
+    """A report or DOT file could not be written."""
+
+
 class InvalidParameter(EqcolError):
     """A constructor or operation received an unusable parameter."""
 

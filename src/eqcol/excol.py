@@ -7,6 +7,10 @@ matrix U (columns express the new K-classes in the old ones), and the Gram
 update G -> U^T G U is checked against a recomputed Euler pairing on the
 spot.  replay_gram() re-runs the whole trail from the recorded entries alone,
 so a finished collection can be audited without trusting the builders.
+
+A step changes few classes, so U differs from the identity in few columns;
+the unimodularity check, the conjugation and the fresh pairings all touch
+those columns only (see _unimodular_columns and _Workbench._record).
 """
 
 from __future__ import annotations
@@ -185,7 +189,15 @@ def _fmt_table(table: dict[int, int]) -> str:
 class _Workbench:
     """List-backed state shared by the mutation pipelines.  Each step
     verifies the recorded base change against a Gram matrix recomputed
-    from the new K-classes before it is trusted."""
+    from the new K-classes before it is trusted.
+
+    The recomputation is incremental.  _audited is the Euler Gram matrix of
+    the classes _seen, the K-class objects of the last audit, and _supports
+    holds their nonzero coefficients.  A step refreshes the rows and
+    columns of _audited whose class is a changed column of U or is not
+    the object last audited; every other entry pairs the same two objects
+    as before, so _audited is again the full Euler Gram matrix, and
+    comparing it with U^T G U is the full audit."""
 
     def __init__(self, coll: ExcCollection):
         self.setup = coll.setup
@@ -194,20 +206,35 @@ class _Workbench:
         self.labels = list(coll.labels)
         self.provenance = list(coll.provenance)
         self.gram = [list(row) for row in coll.gram_matrix()]
+        self._audited = [list(row) for row in self.gram]
+        self._seen = list(self.kclasses)
+        self._supports = [_support(kc) for kc in self.kclasses]
 
     def freeze(self) -> ExcCollection:
         return ExcCollection(self.setup, self.objects, self.kclasses,
                              self.labels, self.provenance)
 
     def _record(self, entry: dict, U) -> None:
-        if not _is_unimodular(U):
+        """Audit the step with base change U and append entry to the trail;
+        U is stored in the entry as given."""
+        cols = _unimodular_columns(U, len(self.kclasses))
+        if cols is None:
             raise InvalidParameter("base change is not unimodular")
-        expected = _conjugate(self.gram, U)
-        actual = [list(row) for row in _euler_gram(self.kclasses)]
-        if actual != expected:
+        changed = set(cols)
+        changed.update(i for i, (kc, seen) in enumerate(
+            zip(self.kclasses, self._seen)) if kc is not seen)
+        for i in changed:
+            if self.kclasses[i].setup is not self.setup:
+                raise InvalidParameter(
+                    "pairing of K-classes over different setups")
+            self._supports[i] = _support(self.kclasses[i])
+        self._seen = list(self.kclasses)
+        _refresh_pairings(self._audited, self._supports, sorted(changed),
+                          _basis_pairing(self.setup))
+        _conjugate_columns(self.gram, U, cols)
+        if self.gram != self._audited:
             raise InvalidParameter("Gram conjugation audit failed")
-        self.gram = actual
-        entry["base_change"] = [list(row) for row in U]
+        entry["base_change"] = U
         self.provenance.append(entry)
 
     def move_left(self, p: int, allow_fallback: bool) -> None:
@@ -261,8 +288,9 @@ class _Workbench:
         self.objects = [self.objects[i] for i in perm]
         self.kclasses = [self.kclasses[i] for i in perm]
         self.labels = [self.labels[i] for i in perm]
-        U = [[1 if old == perm[new] else 0 for new in range(size)]
-             for old in range(size)]
+        U = [[0] * size for _ in range(size)]
+        for new, old in enumerate(perm):
+            U[old][new] = 1
         self._record(dict(entry, permutation=list(perm)), U)
 
     def replace(self, updates: dict[int, tuple], entry: dict, U) -> None:
@@ -276,12 +304,75 @@ class _Workbench:
 
 
 def _identity_rows(n: int):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    rows = []
+    for i in range(n):
+        row = [0] * n
+        row[i] = 1
+        rows.append(row)
+    return rows
 
 
-def _conjugate(gram, U):
-    """U^T G U, as the two integer products U^T (G U)."""
-    return _int_product([list(col) for col in zip(*U)], _int_product(gram, U))
+def _support(kc: KClass) -> list[tuple[int, int]]:
+    return [(a, c) for a, c in enumerate(kc.coeffs) if c]
+
+
+def _refresh_pairings(gram, supports, lines, table) -> None:
+    """Recompute rows and columns `lines` of the Euler Gram matrix in place:
+    gram[s][j] = k_s^T B k_j over the nonzero coefficients (supports) of
+    the classes, with B the basis pairing `table`."""
+    dim = len(table)
+    for s in lines:
+        left, right = [0] * dim, [0] * dim
+        for a, c in supports[s]:
+            left = [x + c * y for x, y in zip(left, table[a])]
+            right = [x + c * row[a] for x, row in zip(right, table)]
+        row = gram[s]
+        for j, kj in enumerate(supports):
+            row[j] = sum([left[b] * d for b, d in kj])
+            gram[j][s] = sum([d * right[b] for b, d in kj])
+
+
+def _unimodular_columns(U, size: int) -> list[int] | None:
+    """The columns in which U differs from the identity, in increasing
+    order, when U is a unimodular size x size integer matrix, else None.
+    Listing the unchanged columns first makes U block upper triangular with
+    an identity block, so det U is the determinant of its principal block
+    on the changed columns."""
+    if len(U) != size or any(len(row) != size for row in U):
+        return None
+    changed = set()
+    for i, row in enumerate(U):
+        if row[i] != 1 or row.count(0) != size - 1:
+            changed.update(j for j, v in enumerate(row) if v != (i == j))
+    cols = sorted(changed)
+    if cols and abs(_int_det([[U[i][j] for j in cols] for i in cols])) != 1:
+        return None
+    return cols
+
+
+def _conjugate_columns(gram, U, cols) -> None:
+    """G <- U^T G U in place, where U differs from the identity only in the
+    columns cols: only those rows and columns of G change."""
+    n = len(gram)
+    supports = [(c, [(i, U[i][c]) for i in range(n) if U[i][c]])
+                for c in cols]
+    gu = {}  # columns cols of G U
+    rows = []  # rows cols of U^T G
+    for c, supp in supports:
+        col, row = [0] * n, [0] * n
+        for i, u in supp:
+            col = [x + u * g[i] for x, g in zip(col, gram)]
+            row = [x + u * y for x, y in zip(row, gram[i])]
+        gu[c] = col
+        rows.append(row)
+    for (c, supp), row in zip(supports, rows):
+        for b in cols:
+            row[b] = sum([u * gu[b][i] for i, u in supp])
+    for b in cols:
+        for a, value in enumerate(gu[b]):
+            gram[a][b] = value
+    for (c, _), row in zip(supports, rows):
+        gram[c][:] = row
 
 
 def _int_product(A, B):
@@ -297,11 +388,6 @@ def _int_product(A, B):
                     acc[j] += a * b
         out.append(acc)
     return out
-
-
-def _is_unimodular(U) -> bool:
-    n = len(U)
-    return n > 0 and all(len(row) == n for row in U) and abs(_int_det(U)) == 1
 
 
 def _int_det(M) -> int:
@@ -696,7 +782,8 @@ def tensor_twist(coll: ExcCollection, k: int) -> ExcCollection:
 def replay_gram(provenance) -> tuple[tuple[int, ...], ...]:
     """Recompute the final Gram matrix from the provenance trail alone:
     start from the recorded base Gram and fold in every base change and
-    subset.  Unimodularity of each step is re-checked."""
+    subset.  Unimodularity of each step is re-checked; both the check and
+    the conjugation touch only the columns a base change moves."""
     gram = None
     for entry in provenance:
         op = entry.get("op")
@@ -707,10 +794,13 @@ def replay_gram(provenance) -> tuple[tuple[int, ...], ...]:
             gram = [[gram[i][j] for j in kept] for i in kept]
         elif op in ("transpose", "right_mutation", "kclass_fallback",
                     "block_sort", "helix_rotate"):
+            if gram is None:
+                break
             U = entry["base_change"]
-            if not _is_unimodular(U):
+            cols = _unimodular_columns(U, len(gram))
+            if cols is None:
                 raise InvalidParameter(f"non-unimodular base change in {op}")
-            gram = _conjugate(gram, U)
+            _conjugate_columns(gram, U, cols)
         elif op in ("tensor_twist", "warning"):
             continue
         else:

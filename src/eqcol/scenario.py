@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .cyclotomic import parse_cyc
-from .errors import (EqcolError, InvalidParameter, ParseError, ScenarioError,
-                     ValidationError)
+from .errors import (EqcolError, HomComplexCapExceeded, InvalidParameter,
+                     ParseError, ScenarioError, ValidationError)
 from .excol import (beilinson_collection, cascade_mutation, check_exceptional,
                     check_strong, dsing_collection, is_unitriangular, quiver,
                     replay_gram, tensor_twist, veronese_blocks)
@@ -317,6 +317,8 @@ def run_scenario(scenario, ensure: tuple[str, ...] = ()) -> dict:
         try:
             section = runners[kind](state, entry)
             section.setdefault("ok", True)
+        except HomComplexCapExceeded:
+            raise
         except EqcolError as exc:
             section = {"ok": False,
                        "error": f"{type(exc).__name__}: {exc}"}

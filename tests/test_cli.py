@@ -13,6 +13,7 @@ from eqcol.cli import main
 from eqcol.report import emit_dot, gram_text, molien_text
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 
 def test_run_exit_zero_and_stdout(capsys):
@@ -70,6 +71,28 @@ def test_run_out_file(tmp_path, capsys):
     assert capsys.readouterr().out == ""
     report = json.loads(out.read_text())
     assert report["scenario"]["name"] == "z3_crossed_d3"
+    assert out.read_text() == (FIXTURES / "z3_crossed_d3.report.json").read_text()
+
+
+def test_run_exit_two_on_unwritable_out(tmp_path, capsys):
+    out = tmp_path / "missing" / "r.json"
+    code = main(["run", str(SCENARIOS / "z3_crossed_d3.json"),
+                 "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write {out}: No such file or directory\n"
+
+
+def test_run_exit_two_on_dot_under_a_file(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code = main(["run", str(SCENARIOS / "q8_veronese_d2.json"),
+                 "--out", str(tmp_path / "r.json"),
+                 "--dot", str(blocker / "sub")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write q8_veronese_d2.dot into ")
+    assert "Traceback" not in err
 
 
 def test_run_dot_directory(tmp_path, capsys):
@@ -167,6 +190,7 @@ def test_console_script_subprocess(tmp_path):
     ("EQCOL_ORDER_CAP", "abc"),
     ("EQCOL_ORDER_CAP", "0"),
     ("EQCOL_CONDUCTOR_CAP", "-3"),
+    ("EQCOL_HOM_COMPLEX_CAP", "1.5"),
 ])
 def test_malformed_cap_exits_two(name, value):
     env = dict(os.environ, PYTHONPATH=str(Path(eqcol.__file__).resolve().parents[1]))
@@ -178,4 +202,18 @@ def test_malformed_cap_exits_two(name, value):
     assert proc.returncode == 2
     assert proc.stderr.startswith(f"error: {name} must be a positive integer")
     assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_hom_complex_cap_exits_two():
+    env = dict(os.environ, PYTHONPATH=str(Path(eqcol.__file__).resolve().parents[1]))
+    env["EQCOL_HOM_COMPLEX_CAP"] = "2"
+    proc = subprocess.run(
+        [sys.executable, "-m", "eqcol.cli", "run",
+         str(SCENARIOS / "z3_d1.json")],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 2
+    assert proc.stderr == (
+        "error: Hom complex O@rho_2 -> O(1)@rho_0 has dimension 3 in degree 0,"
+        " above the cap EQCOL_HOM_COMPLEX_CAP=2\n")
     assert proc.stdout == ""

@@ -9,6 +9,9 @@ and inner products), not from the integer tables behind
 ext_dim_equivariant and the reduction.
 """
 
+import random
+from fractions import Fraction
+
 import pytest
 
 from eqcol.cohomology import (
@@ -20,6 +23,7 @@ from eqcol.cohomology import (
     koszul_reduce,
     line_bundle_class,
 )
+from eqcol.cyclotomic import CycNum
 from eqcol.errors import InvalidParameter
 from eqcol.reps import (CharacterVec, binary_dihedral, cyclic_diagonal,
                         setup_memo, sym_power_character)
@@ -265,3 +269,40 @@ def test_labels(bd2):
     assert EqLineBundle(1, 0).label(bd2) == "O(1)@rho_0"
     assert EqLineBundle(-2, 4).label(bd2) == "O(-2)@rho_4"
     assert EqLineBundle(1, 3).twisted(-1) == EqLineBundle(0, 3)
+
+
+@pytest.mark.parametrize("bad", [Fraction(3, 2), 1.0, 0.5, "1", None,
+                                 CycNum.from_rat(1)])
+def test_kclass_rejects_non_integers(bd2, bad):
+    width = bd2.n_plus_1 * bd2.r_plus_1
+    with pytest.raises(InvalidParameter, match="coefficient .* not an integer"):
+        KClass(bd2, [bad] + [0] * (width - 1))
+    with pytest.raises(InvalidParameter, match="scalar .* not an integer"):
+        KClass.basis(bd2, 0, 1) * bad
+    with pytest.raises(InvalidParameter, match="scalar .* not an integer"):
+        bad * KClass.basis(bd2, 0, 1)
+
+
+def test_kclass_arithmetic_matches_coefficient_lists(bd2):
+    rng = random.Random(21)
+    width = bd2.n_plus_1 * bd2.r_plus_1
+    assert KClass(bd2, [Fraction(4, 2)] + [True] + [0] * (width - 2)).coeffs \
+        == (2, 1) + (0,) * (width - 2)
+    for _ in range(30):
+        a = [rng.randint(-5, 5) for _ in range(width)]
+        b = [rng.randint(-5, 5) for _ in range(width)]
+        k = rng.randint(-4, 4)
+        x, y = KClass(bd2, a), KClass(bd2, b)
+        for result, expected in [
+                (x + y, [p + q for p, q in zip(a, b)]),
+                (x - y, [p - q for p, q in zip(a, b)]),
+                (-x, [-p for p in a]),
+                (x * k, [p * k for p in a]),
+                (k * x, [p * k for p in a]),
+                (x * Fraction(2 * k, 2), [p * k for p in a])]:
+            assert result == KClass(bd2, expected)
+            assert type(result.coeffs) is tuple
+            assert all(type(c) is int for c in result.coeffs)
+            assert hash(result) == hash(KClass(bd2, expected))
+    assert KClass.zero(bd2) == KClass(bd2, [0] * width)
+    assert KClass.basis(bd2, 1, 2).coeffs[bd2.r_plus_1 + 2] == 1

@@ -22,9 +22,11 @@ from eqcol.complexes import (
     pair_ext_dims,
     right_mutation,
 )
+from eqcol.config import hom_complex_cap
 from eqcol.cyclotomic import CycNum
 from eqcol.errors import (
     BasisMismatch,
+    HomComplexCapExceeded,
     InvalidParameter,
     NonConcentratedHom,
     WindowViolation,
@@ -339,3 +341,23 @@ def test_chain_map_block_in_zero_space_rejected(c3):
     for read in (data.vector_from_chain_map, data.h0_coordinates):
         with pytest.raises(BasisMismatch, match="zero morphism space"):
             read(cm)
+
+
+def test_hom_complex_cap_stops_before_any_differential(c3, monkeypatch):
+    # Hom(O, O(2) tensor rho_2) for Z/3 on P^2 has dimension 6 in degree
+    # 0; the cap is lowered through the environment, read on first use
+    E, F = lb(c3, 0, 0), lb(c3, 2, 2)
+    assert hom_complex(E, F).dims == {0: 6}
+    monkeypatch.setenv("EQCOL_HOM_COMPLEX_CAP", "5")
+    hom_complex_cap.cache_clear()
+    try:
+        with pytest.raises(HomComplexCapExceeded,
+                           match=r"O@rho_0 -> O\(2\)@rho_2 has dimension 6"
+                                 r" in degree 0, above the cap"):
+            hom_complex(E, F)
+        monkeypatch.setenv("EQCOL_HOM_COMPLEX_CAP", "6")
+        hom_complex_cap.cache_clear()
+        assert hom_complex(E, F).dims == {0: 6}
+    finally:
+        monkeypatch.delenv("EQCOL_HOM_COMPLEX_CAP")
+        hom_complex_cap.cache_clear()

@@ -8,6 +8,7 @@ trail that every pipeline is required to leave behind.
 
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -16,9 +17,11 @@ from eqcol.complexes import EqComplex, from_line_bundle
 from eqcol.errors import (InvalidParameter, NonConcentratedHom, NotADivisor,
                           NotStrong, OrthogonalityFailure)
 from eqcol.excol import (
-    _conjugate,
+    _conjugate_columns,
     _euler_gram,
     _int_det,
+    _int_product,
+    _unimodular_columns,
     _Workbench,
     beilinson_collection,
     cascade_mutation,
@@ -32,6 +35,20 @@ from eqcol.excol import (
     veronese_blocks,
 )
 from eqcol.reps import binary_dihedral, cyclic_diagonal
+from eqcol.scenario import run_scenario
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+def _conjugate(gram, U):
+    """Oracle: U^T G U as the two dense integer products U^T (G U)."""
+    return _int_product([list(col) for col in zip(*U)], _int_product(gram, U))
+
+
+def _is_unimodular(U) -> bool:
+    """Oracle: a Bareiss determinant of all of U."""
+    n = len(U)
+    return n > 0 and all(len(row) == n for row in U) and abs(_int_det(U)) == 1
 
 
 @pytest.fixture(scope="module")
@@ -454,3 +471,79 @@ def test_int_det_matches_permutation_expansion():
                 term *= M[i][perm[i]]
             expected += term
         assert _int_det(M) == expected
+
+
+def _random_unimodular_block(rng, k):
+    """A k x k integer matrix of determinant +-1: a signed permutation
+    times a few elementary row operations."""
+    perm = list(range(k))
+    rng.shuffle(perm)
+    block = [[rng.choice([1, -1]) if perm[i] == j else 0 for j in range(k)]
+             for i in range(k)]
+    for _ in range(rng.randint(0, 3)):
+        if k > 1:
+            a, b = rng.sample(range(k), 2)
+            factor = rng.choice([1, -1, 2, -3])
+            block[a] = [x + factor * y for x, y in zip(block[a], block[b])]
+    return block
+
+
+def test_changed_column_conjugation_matches_dense_oracle():
+    # few-column base changes, unimodular or not, against the dense
+    # conjugation and the Bareiss determinant of all of U
+    rng = random.Random(11)
+    unimodular = 0
+    for trial in range(300):
+        n = rng.randint(1, 9)
+        cols = sorted(rng.sample(range(n), rng.randint(0, min(3, n))))
+        U = [[int(i == j) for j in range(n)] for i in range(n)]
+        if trial % 3:
+            block = _random_unimodular_block(rng, len(cols))
+        else:
+            block = [[rng.choice([0, 1, -1, 2]) for _ in cols] for _ in cols]
+        for a, i in enumerate(cols):
+            for b, j in enumerate(cols):
+                U[i][j] = block[a][b]
+        for j in cols:
+            for i in range(n):
+                if i not in cols:
+                    U[i][j] = rng.choice([0, 0, 1, -1, 4])
+        moved = [j for j in range(n)
+                 if any(U[i][j] != (i == j) for i in range(n))]
+        found = _unimodular_columns(U, n)
+        assert (found is not None) == _is_unimodular(U)
+        assert _unimodular_columns(U, n + 1) is None
+        if found is None:
+            continue
+        unimodular += 1
+        assert found == moved
+        gram = [[rng.choice([0, 0, 1, -1, 2, 5]) for _ in range(n)]
+                for _ in range(n)]
+        expected = _conjugate(gram, U)
+        _conjugate_columns(gram, U, found)
+        assert gram == expected
+    assert unimodular > 150
+
+
+def test_record_matches_full_gram_on_every_shipped_step(monkeypatch):
+    # every step of every shipped scenario: the incrementally audited Gram
+    # equals the Euler Gram of the new classes recomputed from scratch, and
+    # the old Gram conjugated by the dense oracle
+    record = _Workbench._record
+    steps = []
+
+    def checked(bench, entry, U):
+        before = [list(row) for row in bench.gram]
+        record(bench, entry, U)
+        full = [list(row) for row in _euler_gram(bench.kclasses)]
+        assert bench.gram == full
+        assert bench._audited == full
+        assert _is_unimodular(U)
+        assert _conjugate(before, U) == full
+        steps.append(entry["op"])
+
+    monkeypatch.setattr(_Workbench, "_record", checked)
+    for path in sorted(SCENARIOS.glob("*.json")):
+        assert run_scenario(path)["passed"] is True
+    assert {"transpose", "right_mutation", "block_sort",
+            "helix_rotate"} <= set(steps)

@@ -354,10 +354,10 @@ print(json.dumps({"passed": report["passed"],
     ("bd24", {"kind": "binary_dihedral", "l": 24}, 2,
      "36139ef514217c08b172a9cc831bade6b0c9c6f9c7389ba0dca7ae2847b48a5d", 150),
     # binary dihedral l = 48 (order 192, 51 irreps): 300 Hom-space builds,
-    # each a kernel over the two generators; the irrep tables hold one
-    # matrix per element, about 150 MB.
+    # each a kernel over the two generators; the report is 18.8 MB of text,
+    # emitted with one chunk per list of ints.
     ("bd48", {"kind": "binary_dihedral", "l": 48}, 2,
-     "e16421e945a449f5365185b3e34f7c9d0caf23c766f455a5cb6158a40b157eef", 200),
+     "e16421e945a449f5365185b3e34f7c9d0caf23c766f455a5cb6158a40b157eef", 120),
     # Z/6 on P^5: about 200,000 compositions of Hom-space elements, each
     # costing the nonzero entries it meets rather than the ambient dimension.
     ("z6p5", {"kind": "cyclic_diagonal", "m": 6, "weights": [1] * 6}, 6,
