@@ -468,12 +468,6 @@ class HomComplexData:
                         "chain map has a block in a zero morphism space")
         return vector
 
-    def vector_from_chain_map(self, cm: ChainMap) -> tuple[CycNum, ...]:
-        """The dense tuple view of a chain map's Hom^0 coordinates."""
-        vector = self._sparse_vector(cm)
-        zero = CycNum.zero()
-        return tuple(vector.get(i, zero) for i in range(self.dim(0)))
-
     def h0_coordinates(self, cm: ChainMap) -> tuple[CycNum, ...]:
         """Coefficients of a cycle over h0_vectors, modulo boundaries."""
         span, position, count = self._h0

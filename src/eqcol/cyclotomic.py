@@ -266,9 +266,6 @@ class CycNum:
         self._reduced = red
         return red
 
-    def is_rational(self) -> bool:
-        return self.reduced().conductor == 1
-
     def as_rat(self) -> Fraction:
         red = self.reduced()
         if red.conductor != 1:

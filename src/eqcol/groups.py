@@ -58,9 +58,6 @@ class FiniteMatrixGroup:
     def __contains__(self, matrix: CycMatrix) -> bool:
         return matrix in self._index
 
-    def element_order(self, i: int) -> int:
-        return self._orders[i]
-
     def mul(self, i: int, j: int) -> int:
         return self._table[i][j]
 

@@ -282,17 +282,11 @@ class HomSpace:
     def ambient_dim(self) -> int:
         return len(self.monomials) * self.dim_sigma * self.dim_rho
 
-    def flat_index(self, alpha: Monomial, s: int, t: int) -> int:
-        return self.flat_index_by_mono(self._mono_index[alpha], s, t)
-
     def flat_index_by_mono(self, mono_idx: int, s: int, t: int) -> int:
         return (mono_idx * self.dim_sigma + s) * self.dim_rho + t
 
     def __len__(self) -> int:
         return len(self.basis)
-
-    def zero_element(self) -> HomElement:
-        return HomElement._from_entries(self, {})
 
     def identity_element(self) -> HomElement:
         if self.m != 0 or self.rho_index != self.sigma_index:
@@ -317,12 +311,6 @@ class HomSpace:
         if residual:
             raise BasisMismatch("element is outside the invariant span")
         return coords
-
-    def coordinates_of(self, elem: HomElement) -> tuple[CycNum, ...]:
-        """The dense tuple view of `sparse_coordinates`."""
-        coords = self.sparse_coordinates(elem)
-        zero = CycNum.zero()
-        return tuple(coords.get(i, zero) for i in range(len(self.basis)))
 
     def __repr__(self) -> str:
         names = self.setup.irreps

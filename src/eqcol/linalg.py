@@ -1,26 +1,25 @@
-"""Exact linear algebra over cyclotomic numbers, dense and sparse.
+"""Exact linear algebra over cyclotomic numbers, on one sparse elimination.
 
 Everything here works over the field Q(zeta_N) with rational coordinates,
-so ranks and kernels are exact.  Dense row reduction (`CycMatrix`,
-`rref_rows`) chooses as pivot the first row with a nonzero entry in the
-current column, which makes every echelon form (and hence every derived
-basis) deterministic.
+so ranks and kernels are exact.  Sparse vectors are dicts {index: CycNum}
+holding nonzero entries only.  `_sparse_forward` keeps one row per lead,
+the lowest index of the row, scaled to 1 there: each incoming vector is
+reduced at its lowest index by the row with that lead until it is zero or
+has a new lead.  `sparse_echelon` then clears each row at the other leads,
+from the highest lead down, touching only the leads in its own support.
+The result is the reduced row echelon basis of the span, which is unique,
+so every basis derived from it is deterministic.
 
-Sparse vectors are dicts {index: CycNum} holding nonzero entries only.
-`sparse_echelon` keeps one row per lead, the lowest index of the row,
-scaled to 1 there: each incoming vector is reduced at its lowest index
-by the row with that lead until it is zero or has a new lead.  For the
-reduced form each row is then cleared at the other leads from the
-highest lead down, touching only the leads in its own support.  The
-result is the reduced row echelon basis of the span, which is unique,
-so it equals what `rref_rows` gives for the same vectors.
+`CycMatrix` rank, determinant, solve, inverse, RREF and kernel, and
+`rref_rows`, hand their rows to this elimination and make the result dense
+again.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .cyclotomic import CycNum
 from .errors import InvalidParameter, NotInvertible
@@ -161,63 +160,59 @@ class CycMatrix:
     def det(self) -> CycNum:
         if self.nrows != self.ncols:
             raise InvalidParameter("determinant of a non-square matrix")
-        work = [list(row) for row in self.rows]
-        pivots, sign = _eliminate(work)
-        if len(pivots) < self.nrows:
+        rows, heads = _sparse_forward(_sparse_rows(self.rows))
+        if len(rows) < self.nrows:
             return CycNum.zero()
+        # Each row was reduced by the rows found before it, which keeps the
+        # determinant; sorted by lead they are triangular with the heads on
+        # the diagonal, so the sign is the parity of the leads as found.
+        leads = list(rows)
+        inversions = sum(a > b for i, a in enumerate(leads) for b in leads[i + 1:])
         result = CycNum.one()
-        for i in range(self.nrows):
-            result = result * work[i][i]
-        return result * sign
+        for head in heads:
+            result = result * head
+        return -result if inversions % 2 else result
 
     def inverse(self) -> "CycMatrix":
         if self.nrows != self.ncols:
             raise NotInvertible("inverse of a non-square matrix")
         n = self.nrows
-        aug = [list(row) + list(ident) for row, ident in
-               zip(self.rows, CycMatrix.identity(n).rows)]
-        reduced, pivots = _rref_inplace(aug)
-        if len(pivots) < n or pivots != list(range(n)):
+        one = CycNum.one()
+        rows, leads = sparse_echelon({**dict(enumerate(row)), n + i: one}
+                                     for i, row in enumerate(self.rows))
+        if leads != list(range(n)):
             raise NotInvertible(f"singular matrix {self}")
-        return CycMatrix([row[n:] for row in reduced])
+        return CycMatrix([_dense(row, 2 * n)[n:] for row in rows])
 
     def rref(self) -> tuple["CycMatrix", tuple[int, ...]]:
-        work = [list(row) for row in self.rows]
-        reduced, pivots = _rref_inplace(work)
-        return CycMatrix(reduced), tuple(pivots)
+        rows, leads = sparse_echelon(_sparse_rows(self.rows))
+        zero_rows = [{}] * (self.nrows - len(rows))
+        return (CycMatrix([_dense(row, self.ncols) for row in rows + zero_rows]),
+                tuple(leads))
 
     def rank(self) -> int:
-        return len(_eliminate([list(row) for row in self.rows])[0])
+        return sparse_rank(_sparse_rows(self.rows))
 
     def kernel_basis(self) -> list[tuple[CycNum, ...]]:
         """Basis of the right kernel, one vector per free column, ascending."""
-        reduced, pivots = self.rref()
-        pivot_set = set(pivots)
-        free = [c for c in range(self.ncols) if c not in pivot_set]
-        basis = []
-        for f in free:
-            vec = [CycNum.zero()] * self.ncols
-            vec[f] = CycNum.one()
-            for r, p in enumerate(pivots):
-                vec[p] = -reduced.rows[r][f]
-            basis.append(tuple(vec))
-        return basis
+        kernel = sparse_kernel(*sparse_echelon(_sparse_rows(self.rows)), self.ncols)
+        return [_dense(vec, self.ncols) for vec in kernel]
 
     def solve(self, rhs: Sequence) -> tuple[CycNum, ...] | None:
-        """One solution of self * x = rhs, or None if inconsistent."""
+        """One solution of self * x = rhs with the free variables 0, or None
+        if inconsistent."""
         rhs = [_coerce_entry(v) for v in rhs]
         if len(rhs) != self.nrows:
             raise InvalidParameter("right-hand side length mismatch")
-        aug = [list(row) + [b] for row, b in zip(self.rows, rhs)]
-        reduced, pivots = _rref_inplace(aug)
-        for r in range(len(pivots), self.nrows):
-            if reduced[r][-1]:
-                return None
-        x = [CycNum.zero()] * self.ncols
-        for r, p in enumerate(pivots):
-            if p == self.ncols:
-                return None
-            x[p] = reduced[r][-1]
+        n = self.ncols
+        rows, leads = sparse_echelon({**dict(enumerate(row)), n: b}
+                                     for row, b in zip(self.rows, rhs))
+        if leads and leads[-1] == n:
+            return None
+        zero = CycNum.zero()
+        x = [zero] * n
+        for row, lead in zip(rows, leads):
+            x[lead] = row.get(n, zero)
         return tuple(x)
 
 
@@ -229,51 +224,13 @@ def _dot(a: Sequence[CycNum], b: Sequence[CycNum]) -> CycNum:
     return total
 
 
-def _eliminate(work: list[list[CycNum]]) -> tuple[list[int], int]:
-    """Forward elimination in place, down to row echelon form.
-
-    Row r ends with its (unnormalized) pivot in column pivots[r], and rows
-    past the last pivot are zero.  Returns the pivot columns and the parity
-    of the row swaps, +1 or -1.
-    """
-    nrows = len(work)
-    ncols = len(work[0]) if work else 0
-    pivots: list[int] = []
-    sign = 1
-    for col in range(ncols):
-        row = len(pivots)
-        if row == nrows:
-            break
-        pivot = next((r for r in range(row, nrows) if work[r][col]), None)
-        if pivot is None:
-            continue
-        if pivot != row:
-            work[row], work[pivot] = work[pivot], work[row]
-            sign = -sign
-        head = work[row]
-        inv = head[col].inverse()
-        for r in range(row + 1, nrows):
-            if work[r][col]:
-                neg = -(work[r][col] * inv)
-                work[r] = [a + neg * b for a, b in zip(work[r], head)]
-        pivots.append(col)
-    return pivots, sign
+def _sparse_rows(rows: Iterable[Sequence[CycNum]]) -> Iterator[dict[int, CycNum]]:
+    return (dict(enumerate(row)) for row in rows)
 
 
-def _rref_inplace(work: list[list[CycNum]]) -> tuple[list[list[CycNum]], list[int]]:
-    """Reduced row echelon form: forward elimination, then back-substitution
-    from the last pivot row up, each row along the finished rows below it."""
-    pivots, _ = _eliminate(work)
-    for row in range(len(pivots) - 1, -1, -1):
-        rest = work[row]
-        for below in range(row + 1, len(pivots)):
-            c = rest[pivots[below]]
-            if c:
-                neg = -c
-                rest = [a + neg * b for a, b in zip(rest, work[below])]
-        inv = rest[pivots[row]].inverse()
-        work[row] = [v * inv for v in rest]
-    return work, pivots
+def _dense(vec: Mapping[int, CycNum], width: int) -> tuple[CycNum, ...]:
+    zero = CycNum.zero()
+    return tuple(vec.get(j, zero) for j in range(width))
 
 
 def rref_rows(rows: list[Sequence[CycNum]]) -> tuple[list[tuple[CycNum, ...]], list[int]]:
@@ -285,9 +242,8 @@ def rref_rows(rows: list[Sequence[CycNum]]) -> tuple[list[tuple[CycNum, ...]], l
     """
     if not rows:
         return [], []
-    work = [[_coerce_entry(v) for v in row] for row in rows]
-    reduced, pivots = _rref_inplace(work)
-    return [tuple(reduced[i]) for i in range(len(pivots))], pivots
+    echelon, leads = sparse_echelon(_sparse_rows(rows))
+    return [_dense(row, len(rows[0])) for row in echelon], leads
 
 
 def rank_of_rows(rows: list[Sequence[CycNum]]) -> int:
@@ -311,30 +267,36 @@ def _axpy(v: SparseVec, c: CycNum, row: Mapping[int, CycNum]) -> None:
                 del v[j]
 
 
-def _sparse_forward(vectors: Iterable[Mapping[int, CycNum]]) -> dict[int, SparseVec]:
-    """Rows of an echelon basis keyed by lead: each row is 1 at its lead,
-    its lowest index, and the rows span the given vectors."""
+def _sparse_forward(vectors: Iterable[Mapping[int, CycNum]]
+                    ) -> tuple[dict[int, SparseVec], list[CycNum]]:
+    """Rows of an echelon basis keyed by lead, in the order they were found,
+    and each row's value at its lead before scaling, in the same order: each
+    row is 1 at its lead, its lowest index, and the rows span the given
+    vectors."""
     rows: dict[int, SparseVec] = {}
+    heads: list[CycNum] = []
     for vector in vectors:
         v = {j: c for j, c in vector.items() if c}
         while v:
             lead = min(v)
             row = rows.get(lead)
             if row is None:
+                head = v[lead]
                 if len(v) == 1:
                     # scaled to 1 at its lead it is a unit vector: no inverse
                     rows[lead] = {lead: CycNum.one()}
                 else:
-                    inv = v[lead].inverse()
+                    inv = head.inverse()
                     rows[lead] = {j: c * inv for j, c in v.items()}
+                heads.append(head)
                 break
             _axpy(v, -v[lead], row)
-    return rows
+    return rows, heads
 
 
 def sparse_rank(vectors: Iterable[Mapping[int, CycNum]]) -> int:
     """Dimension of the span of sparse vectors (forward elimination only)."""
-    return len(_sparse_forward(vectors))
+    return len(_sparse_forward(vectors)[0])
 
 
 def sparse_echelon(vectors: Iterable[Mapping[int, CycNum]]
@@ -342,10 +304,11 @@ def sparse_echelon(vectors: Iterable[Mapping[int, CycNum]]
     """Reduced echelon basis of the span of sparse vectors, with leads.
 
     Rows come in ascending lead order; each is 1 at its lead, its lowest
-    index, and 0 at every other lead.  These are the rows `rref_rows`
-    gives for the same vectors, stored sparsely.
+    index, and 0 at every other lead.  This is the unique reduced row
+    echelon basis of the span, whatever the order of the vectors; the dense
+    `rref_rows` and `CycMatrix.rref` are this basis made dense.
     """
-    rows = _sparse_forward(vectors)
+    rows = _sparse_forward(vectors)[0]
     leads = sorted(rows)
     for lead in reversed(leads):
         row = rows[lead]
@@ -359,9 +322,9 @@ def sparse_echelon(vectors: Iterable[Mapping[int, CycNum]]
 def sparse_kernel(rows: Sequence[Mapping[int, CycNum]], leads: Sequence[int],
                   ncols: int) -> list[SparseVec]:
     """Basis of the right kernel of a matrix given by its reduced echelon
-    rows: one vector per free column, ascending, 1 there and minus the
-    free column's entries at the leads; `CycMatrix.kernel_basis` gives the
-    same vectors densely."""
+    rows (as `sparse_echelon` returns them): one vector per free column,
+    ascending, 1 there and minus the free column's entries at the leads.
+    `CycMatrix.kernel_basis` is this basis made dense."""
     lead_set = set(leads)
     kernel = {f: {f: CycNum.one()} for f in range(ncols) if f not in lead_set}
     for row, lead in zip(rows, leads):

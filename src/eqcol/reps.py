@@ -354,14 +354,8 @@ class Setup:
              for c in range(len(group.classes))],
         )
 
-    def sym(self, m: int) -> CharacterVec:
-        return sym_power_character(self.defining_character(), m)
-
     def ext(self, k: int) -> CharacterVec:
         return ext_power_character(self.defining_character(), k)
-
-    def ext_dual(self, k: int) -> CharacterVec:
-        return ext_power_character(self.defining_character().dual(), k)
 
     def det_character(self) -> CharacterVec:
         return self.ext(self.n_plus_1)

@@ -27,6 +27,7 @@ from eqcol.report import emit_report_json
 from eqcol.reps import (CharacterVec, binary_dihedral, cyclic_diagonal,
                         molien_dimension, sym_power_character)
 from eqcol.scenario import run_scenario
+from test_cohomology import ext_dual
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
@@ -327,7 +328,7 @@ def _suite_koszul(golden):
             for k in range(n1 + 1):
                 if m - k < 0:
                     continue
-                term = sym_power_character(dual, m - k) * setup.ext_dual(k)
+                term = sym_power_character(dual, m - k) * ext_dual(setup, k)
                 total = total + (term if k % 2 == 0 else -term)
             assert total == (trivial if m == 0 else zero)
 
@@ -382,7 +383,7 @@ def _suite_newton_traces(golden):
         reps = [group.elements[group.class_representative(c)]
                 for c in range(len(group.classes))]
         for m in range(6):
-            chi = setup.sym(m)
+            chi = sym_power_character(setup.defining_character(), m)
             for c, mat in enumerate(reps):
                 assert chi.values[c] == _brute_sym_trace(mat, m)
         for k in range(setup.n_plus_1 + 1):

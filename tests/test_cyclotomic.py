@@ -203,7 +203,7 @@ def test_reduction_to_minimal_conductor():
     assert t * t + t == 1
     # rational recognition
     r = CycNum.zeta(3) * CycNum.zeta(3, 2)
-    assert r.is_rational() and r.as_rat() == 1
+    assert r.reduced().conductor == 1 and r.as_rat() == 1
 
 
 def test_galois_and_conjugation():
@@ -584,5 +584,5 @@ def test_integer_arithmetic_matches_fraction_oracle():
         twin = (a * b + b).to_conductor(n1 * n2 // gcd(n1, n2)) - b
         assert twin == a * b and twin.key() == (a * b).key()
         assert hash(twin) == hash(a * b)
-        if (a * b).is_rational():
+        if (a * b).reduced().conductor == 1:
             assert hash(twin) == hash((a * b).as_rat())

@@ -1,10 +1,13 @@
-"""Exact linear algebra: hand-checked values and algebraic properties."""
+"""Exact linear algebra: hand-checked values, algebraic properties, and
+the dense elimination as the oracle of the sparse one."""
 
 import random
 from fractions import Fraction
 from itertools import chain
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from eqcol.cyclotomic import CycNum
 from eqcol.errors import NotInvertible
@@ -26,6 +29,10 @@ def test_det_hand_values():
     i = CycNum.zeta(4)
     assert CycMatrix([[i, 1], [1, i]]).det() == -2
     assert CycMatrix([[1, 2], [2, 4]]).det() == 0
+    # permutation matrices: the sign is the parity of the leads as found
+    assert CycMatrix([[0, 1], [1, 0]]).det() == -1
+    assert CycMatrix([[0, 0, 1], [1, 0, 0], [0, 1, 0]]).det() == 1
+    assert CycMatrix([[0, 0, 1], [0, 1, 0], [1, 0, 0]]).det() == -1
 
 
 def test_inverse_hand_value():
@@ -63,6 +70,9 @@ def test_solve():
     x = a.solve([3, 1])
     assert x == (CycNum.from_rat(2), CycNum.from_rat(1))
     assert CycMatrix([[1, 2], [2, 4]]).solve([1, 3]) is None
+    # free variables are 0; a zero row with a nonzero right side is inconsistent
+    assert CycMatrix([[0, 1, 1]]).solve([2]) == (0, 2, 0)
+    assert CycMatrix([[0, 0]]).solve([1]) is None
 
 
 def _random_matrix(rng: random.Random, n: int, ncols: int | None = None) -> CycMatrix:
@@ -142,6 +152,231 @@ def test_rref_rows_canonicalizes_span():
     ech_b, piv_b = rref_rows([[CycNum.from_rat(v) for v in row] for row in rows_b])
     assert ech_a == ech_b and piv_a == piv_b
     assert rank_of_rows([[CycNum.from_rat(v) for v in row] for row in rows_b]) == 2
+
+
+# -- the dense elimination, kept as the oracle ---------------------------
+#
+# Every `CycMatrix` elimination method and `rref_rows` run on the sparse
+# echelon engine.  These are the dense loops they replaced: the pivot is
+# the first row with a nonzero entry in the current column.
+
+
+def _eliminate(work: list[list[CycNum]]) -> tuple[list[int], int]:
+    """Forward elimination in place, down to row echelon form.
+
+    Row r ends with its (unnormalized) pivot in column pivots[r], and rows
+    past the last pivot are zero.  Returns the pivot columns and the parity
+    of the row swaps, +1 or -1.
+    """
+    nrows = len(work)
+    ncols = len(work[0]) if work else 0
+    pivots: list[int] = []
+    sign = 1
+    for col in range(ncols):
+        row = len(pivots)
+        if row == nrows:
+            break
+        pivot = next((r for r in range(row, nrows) if work[r][col]), None)
+        if pivot is None:
+            continue
+        if pivot != row:
+            work[row], work[pivot] = work[pivot], work[row]
+            sign = -sign
+        head = work[row]
+        inv = head[col].inverse()
+        for r in range(row + 1, nrows):
+            if work[r][col]:
+                neg = -(work[r][col] * inv)
+                work[r] = [a + neg * b for a, b in zip(work[r], head)]
+        pivots.append(col)
+    return pivots, sign
+
+
+def _rref_inplace(work: list[list[CycNum]]) -> tuple[list[list[CycNum]], list[int]]:
+    """Reduced row echelon form: forward elimination, then back-substitution
+    from the last pivot row up, each row along the finished rows below it."""
+    pivots, _ = _eliminate(work)
+    for row in range(len(pivots) - 1, -1, -1):
+        rest = work[row]
+        for below in range(row + 1, len(pivots)):
+            c = rest[pivots[below]]
+            if c:
+                neg = -c
+                rest = [a + neg * b for a, b in zip(rest, work[below])]
+        inv = rest[pivots[row]].inverse()
+        work[row] = [v * inv for v in rest]
+    return work, pivots
+
+
+def _work(m: CycMatrix) -> list[list[CycNum]]:
+    return [list(row) for row in m.rows]
+
+
+def oracle_rank(m: CycMatrix) -> int:
+    return len(_eliminate(_work(m))[0])
+
+
+def oracle_det(m: CycMatrix) -> CycNum:
+    work = _work(m)
+    pivots, sign = _eliminate(work)
+    if len(pivots) < m.nrows:
+        return CycNum.zero()
+    result = CycNum.one()
+    for i in range(m.nrows):
+        result = result * work[i][i]
+    return result * sign
+
+
+def oracle_rref(m: CycMatrix) -> tuple[CycMatrix, tuple[int, ...]]:
+    reduced, pivots = _rref_inplace(_work(m))
+    return CycMatrix(reduced), tuple(pivots)
+
+
+def oracle_rref_rows(rows) -> tuple[list[tuple[CycNum, ...]], list[int]]:
+    if not rows:
+        return [], []
+    reduced, pivots = _rref_inplace([list(row) for row in rows])
+    return [tuple(reduced[i]) for i in range(len(pivots))], pivots
+
+
+def oracle_inverse(m: CycMatrix) -> CycMatrix | None:
+    n = m.nrows
+    aug = [list(row) + list(ident)
+           for row, ident in zip(m.rows, CycMatrix.identity(n).rows)]
+    reduced, pivots = _rref_inplace(aug)
+    if pivots != list(range(n)):
+        return None
+    return CycMatrix([row[n:] for row in reduced])
+
+
+def oracle_kernel(m: CycMatrix) -> list[tuple[CycNum, ...]]:
+    reduced, pivots = _rref_inplace(_work(m))
+    basis = []
+    for f in (c for c in range(m.ncols) if c not in pivots):
+        vec = [CycNum.zero()] * m.ncols
+        vec[f] = CycNum.one()
+        for r, p in enumerate(pivots):
+            vec[p] = -reduced[r][f]
+        basis.append(tuple(vec))
+    return basis
+
+
+def oracle_solve(m: CycMatrix, rhs: list[CycNum]) -> tuple[CycNum, ...] | None:
+    aug = [list(row) + [b] for row, b in zip(m.rows, rhs)]
+    reduced, pivots = _rref_inplace(aug)
+    if pivots and pivots[-1] == m.ncols:
+        return None
+    x = [CycNum.zero()] * m.ncols
+    for r, p in enumerate(pivots):
+        x[p] = reduced[r][-1]
+    return tuple(x)
+
+
+# Rational entries, zeros, and roots of unity of conductors 3, 4 and 8
+# (and a sum across two), so rows mix conductors up to 24.
+_MIXED = [CycNum.zero()] * 3 + [
+    CycNum.from_rat(v) for v in (1, -1, 2, Fraction(1, 2), Fraction(-5, 3))
+] + [CycNum.zeta(3), CycNum.zeta(4) * 2, CycNum.zeta(8) ** 3,
+     CycNum.zeta(3) + CycNum.zeta(4), CycNum.zeta(8) - Fraction(1, 3)]
+
+
+@st.composite
+def matrices(draw, square: bool = False) -> CycMatrix:
+    """Matrices up to 5 x 6 over mixed conductors, with some rows and
+    columns zeroed and, often, a row set to a multiple of another, so that
+    singular shapes are common."""
+    nrows = draw(st.integers(1, 5))
+    ncols = nrows if square else draw(st.integers(1, 6))
+    entries = st.sampled_from(_MIXED)
+    rows = [[draw(entries) for _ in range(ncols)] for _ in range(nrows)]
+    for i in draw(st.sets(st.integers(0, nrows - 1), max_size=2)):
+        rows[i] = [CycNum.zero()] * ncols
+    for j in draw(st.sets(st.integers(0, ncols - 1), max_size=2)):
+        for row in rows:
+            row[j] = CycNum.zero()
+    if nrows > 1 and draw(st.booleans()):
+        i, k = draw(st.lists(st.integers(0, nrows - 1), min_size=2, max_size=2,
+                             unique=True))
+        c = draw(entries)
+        rows[i] = [c * v for v in rows[k]]
+    return CycMatrix(rows)
+
+
+ORACLE_SWEEP = settings(derandomize=True, max_examples=120, deadline=None)
+
+
+@ORACLE_SWEEP
+@given(matrices())
+@example(CycMatrix([[0]]))
+@example(CycMatrix([[0, 0, 0], [0, 0, 0]]))
+@example(CycMatrix([[0, 1], [0, 2], [1, 0]]))
+def test_elimination_matches_dense_oracle(m):
+    assert m.rank() == oracle_rank(m)
+    assert rank_of_rows(list(m.rows)) == oracle_rank(m)
+    assert m.rref() == oracle_rref(m)
+    assert m.kernel_basis() == oracle_kernel(m)
+    assert rref_rows(list(m.rows)) == oracle_rref_rows(list(m.rows))
+
+
+def _apply(m: CycMatrix, x) -> list[CycNum]:
+    return [sum((a * b for a, b in zip(row, x)), CycNum.zero()) for row in m.rows]
+
+
+@st.composite
+def systems(draw) -> tuple[CycMatrix, list[CycNum]]:
+    """A matrix and a right-hand side, half of them consistent by
+    construction: the image of a drawn vector."""
+    m = draw(matrices())
+    entries = st.sampled_from(_MIXED)
+    if draw(st.booleans()):
+        return m, _apply(m, [draw(entries) for _ in range(m.ncols)])
+    return m, [draw(entries) for _ in range(m.nrows)]
+
+
+@ORACLE_SWEEP
+@given(systems())
+@example((CycMatrix([[1, 2], [2, 4]]), [CycNum.one(), CycNum.from_rat(3)]))
+@example((CycMatrix([[0, 0]]), [CycNum.zero()]))
+@example((CycMatrix([[0, 0]]), [CycNum.one()]))
+def test_solve_matches_dense_oracle(system):
+    m, rhs = system
+    x = m.solve(rhs)
+    assert x == oracle_solve(m, rhs)
+    if x is not None:
+        assert _apply(m, x) == rhs
+
+
+@st.composite
+def swapped(draw) -> tuple[CycMatrix, list[int] | None]:
+    """A square matrix and two distinct rows to swap, if it has two."""
+    m = draw(matrices(square=True))
+    if m.nrows == 1:
+        return m, None
+    return m, draw(st.lists(st.integers(0, m.nrows - 1), min_size=2, max_size=2,
+                            unique=True))
+
+
+@ORACLE_SWEEP
+@given(swapped())
+@example((CycMatrix([[0, 1], [1, 0]]), [0, 1]))
+@example((CycMatrix([[0, 0, 1], [1, 0, 0], [0, 1, 0]]), [0, 2]))
+def test_det_and_inverse_match_dense_oracle(case):
+    m, swap = case
+    det = m.det()
+    assert det == oracle_det(m)
+    inverse = oracle_inverse(m)
+    assert bool(det) == (inverse is not None)
+    if inverse is None:
+        with pytest.raises(NotInvertible):
+            m.inverse()
+    else:
+        assert m.inverse() == inverse
+    if swap is not None:
+        # a row swap flips the sign
+        i, k = swap
+        rows = list(m.rows)
+        rows[i], rows[k] = rows[k], rows[i]
+        assert CycMatrix(rows).det() == -det
 
 
 def test_trace_linear():
@@ -270,15 +505,15 @@ def test_sparse_echelon_matches_dense_elimination():
                          if sum(map(bool, row)) == 1 and not any(c == 1 for c in row))
         rows = [_sparse(row) for row in m.rows]
         cols = [_sparse(col) for col in m.transpose().rows]
-        rank = m.rank()
+        rank = oracle_rank(m)
         assert sparse_rank(rows) == sparse_rank(cols) == rank
         echelon, leads = sparse_echelon(rows)
-        dense_rows, pivots = rref_rows(list(m.rows))
+        dense_rows, pivots = oracle_rref_rows(list(m.rows))
         assert leads == pivots and len(echelon) == rank
         assert [_dense(row, m.ncols) for row in echelon] == dense_rows
         assert all(c for row in echelon for c in row.values())
         kernel = sparse_kernel(echelon, leads, m.ncols)
-        assert [_dense(vec, m.ncols) for vec in kernel] == m.kernel_basis()
+        assert [_dense(vec, m.ncols) for vec in kernel] == oracle_kernel(m)
         kernels += bool(kernel)
         checked += 1
     assert checked == 52 + 16

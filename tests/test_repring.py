@@ -22,7 +22,7 @@ from eqcol.errors import CertificateFailure
 from eqcol.reps import (_lambda_tables, binary_dihedral, cyclic_diagonal,
                         molien_dimension, setup_memo, sym_power_character)
 from eqcol.scenario import build_setup, load_scenario
-from test_cohomology import ext_dim_oracle
+from test_cohomology import ext_dim_oracle, ext_dual
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -63,12 +63,12 @@ def reduce_by_characters(setup, m, j):
     result = KClass.zero(setup)
     chi_j = setup.irreps[j].character()
     if m > n:
-        steps = [(1 if k % 2 else -1, setup.ext_dual(k) * chi_j, m - k)
+        steps = [(1 if k % 2 else -1, ext_dual(setup, k) * chi_j, m - k)
                  for k in range(1, n + 2)]
     else:
         outer = 1 if n % 2 == 0 else -1
         steps = [(outer * (1 if k % 2 == 0 else -1),
-                  setup.det_character() * setup.ext_dual(k) * chi_j,
+                  setup.det_character() * ext_dual(setup, k) * chi_j,
                   m + n + 1 - k) for k in range(n + 1)]
     for sign, chi, twist in steps:
         for l, rep in enumerate(setup.irreps):
@@ -89,7 +89,7 @@ def test_lambda_tables_and_det_twist_match_characters(spec):
         for sigma in range(r):
             row = dict(table[sigma])
             for rho in range(r):
-                assert row.get(rho, 0) == inner(setup, setup.ext_dual(k),
+                assert row.get(rho, 0) == inner(setup, ext_dual(setup, k),
                                                 sigma, rho), (k, sigma, rho)
     det = setup.det_character()
     for sigma in range(r):
