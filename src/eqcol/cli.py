@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from .config import conductor_cap, hom_complex_cap, order_cap
-from .errors import EqcolError, OutputError
+from .errors import EqcolError, OutputError, ValidationError
 from .report import emit_dot, gram_text, molien_text, write_report_json
 from .reps import molien_dimension
 from .scenario import (DEFAULT_MOLIEN_DEGREE, build_setup, load_scenario,
@@ -108,6 +108,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_molien(args) -> int:
+    if args.max_degree is not None and args.max_degree < 0:
+        raise ValidationError("molien max_degree must be >= 0")
     scenario = load_scenario(args.scenario)
     setup = build_setup(scenario)
     degree = args.max_degree

@@ -6,10 +6,11 @@ An element is stored as integer numerators over one common denominator,
 
 in the power basis modulo the N-th cyclotomic polynomial.  Every value is
 normalized where it is made, so that den > 0 and gcd(den, *num) == 1; a
-value therefore has exactly one (num, den) at a given conductor.  No
-floating point is used anywhere.  Conductors are normalized so that N is
-never congruent to 2 mod 4 (Q(zeta_2m) = Q(zeta_m) for odd m), which makes
-the minimal conductor of a value unique.
+value therefore has exactly one (num, den) at a given conductor.  All field
+arithmetic runs on these integers, with no floating point and no
+elimination.  Conductors are normalized so that N is never congruent to
+2 mod 4 (Q(zeta_2m) = Q(zeta_m) for odd m), which makes the minimal
+conductor of a value unique.
 
 Equality needs no reduction: the power basis modulo Phi_N is a basis of
 Q(zeta_N), so two values at one conductor are equal exactly when their
@@ -17,6 +18,13 @@ Q(zeta_N), so two values at one conductor are equal exactly when their
 after embedding both at the lcm.  The minimal-conductor form (`reduced()`)
 is computed only for hashing, printing and rationality tests, and cached
 on the value.  A rational value hashes as the equal `Fraction`.
+
+Two basis facts replace elimination (L. C. Washington, Introduction to
+Cyclotomic Fields, GTM 83, ch. 2).  The Galois group of Q(zeta_N) is
+(Z/N)^*, so the product of a value's conjugates is its rational norm, and
+`inverse` divides the other conjugates by it.  Phi_N(X) = Phi_(N/p)(X^p)
+when p^2 | N, and Q(zeta_N) = Q(zeta_m) (x) Q(zeta_q) for coprime m q = N,
+so `reduced()` reads subfield coordinates off the numerators.
 
 Division by zero raises the built-in ZeroDivisionError.
 """
@@ -32,9 +40,6 @@ from .config import conductor_cap
 from .errors import CertificateFailure, ConductorOverflow, InvalidParameter
 
 Rat = Fraction
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @lru_cache(maxsize=None)
@@ -167,13 +172,6 @@ def _make(conductor: int, num, den: int) -> "CycNum":
     if g != 1:
         return CycNum(conductor, tuple(x // g for x in num), den // g)
     return CycNum(conductor, tuple(num), den)
-
-
-def _from_fractions(conductor: int, values) -> "CycNum":
-    den = 1
-    for v in values:
-        den = lcm(den, v.denominator)
-    return _make(conductor, [v.numerator * (den // v.denominator) for v in values], den)
 
 
 class CycNum:
@@ -382,6 +380,13 @@ class CycNum:
     __rmul__ = __mul__
 
     def inverse(self) -> "CycNum":
+        """1 / self at the stored conductor N, computed at the minimal
+        conductor c of self and embedded back at N.
+
+        Let x be self at conductor c.  The automorphisms of Q(zeta_c) are
+        zeta -> zeta^t for the units t mod c, so x times the product `conj`
+        of its conjugates at t != 1 is the norm of x, a nonzero rational
+        a/d; then 1/x is conj * d / a, on integer numerators throughout."""
         num = self.num
         if not any(num):
             raise ZeroDivisionError("division by zero in a cyclotomic field")
@@ -390,27 +395,16 @@ class CycNum:
             out = [0] * len(num)
             out[0] = self.den if num[0] > 0 else -self.den
             return CycNum(n, tuple(out), abs(num[0]))
-        # Extended Euclid against Phi_n, which is irreducible over Q.
-        phi_poly = [Fraction(c) for c in cyclotomic_polynomial(n)]
-        r0, r1 = phi_poly, list(self.coeffs)
-        s0, s1 = [_ZERO], [_ONE]
-        while True:
-            while r1 and not r1[-1]:
-                r1.pop()
-            if len(r1) == 1:
-                break
-            q, rem = _poly_divmod(r0, r1)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        unit = r1[0]
-        inv = [c / unit for c in s1]
-        out = [_ZERO] * len(num)
-        for k, c in enumerate(inv):
-            if not c:
-                continue
-            for j, e in _power_terms(n, k):
-                out[j] += c * e
-        return _from_fractions(n, out)
+        x = self.reduced()
+        c = x.conductor
+        conj = CycNum.one()
+        for t in range(2, c):
+            if gcd(t, c) == 1:
+                conj = conj * x.galois(t)
+        norm = x * conj
+        a, d = norm.num[0], norm.den
+        inv = conj._scale(d, a) if a > 0 else conj._scale(-d, -a)
+        return inv.to_conductor(n)
 
     def __truediv__(self, other):
         other = CycNum._coerce(other)
@@ -521,108 +515,52 @@ class CycNum:
         return f"CycNum({self})"
 
 
-def _poly_divmod(num: list[Fraction], den: list[Fraction]):
-    num = list(num)
-    while den and not den[-1]:
-        den = den[:-1]
-    dn = len(den) - 1
-    lead = den[-1]
-    if len(num) - 1 < dn:
-        return [_ZERO], num
-    quot = [_ZERO] * (len(num) - dn)
-    for i in range(len(num) - 1, dn - 1, -1):
-        c = num[i] / lead
-        if c:
-            quot[i - dn] = c
-            for j, dj in enumerate(den):
-                num[i - dn + j] -= c * dj
-    return quot, num[:dn] if dn else [_ZERO]
+def _restrict(x: CycNum, p: int) -> CycNum | None:
+    """x at conductor N/p (normalized), or None when x is not in that field.
 
-
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
-def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    size = max(len(a), len(b))
-    out = [_ZERO] * size
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, x in enumerate(b):
-        out[i] -= x
-    return out
-
-
-@lru_cache(maxsize=None)
-def _subfield_section(n: int, c: int):
-    """A left inverse of the embedding Q(zeta_c) -> Q(zeta_n), as rows R of
-    the embedding matrix E that form an invertible square, and the integer
-    matrix M with divisor D such that E[R] M / D = 1.  For x in Q(zeta_c),
-    its conductor-c numerators are M x[R] / D."""
-    phi_c = euler_phi(c)
-    step = n // c
-    cols = [_power_mod_phi(n, j * step) for j in range(phi_c)]
-    rows: list[int] = []
-    echelon: list[tuple[int, list[Fraction]]] = []
-    for r in range(euler_phi(n)):
-        vec = [Fraction(col[r]) for col in cols]
-        for lead, base in echelon:
-            if vec[lead]:
-                f = vec[lead] / base[lead]
-                vec = [v - f * b for v, b in zip(vec, base)]
-        lead = next((j for j, v in enumerate(vec) if v), None)
-        if lead is not None:
-            rows.append(r)
-            echelon.append((lead, vec))
-            if len(rows) == phi_c:
-                break
-    # invert the square E[R] by Gauss-Jordan
-    work = [[Fraction(col[r]) for col in cols] + [Fraction(int(i == k)) for k in range(phi_c)]
-            for i, r in enumerate(rows)]
-    for col in range(phi_c):
-        pivot = next(r for r in range(col, phi_c) if work[r][col])
-        work[col], work[pivot] = work[pivot], work[col]
-        inv = 1 / work[col][col]
-        work[col] = [v * inv for v in work[col]]
-        for r in range(phi_c):
-            if r != col and work[r][col]:
-                f = work[r][col]
-                work[r] = [v - f * w for v, w in zip(work[r], work[col])]
-    inverse = [row[phi_c:] for row in work]
-    div = 1
-    for row in inverse:
-        for v in row:
-            div = lcm(div, v.denominator)
-    matrix = tuple(tuple(v.numerator * (div // v.denominator) for v in row)
-                   for row in inverse)
-    return tuple(rows), matrix, div
-
-
-def _restrict(x: CycNum, c: int) -> CycNum | None:
-    """x as a conductor-c value, or None when x is not in Q(zeta_c)."""
+    Let q be the power of the prime p in N.  When q >= p^2 and q != 4,
+    Phi_N(X) = Phi_(N/p)(X^p), so the power basis of Q(zeta_N) is the basis
+    of Q(zeta_(N/p)) times 1, zeta, ..., zeta^(p-1): x lies in the subfield
+    exactly when its numerators vanish off the multiples of p.  Otherwise
+    the target is m = N/q, and Q(zeta_N) = Q(zeta_m) (x) Q(zeta_q) for the
+    coprime m and q, with zeta_N^j = zeta_m^a zeta_q^b for a = j/q mod m and
+    b = j/m mod q (the embedding sends zeta_m to zeta_N^q).  In the product
+    of the two power bases x lies in Q(zeta_m) exactly when every component
+    at a basis power zeta_q^u with u >= 1 is zero.
+    """
     n = x.conductor
-    rows, matrix, div = _subfield_section(n, c)
-    picked = [x.num[r] for r in rows]
-    cand = _make(c, [sum(m * v for m, v in zip(row, picked)) for row in matrix],
-                 x.den * div)
-    return cand if cand.to_conductor(n) == x else None
+    q = p
+    while n % (q * p) == 0:
+        q *= p
+    if q >= p * p and q != 4:
+        num = x.num
+        if any(any(num[r::p]) for r in range(1, p)):
+            return None
+        return CycNum(n // p, num[::p], x.den)
+    m = n // q
+    qi, mi = pow(q, -1, m), pow(m, -1, q)
+    phi_m = euler_phi(m)
+    comps = [0] * (phi_m * euler_phi(q))
+    for j, c in enumerate(x.num):
+        if c:
+            for s, e in _power_terms(m, j * qi % m):
+                for u, f in _power_terms(q, j * mi % q):
+                    comps[u * phi_m + s] += c * e * f
+    if any(comps[phi_m:]):
+        return None
+    return _make(m, comps[:phi_m], x.den)
 
 
 def _minimal_form(x: CycNum) -> CycNum:
-    """x at its minimal conductor.  The conductors whose field contains x
-    are closed under gcd, so while x is above the minimal one it lies in
+    """x at its minimal conductor.  Q(zeta_a) and Q(zeta_b) meet in
+    Q(zeta_gcd(a, b)), so the conductors whose field contains x are closed
+    under gcd; while x is above the minimal one it therefore lies in
     Q(zeta_(N/p)) for some prime p | N, and stepping down one prime at a
-    time reaches it."""
+    time through `_restrict` reaches it."""
     while True:
         n = x.conductor
         for p in _prime_factors(n):
-            y = _restrict(x, _normalize_conductor(n // p))
+            y = _restrict(x, p)
             if y is not None:
                 x = y
                 break
@@ -685,7 +623,6 @@ class ModularImage:
 
 # -- literal grammar ---------------------------------------------------
 
-_RAT_RE = re.compile(r"\d+(?:/\d+)?")
 _TERM_RE = re.compile(
     r"\s*(?:(?P<coef>\d+(?:/\d+)?)\s*(?:\*\s*)?)?"
     r"(?:z(?P<cond>\d+)(?:\^(?P<exp>\d+))?)?"
@@ -715,7 +652,7 @@ def parse_cyc(text: str) -> CycNum:
         match = _TERM_RE.match(text, pos)
         if not match or (match.group("coef") is None and match.group("cond") is None):
             raise InvalidParameter(f"bad cyclotomic literal at offset {pos}: {text!r}")
-        coef = Fraction(match.group("coef")) if match.group("coef") else _ONE
+        coef = Fraction(match.group("coef")) if match.group("coef") else 1
         if match.group("cond") is not None:
             n = int(match.group("cond"))
             if n < 1:

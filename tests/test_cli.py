@@ -116,6 +116,15 @@ def test_molien_table(capsys):
         "0 1", "1 0", "2 0", "3 0", "4 2", "5 0", "6 1"]
 
 
+def test_molien_rejects_negative_degree(capsys):
+    code = main(["molien", str(SCENARIOS / "q8_d1.json"),
+                 "--max-degree", "-3"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: molien max_degree must be >= 0\n"
+
+
 def test_molien_uses_scenario_degree(capsys):
     code = main(["molien", str(SCENARIOS / "q8_explicit.json")])
     assert code == 0

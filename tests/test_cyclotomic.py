@@ -10,6 +10,7 @@ import pytest
 from eqcol.cyclotomic import (
     CycNum,
     _int_poly_divexact,
+    _restrict,
     cyclotomic_polynomial,
     divisors,
     euler_phi,
@@ -586,3 +587,69 @@ def test_integer_arithmetic_matches_fraction_oracle():
         assert hash(twin) == hash(a * b)
         if (a * b).reduced().conductor == 1:
             assert hash(twin) == hash((a * b).as_rat())
+
+
+# -- restriction by the basis split and inverse by the norm, against the oracle --
+
+SPLIT_CONDUCTORS = (1, 3, 4, 5, 7, 8, 9, 12, 16, 20, 24, 27, 36, 40, 45, 60, 120)
+
+
+def _subfield_values(rng: random.Random, n: int):
+    """One value from each subfield Q(zeta_d), d | n, embedded at conductor
+    n in both arithmetics: each is a member of the fields that contain
+    Q(zeta_d) and a non-member of the others."""
+    for d in divisors(n):
+        if d % 4 == 2:
+            continue
+        coeffs = [Fraction(rng.randint(-5, 5), rng.choice([1, 1, 2, 3]))
+                  for _ in range(euler_phi(d))]
+        coeffs[-1] = coeffs[-1] or Fraction(1)
+        oracle = OracleCyc(d, coeffs).to_conductor(n)
+        value = CycNum.zero()
+        for k, c in enumerate(oracle.coeffs):
+            value = value + CycNum.zeta(n, k) * c
+        yield value.to_conductor(n), oracle
+
+
+def _prime_power(n: int, p: int) -> int:
+    q = p
+    while n % (q * p) == 0:
+        q *= p
+    return q
+
+
+def test_restriction_matches_oracle_subfield():
+    rng = random.Random(13)
+    seen = set()
+    for n in SPLIT_CONDUCTORS:
+        for value, oracle in _subfield_values(rng, n):
+            for p in (p for p in (2, 3, 5, 7) if n % p == 0):
+                c = _oracle_normalize(n // p)
+                want = _oracle_subfield(n, c, oracle.coeffs)
+                got = _restrict(value, p)
+                assert (got is None) == (want is None), (n, p, oracle.coeffs)
+                q = _prime_power(n, p)
+                if q >= p * p and q != 4:
+                    seen.add("slice q>=8" if p == 2 else "slice odd p")
+                else:
+                    seen.add("split q=4" if q == 4 else "split q=p")
+                seen.add("member" if got is not None else "non-member")
+                if got is not None:
+                    seen.add("to 1" if c == 1 else "to subfield")
+                    assert got.conductor == c and got.coeffs == want
+                    assert got.den > 0 and gcd(got.den, *got.num) == 1
+    # every case of _restrict, and each outcome
+    assert seen == {"slice q>=8", "slice odd p", "split q=p", "split q=4",
+                    "member", "non-member", "to 1", "to subfield"}
+
+
+def test_reduced_and_inverse_match_oracle_by_conductor():
+    rng = random.Random(17)
+    for n in SPLIT_CONDUCTORS:
+        for value, oracle in _subfield_values(rng, n):
+            _assert_same(value, oracle)
+            if value:
+                # a fresh copy, whose minimal form inverse() must find itself
+                inv = CycNum(value.conductor, value.num, value.den).inverse()
+                _assert_same(inv, oracle.inverse())
+                assert inv * value == 1

@@ -272,12 +272,13 @@ def oracle_solve(m: CycMatrix, rhs: list[CycNum]) -> tuple[CycNum, ...] | None:
     return tuple(x)
 
 
-# Rational entries, zeros, and roots of unity of conductors 3, 4 and 8
-# (and a sum across two), so rows mix conductors up to 24.
+# Rational entries, zeros, and roots of unity of conductors 3, 4, 5 and 8
+# (and sums across two), so rows mix conductors up to 120.
 _MIXED = [CycNum.zero()] * 3 + [
     CycNum.from_rat(v) for v in (1, -1, 2, Fraction(1, 2), Fraction(-5, 3))
-] + [CycNum.zeta(3), CycNum.zeta(4) * 2, CycNum.zeta(8) ** 3,
-     CycNum.zeta(3) + CycNum.zeta(4), CycNum.zeta(8) - Fraction(1, 3)]
+] + [CycNum.zeta(3), CycNum.zeta(4) * 2, CycNum.zeta(8) ** 3, CycNum.zeta(5),
+     CycNum.zeta(3) + CycNum.zeta(4), CycNum.zeta(8) - Fraction(1, 3),
+     CycNum.zeta(5, 2) + CycNum.zeta(8)]
 
 
 @st.composite

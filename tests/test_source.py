@@ -1,0 +1,50 @@
+"""Source hygiene: every private helper under src/eqcol has a caller in src."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "eqcol"
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _private_definitions(tree: ast.Module):
+    """(name, node) for each private module-level function, class or
+    assignment, and each private method of a module-level class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if _is_private(node.name):
+                yield node.name, node
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                            and _is_private(item.name)):
+                        yield item.name, item
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for leaf in ast.walk(target):
+                    if isinstance(leaf, ast.Name) and _is_private(leaf.id):
+                        yield leaf.id, node
+
+
+def test_every_private_definition_is_referenced():
+    trees = {path.name: ast.parse(path.read_text(), str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    # every load of a name or an attribute, by the node that makes it
+    uses: dict[str, list[ast.AST]] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                uses.setdefault(node.id, []).append(node)
+            elif isinstance(node, ast.Attribute):
+                uses.setdefault(node.attr, []).append(node)
+    unused = []
+    for module, tree in trees.items():
+        for name, definition in _private_definitions(tree):
+            inside = {id(node) for node in ast.walk(definition)}
+            if all(id(node) in inside for node in uses.get(name, [])):
+                unused.append(f"{module}: {name}")
+    assert unused == []
