@@ -8,6 +8,24 @@ that between any two summands only degree-0 morphisms exist; this is what
 makes the naive Hom complex compute Ext.  Between two different complexes
 the same condition is the window precondition, checked pairwise.
 
+Ext dimensions need only the ranks of the Hom-complex differentials, and
+those are taken mod a prime p = 1 (mod N), N the conductor of the group
+generators and their irrep images, through `ModularImage` (J. D. Dixon's
+map, Numer. Math. 10, 1967).  Every value here is built from those
+matrices, so it maps to F_p unless a denominator vanishes mod p.  A minor
+that is nonzero mod p is nonzero, so rank_p(delta^k) <= rank(delta^k) and
+the cohomology mod p is at least as large as the exact one in every
+degree.  Both have the Euler characteristic sum (-1)^k dim Hom^k.  When
+the cohomology mod p lies in degrees of one parity, the exact cohomology
+lies there too, and the two alternating sums are then plain sums of
+nonnegative differences that add up to zero: every dimension mod p is
+exact, and by induction from the lowest degree so is every rank.
+Otherwise, or when a denominator or a conductor does not map, the exact
+sparse differentials decide.  This certifies the common cases outright:
+an exceptional pair expects {} or {0: 1}, and a strong pair degree 0
+only.  The H^0 representatives that cones and the quiver need are always
+computed exactly.
+
 Mutation degree convention: the right mutation keeps E in its original
 degrees and glues the copies of F one degree higher.  The left mutation
 keeps F and glues the copies of E one degree lower.
@@ -21,16 +39,18 @@ from .cohomology import EqLineBundle, KClass, ext_table, line_bundle_class
 from .config import hom_complex_cap
 from .errors import (
     BasisMismatch,
+    CertificateFailure,
     HomComplexCapExceeded,
     InvalidParameter,
     NonConcentratedHom,
     WindowViolation,
 )
-from .cyclotomic import CycNum
-from .homspaces import HomElement, compose_hom, hom_space
+from .cyclotomic import CycNum, ModularImage, lcm
+from .homspaces import (HomElement, HomSpace, compose_hom, hom_space,
+                        monomial_basis)
 from .linalg import (SparseVec, eliminate_along, sparse_echelon, sparse_kernel,
-                     sparse_rank)
-from .reps import Setup
+                     sparse_rank, sparse_rank_mod)
+from .reps import Setup, setup_memo
 
 
 class EqComplex:
@@ -271,78 +291,270 @@ def compose_chain_maps(f: ChainMap, g: ChainMap) -> ChainMap:
     return ChainMap(f.source, g.target, blocks, check=False)
 
 
-class _Slice:
-    __slots__ = ("p", "s", "t", "space", "offset")
-
-    def __init__(self, p, s, t, space, offset):
-        self.p = p
-        self.s = s
-        self.t = t
-        self.space = space
-        self.offset = offset
-
-
-def _accumulate(column: SparseVec, out: _Slice, elem: HomElement, negate: bool) -> None:
-    """Add the coordinates of elem, or subtract them, at out's rows."""
-    for i, c in out.space.sparse_coordinates(elem).items():
-        row = out.offset + i
+def _accumulate(column: SparseVec, offset: int, space: HomSpace,
+                elem: HomElement, negate: bool) -> None:
+    """Add the coordinates of elem in space, or subtract them, at the rows
+    from offset on."""
+    for i, c in space.sparse_coordinates(elem).items():
+        row = offset + i
         if negate:
             c = -c
         old = column.get(row)
         column[row] = c if old is None else old + c
 
 
+# -- Hom-complex ranks modulo a prime ------------------------------------
+
+
+@setup_memo
+def _ext_image(setup: Setup) -> ModularImage:
+    """The map to F_p used for Ext ranks: p = 1 mod the lcm N of the
+    conductors of the group generators and of their irrep images, so every
+    value built from them maps.  p is the least such prime above 2^29: for
+    moderate N it is below 2^30, so a residue is one 30-bit digit of a
+    CPython int, and a rank drops mod p only when p divides a minor, which
+    costs the exact fallback, never a wrong answer."""
+    group = setup.group
+    conductor = 1
+    for g in group.generators:
+        gi = group.index_of(g)
+        for matrix in (g, *(rep.matrix(gi) for rep in setup.irreps)):
+            for row in matrix.rows:
+                for v in row:
+                    conductor = lcm(conductor, v.conductor)
+    return ModularImage(conductor, 1 << 29)
+
+
+@setup_memo
+def _monomial_codes(setup: Setup, m: int) -> tuple[tuple[int, ...], dict[int, int]]:
+    """Each degree-m monomial as one integer, its exponents in 16-bit
+    fields, so that the code of a product is the sum of the codes; and the
+    monomial index of each code."""
+    codes = tuple(sum(e << (16 * i) for i, e in enumerate(alpha))
+                  for alpha in monomial_basis(setup.n_plus_1, m))
+    return codes, {c: i for i, c in enumerate(codes)}
+
+
+class _Residues:
+    """A morphism mod p: its nonzero residues by flat index, each as (monomial
+    code, row, column, residue), and those grouped by column as (monomial
+    code, row, residue)."""
+
+    __slots__ = ("entries", "quads", "by_col")
+
+    def __init__(self, image: ModularImage, elem: HomElement):
+        space = elem.space
+        codes = _monomial_codes(space.setup, space.m)[0]
+        self.entries: dict[int, int] = {}
+        self.quads = []
+        self.by_col: dict[int, list] = {}
+        for j, x in elem.entries.items():
+            if image.conductor % x.conductor:
+                raise CertificateFailure(
+                    f"conductor {x.conductor} does not divide {image.conductor}")
+            r = image(x)
+            if r:
+                rest, col = divmod(j, space.dim_rho)
+                mi, row = divmod(rest, space.dim_sigma)
+                self.entries[j] = r
+                self.quads.append((codes[mi], row, col, r))
+                self.by_col.setdefault(col, []).append((codes[mi], row, r))
+
+
+class _SpaceResidues:
+    """A Hom space's echelon basis mod p.  Its pivots stay 1 and the other
+    pivots 0, so a coordinate is still the entry at a pivot."""
+
+    __slots__ = ("basis", "pivot_at", "code_index", "dim_sigma", "dim_rho")
+
+    def __init__(self, image: ModularImage, space: HomSpace):
+        self.basis = tuple(_Residues(image, f) for f in space.basis)
+        self.pivot_at = {j: i for i, j in enumerate(space.pivots)}
+        self.code_index = _monomial_codes(space.setup, space.m)[1]
+        self.dim_sigma, self.dim_rho = space.dim_sigma, space.dim_rho
+
+
+@setup_memo
+def _space_residues(setup: Setup, m: int, rho: int, sigma: int) -> _SpaceResidues:
+    """hom_space(setup, m, rho, sigma) reduced once by the setup's _ext_image."""
+    return _SpaceResidues(_ext_image(setup), hom_space(setup, m, rho, sigma))
+
+
+def _compose_mod(first: _Residues, second: _Residues, target: _SpaceResidues,
+                 p: int) -> dict[int, int]:
+    """The coordinates mod p of second o first in the echelon basis of
+    target, as {basis index: residue}: compose_hom and sparse_coordinates on
+    residues, with the same residual check taken mod p."""
+    index, dim_tau, dim_rho = target.code_index, target.dim_sigma, target.dim_rho
+    by_col = second.by_col
+    comp: dict[int, int] = {}
+    for ca, mid, t, x in first.quads:
+        for cb, s2, y in by_col.get(mid, ()):
+            j = (index[ca + cb] * dim_tau + s2) * dim_rho + t
+            comp[j] = comp.get(j, 0) + x * y
+    pivot_at = target.pivot_at
+    coords = {}
+    for j, v in comp.items():
+        i = pivot_at.get(j)
+        if i is not None and v % p:
+            coords[i] = v % p
+    for i, c in coords.items():
+        for j, x in target.basis[i].entries.items():
+            comp[j] = comp.get(j, 0) - c * x
+    if any(v % p for v in comp.values()):
+        raise BasisMismatch("composite is outside the invariant span mod p")
+    return coords
+
+
 class HomComplexData:
     """The complex Hom^k = sum over p of Hom(C^p, D^(p+k)), with exact
-    differentials delta(f) = d_D o f - (-1)^k f o d_C."""
+    differentials delta(f) = d_D o f - (-1)^k f o d_C.
+
+    The dimensions come from the representation ring; the Hom spaces of a
+    degree are built when its differential is first needed.  `ext_dims`
+    takes ranks mod p under the parity certificate of the module docstring
+    and records in `certified` whether it held; `rank`, `delta` and the H^0
+    data are exact."""
 
     def __init__(self, C: EqComplex, D: EqComplex):
         if C.setup is not D.setup:
             raise BasisMismatch("complexes over different setups")
-        self.setup = C.setup
+        self.setup = setup = C.setup
         self.source = C
         self.target = D
-        n = self.setup.n
-        for _, _, a in C.summands():
-            for _, _, b in D.summands():
-                if b.twist - a.twist < -n:
-                    raise WindowViolation(
-                        f"pair of twists ({a.twist}, {b.twist}) admits higher "
-                        "Ext classes that the Hom complex cannot see")
+        high = max(a.twist for _, _, a in C.summands())
+        low = min(b.twist for _, _, b in D.summands())
+        if low - high < -setup.n:
+            raise WindowViolation(
+                f"pair of twists ({high}, {low}) admits higher "
+                "Ext classes that the Hom complex cannot see")
         c_degrees = C.degrees
         d_degrees = D.degrees
-        self.slices: dict[int, list[_Slice]] = {}
+        self._sym: dict[tuple[int, int], tuple[int, ...]] = {}
         self.dims: dict[int, int] = {}
         for k in range(d_degrees[0] - c_degrees[-1], d_degrees[-1] - c_degrees[0] + 1):
-            slices = []
-            offset = 0
-            for p in c_degrees:
-                if p + k not in D.terms:
-                    continue
-                for s, a in enumerate(C.terms[p]):
-                    for t, b in enumerate(D.terms[p + k]):
-                        m = b.twist - a.twist
-                        if m < 0:
-                            continue
-                        space = hom_space(self.setup, m, a.irrep, b.irrep)
-                        if len(space):
-                            slices.append(_Slice(p, s, t, space, offset))
-                            offset += len(space)
-            if offset > hom_complex_cap():
+            total = sum(sum(map(sum, dims)) for _, dims in self._pair_dims(k))
+            if total > hom_complex_cap():
                 raise HomComplexCapExceeded(
                     f"Hom complex {C.label()} -> {D.label()} has dimension"
-                    f" {offset} in degree {k}, above the cap"
+                    f" {total} in degree {k}, above the cap"
                     f" EQCOL_HOM_COMPLEX_CAP={hom_complex_cap()}")
-            if slices:
-                self.slices[k] = slices
-                self.dims[k] = offset
-        self._slice_at = {(k, sl.p, sl.s, sl.t): sl
-                          for k, slices in self.slices.items() for sl in slices}
+            if total:
+                self.dims[k] = total
+        self._layouts: dict[int, dict[int, list[list[int | None]]]] = {}
+        self._spaces: dict[tuple[int, int, int], HomSpace] = {}
         self._deltas: dict[int, list[SparseVec]] = {}
         self._ranks: dict[int, int] = {}
+        self._residues: dict[int, _Residues] = {}
+        self.certified: bool | None = None
 
     def dim(self, k: int) -> int:
         return self.dims.get(k, 0)
+
+    def _pair_dims(self, k: int):
+        """(p, dims) for each p with C^p and D^(p+k) nonzero, dims[s][t] the
+        dimension of Hom(C^p[s], D^(p+k)[t]), read off the integer tables
+        (Sym^m V-dual tensor sigma, cached by (m, sigma)) with no Hom space
+        built."""
+        C, D, sym = self.source, self.target, self._sym
+        for p in C.degrees:
+            targets = D.terms.get(p + k)
+            if not targets:
+                continue
+            dims = []
+            for a in C.terms[p]:
+                row = []
+                for b in targets:
+                    m = b.twist - a.twist
+                    if m < 0:
+                        row.append(0)
+                        continue
+                    table = sym.get((m, b.irrep))
+                    if table is None:
+                        table = sym[(m, b.irrep)] = \
+                            self.setup.sym_decomposition(m, b.irrep)
+                    row.append(table[a.irrep])
+                dims.append(row)
+            yield p, dims
+
+    def _layout(self, k: int) -> dict[int, list[list[int | None]]]:
+        """The first row of Hom^k of each Hom(C^p[s], D^(p+k)[t]), as
+        layout[p][s][t], None where that space is zero; built on first use.
+        Rows run over p, then s, then t."""
+        layout = self._layouts.get(k)
+        if layout is None:
+            layout, offset = {}, 0
+            if k in self.dims:
+                for p, dims in self._pair_dims(k):
+                    starts = []
+                    for row in dims:
+                        row_starts = []
+                        for d in row:
+                            row_starts.append(offset if d else None)
+                            offset += d
+                        starts.append(row_starts)
+                    layout[p] = starts
+            self._layouts[k] = layout
+        return layout
+
+    def _space(self, a: EqLineBundle, b: EqLineBundle) -> HomSpace:
+        """The Hom space from a to b, looked up once per Hom complex."""
+        key = (b.twist - a.twist, a.irrep, b.irrep)
+        space = self._spaces.get(key)
+        if space is None:
+            space = self._spaces[key] = hom_space(self.setup, *key)
+        return space
+
+    def _slices(self, k: int):
+        """(p, s, t, space, offset) for each nonzero Hom(C^p[s], D^(p+k)[t]),
+        in row order."""
+        C, D = self.source, self.target
+        for p, starts in self._layout(k).items():
+            sources, targets = C.terms[p], D.terms[p + k]
+            for s, row_starts in enumerate(starts):
+                for t, offset in enumerate(row_starts):
+                    if offset is not None:
+                        yield p, s, t, self._space(sources[s], targets[t]), offset
+
+    @cached_property
+    def _diff_index(self):
+        """The blocks of D's differential by source, (q, t) -> [(u, g)], and
+        those of C's by target, (p, s) -> [(sp, e)], each list ascending."""
+        posts: dict[tuple[int, int], list] = {}
+        for q, blocks in self.target.diffs.items():
+            for (u, t), g in sorted(blocks.items(), key=lambda item: item[0][0]):
+                posts.setdefault((q, t), []).append((u, g))
+        pres: dict[tuple[int, int], list] = {}
+        for d, blocks in self.source.diffs.items():
+            for (s, sp), e in sorted(blocks.items(), key=lambda item: item[0][1]):
+                pres.setdefault((d + 1, s), []).append((sp, e))
+        return posts, pres
+
+    def _blocks(self, k: int):
+        """Per nonzero Hom space of Hom^k, in row order: the space, the
+        blocks g of D's differential that meet it and the blocks e of C's
+        that meet it, each with the first row and the space of Hom^(k+1)
+        that g o f or f o e lands in."""
+        C, D = self.source, self.target
+        posts, pres = self._diff_index
+        outs = self._layout(k + 1)
+        for p, s, t, space, _ in self._slices(k):
+            q = p + k
+            post = []
+            if p in outs:
+                a = C.terms[p][s]
+                for u, g in posts.get((q, t), ()):
+                    start = outs[p][s][u]
+                    if start is not None:
+                        post.append((g, start, self._space(a, D.terms[q + 1][u])))
+            pre = []
+            if p - 1 in outs:
+                b = D.terms[q][t]
+                for sp, e in pres.get((p, s), ()):
+                    start = outs[p - 1][sp][t]
+                    if start is not None:
+                        pre.append((e, start, self._space(C.terms[p - 1][sp], b)))
+            yield space, post, pre
 
     def delta(self, k: int) -> list[SparseVec]:
         """delta^k as sparse columns, one per basis vector of Hom^k, each
@@ -354,40 +566,94 @@ class HomComplexData:
         if k in self._deltas:
             return self._deltas[k]
         negate_pre = k % 2 == 0
-        D, C = self.target, self.source
         columns = []
-        for sl in self.slices.get(k, ()):
-            q = sl.p + k
-            # post-compose with the target differential
-            posts = []
-            for u in range(len(D.terms.get(q + 1, ()))):
-                g = D.diff_block(q, u, sl.t)
-                out = self._slice_at.get((k + 1, sl.p, sl.s, u))
-                if g is not None and out is not None:
-                    posts.append((g, out))
-            # pre-compose with the source differential
-            pres = []
-            for sp in range(len(C.terms.get(sl.p - 1, ()))):
-                e = C.diff_block(sl.p - 1, sl.s, sp)
-                out = self._slice_at.get((k + 1, sl.p - 1, sp, sl.t))
-                if e is not None and out is not None:
-                    pres.append((e, out))
-            for f in sl.space.basis:
+        for space, posts, pres in self._blocks(k):
+            for f in space.basis:
                 column: SparseVec = {}
-                for g, out in posts:
-                    _accumulate(column, out, compose_hom(f, g), False)
-                for e, out in pres:
-                    _accumulate(column, out, compose_hom(e, f), negate_pre)
+                for g, start, out in posts:
+                    _accumulate(column, start, out, compose_hom(f, g), False)
+                for e, start, out in pres:
+                    _accumulate(column, start, out, compose_hom(e, f), negate_pre)
                 columns.append({i: c for i, c in column.items() if c})
         self._deltas[k] = columns
         return columns
 
     def rank(self, k: int) -> int:
+        """The exact rank of delta^k."""
         if k not in self._ranks:
-            self._ranks[k] = sparse_rank(self.delta(k))
+            self._ranks[k] = (sparse_rank(self.delta(k))
+                              if k in self.dims and k + 1 in self.dims else 0)
         return self._ranks[k]
 
+    def _reduced(self, image: ModularImage, elem: HomElement) -> _Residues:
+        """A differential block mod p, reduced once per Hom complex (the
+        complexes hold the blocks, so their ids stay unique)."""
+        out = self._residues.get(id(elem))
+        if out is None:
+            out = self._residues[id(elem)] = _Residues(image, elem)
+        return out
+
+    def _modular_columns(self, k: int, image: ModularImage):
+        """The columns of delta^k mod p, {row: integer} with residues
+        summed, one at a time."""
+        p = image.p
+        negate_pre = k % 2 == 0
+        spaces: dict[int, _SpaceResidues] = {}
+
+        def residues(space: HomSpace) -> _SpaceResidues:
+            out = spaces.get(id(space))
+            if out is None:
+                out = spaces[id(space)] = _space_residues(
+                    self.setup, space.m, space.rho_index, space.sigma_index)
+            return out
+
+        for space, posts, pres in self._blocks(k):
+            posts = [(self._reduced(image, g), start, residues(out))
+                     for g, start, out in posts]
+            pres = [(self._reduced(image, e), start, residues(out))
+                    for e, start, out in pres]
+            for f in residues(space).basis:
+                column: dict[int, int] = {}
+                for g, offset, target in posts:
+                    for i, c in _compose_mod(f, g, target, p).items():
+                        column[offset + i] = column.get(offset + i, 0) + c
+                for e, offset, target in pres:
+                    for i, c in _compose_mod(e, f, target, p).items():
+                        column[offset + i] = column.get(offset + i, 0) + (
+                            -c if negate_pre else c)
+                yield column
+
+    def _modular_rank(self, k: int, image: ModularImage) -> int:
+        """The rank of delta^k mod p, a lower bound for its rank."""
+        return sparse_rank_mod(self._modular_columns(k, image), image.p)
+
+    def _certify(self) -> bool:
+        """Fill in the rank of every differential from its rank mod p when
+        the parity certificate holds, and say whether it held.  Ranks
+        already known exactly are kept; nothing is filled in on failure."""
+        degrees = [k for k in self.dims
+                   if k + 1 in self.dims and k not in self._ranks]
+        if not degrees:
+            return True
+        try:
+            image = _ext_image(self.setup)
+            ranks = {k: self._modular_rank(k, image) for k in degrees}
+        except CertificateFailure:
+            return False
+        known = {**self._ranks, **ranks}
+        parities = {k % 2 for k, dim in self.dims.items()
+                    if dim != known.get(k, 0) + known.get(k - 1, 0)}
+        if len(parities) > 1:
+            return False
+        self._ranks.update(ranks)
+        return True
+
     def ext_dims(self) -> dict[int, int]:
+        """The cohomology dimensions, nonzero only.  The ranks come from the
+        parity certificate when it holds, and from the exact differentials
+        when it does not."""
+        if self.certified is None:
+            self.certified = self._certify()
         out = {}
         for k, dim in self.dims.items():
             h = dim - self.rank(k) - self.rank(k - 1)
@@ -432,19 +698,23 @@ class HomComplexData:
         return [tuple(row.get(i, zero) for i in range(self.dim(0)))
                 for row in span[count:]]
 
+    def h0_maps(self) -> list[ChainMap]:
+        """The chain maps of h0_vectors."""
+        return [self.chain_map_from_vector(v) for v in self.h0_vectors()]
+
     def chain_map_from_vector(self, vector) -> ChainMap:
         if len(vector) != self.dim(0):
             raise InvalidParameter("vector length does not match Hom^0")
         blocks: dict[int, dict] = {}
-        for sl in self.slices.get(0, ()):
+        for p, s, t, space, offset in self._slices(0):
             total = None
-            for i, base in enumerate(sl.space.basis):
-                c = vector[sl.offset + i]
+            for i, base in enumerate(space.basis):
+                c = vector[offset + i]
                 if c:
                     part = base * c
                     total = part if total is None else total + part
             if total is not None and total:
-                blocks.setdefault(sl.p, {})[(sl.t, sl.s)] = total
+                blocks.setdefault(p, {})[(t, s)] = total
         return ChainMap(self.source, self.target, blocks)
 
     def _sparse_vector(self, cm: ChainMap) -> SparseVec:
@@ -454,13 +724,13 @@ class HomComplexData:
             raise BasisMismatch("chain map belongs to a different Hom complex")
         vector: SparseVec = {}
         covered = set()
-        for sl in self.slices.get(0, ()):
-            covered.add((sl.p, sl.t, sl.s))
-            elem = cm.block(sl.p, sl.t, sl.s)
+        for p, s, t, space, offset in self._slices(0):
+            covered.add((p, t, s))
+            elem = cm.block(p, t, s)
             if elem is None:
                 continue
-            for i, c in sl.space.sparse_coordinates(elem).items():
-                vector[sl.offset + i] = c
+            for i, c in space.sparse_coordinates(elem).items():
+                vector[offset + i] = c
         for degree, entry in cm.blocks.items():
             for key in entry:
                 if (degree, *key) not in covered:
@@ -499,14 +769,20 @@ def pair_ext_dims(C: EqComplex, D: EqComplex) -> dict[int, int]:
 def cohomology_basis(C: EqComplex, D: EqComplex, degree: int = 0) -> list[ChainMap]:
     if degree != 0:
         raise InvalidParameter("only degree-0 representatives are supported")
-    data = HomComplexData(C, D)
-    return [data.chain_map_from_vector(v) for v in data.h0_vectors()]
+    return HomComplexData(C, D).h0_maps()
 
 
 def _evaluation_maps(E: EqComplex, F: EqComplex) -> list[ChainMap]:
     """A basis of Hom(E, F), which must be concentrated in degree 0; empty
-    when the pair is orthogonal."""
-    dims = pair_ext_dims(E, F)
+    when the pair is orthogonal.  One Hom complex gives both the dimensions
+    and the representatives; a pair of line bundles takes its dimensions
+    from the closed form and builds the complex only when Hom is nonzero."""
+    data = None
+    if E.is_line_bundle() and F.is_line_bundle():
+        dims = pair_ext_dims(E, F)
+    else:
+        data = HomComplexData(E, F)
+        dims = data.ext_dims()
     stray = {k: v for k, v in dims.items() if k != 0}
     if stray:
         raise NonConcentratedHom(
@@ -514,7 +790,7 @@ def _evaluation_maps(E: EqComplex, F: EqComplex) -> list[ChainMap]:
     h = dims.get(0, 0)
     if h == 0:
         return []
-    maps = cohomology_basis(E, F, 0)
+    maps = (data or HomComplexData(E, F)).h0_maps()
     if len(maps) != h:
         raise BasisMismatch(
             f"{len(maps)} cohomology representatives for a Hom of dimension {h}")

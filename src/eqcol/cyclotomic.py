@@ -69,6 +69,40 @@ def _prime_factors(n: int) -> tuple[int, ...]:
     return tuple(primes)
 
 
+# The first 13 primes: as Miller-Rabin bases they decide primality of every
+# n below 3.3 * 10^24 (J. Sorenson and J. Webster, "Strong pseudoprimes to
+# twelve prime bases", Math. Comp. 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for n below _MR_LIMIT, trial division
+    above it."""
+    if n < 2:
+        return False
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    if n >= _MR_LIMIT:
+        return _prime_factors(n) == (n,)
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def divisors(n: int) -> list[int]:
     """All positive divisors of n, ascending."""
     small, large = [], []
@@ -589,7 +623,7 @@ class ModularImage:
     def __init__(self, conductor: int, above: int):
         conductor = _normalize_conductor(conductor)
         p = -(-above // conductor) * conductor + 1
-        while _prime_factors(p) != (p,):
+        while not _is_prime(p):
             p += conductor
         self.conductor = conductor
         self.p = p

@@ -12,7 +12,8 @@ so every basis derived from it is deterministic.
 
 `CycMatrix` rank, determinant, solve, inverse, RREF and kernel, and
 `rref_rows`, hand their rows to this elimination and make the result dense
-again.
+again.  `sparse_rank_mod` runs the same forward elimination on integer
+residues modulo a prime.
 """
 
 from __future__ import annotations
@@ -297,6 +298,33 @@ def _sparse_forward(vectors: Iterable[Mapping[int, CycNum]]
 def sparse_rank(vectors: Iterable[Mapping[int, CycNum]]) -> int:
     """Dimension of the span of sparse vectors (forward elimination only)."""
     return len(_sparse_forward(vectors)[0])
+
+
+def sparse_rank_mod(vectors: Iterable[Mapping[int, int]], p: int) -> int:
+    """Dimension over F_p of the span of sparse integer vectors, by the
+    forward elimination of `_sparse_forward` on residues mod the prime p.
+    The vectors are consumed one at a time, so only the echelon rows are
+    held, each as the (index, residue) pairs after its lead, where it is 1:
+    a unit row is the empty tuple."""
+    rows: dict[int, tuple[tuple[int, int], ...]] = {}
+    for vector in vectors:
+        v = {j: r for j, c in vector.items() if (r := c % p)}
+        while v:
+            lead = min(v)
+            row = rows.get(lead)
+            if row is None:
+                inv = pow(v.pop(lead), -1, p)
+                rows[lead] = tuple((j, c * inv % p) for j, c in v.items())
+                break
+            c = p - v.pop(lead)
+            for j, x in row:
+                # c * x is nonzero mod p, so a zero sum means v held j
+                new = (v.get(j, 0) + c * x) % p
+                if new:
+                    v[j] = new
+                else:
+                    del v[j]
+    return len(rows)
 
 
 def sparse_echelon(vectors: Iterable[Mapping[int, CycNum]]

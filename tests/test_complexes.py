@@ -7,11 +7,14 @@ independent oracle for every Hom-complex rank computed here.
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eqcol.cohomology import EqLineBundle, KClass, ext_dim_equivariant, euler_pairing, koszul_reduce
 from eqcol.complexes import (
     ChainMap,
     EqComplex,
+    HomComplexData,
+    _ext_image,
     cohomology_basis,
     compose_chain_maps,
     ext_dims,
@@ -32,7 +35,10 @@ from eqcol.errors import (
     WindowViolation,
 )
 from eqcol.homspaces import HomElement, hom_space
+from eqcol.linalg import sparse_rank
 from eqcol.reps import binary_dihedral, cyclic_diagonal
+from eqcol.scenario import parse_scenario, run_scenario
+from test_repring import build as build_repring_setup, specs as repring_specs
 
 
 @pytest.fixture(scope="module")
@@ -359,3 +365,149 @@ def test_hom_complex_cap_stops_before_any_differential(c3, monkeypatch):
     finally:
         monkeypatch.delenv("EQCOL_HOM_COMPLEX_CAP")
         hom_complex_cap.cache_clear()
+
+
+# -- Ext dimensions from ranks mod p -----------------------------------------
+
+
+def exact_table(data):
+    """The cohomology dimensions from the exact ranks of every delta."""
+    ranks = {k: sparse_rank(data.delta(k)) for k in data.dims}
+    out = {}
+    for k, dim in data.dims.items():
+        h = dim - ranks[k] - ranks.get(k - 1, 0)
+        if h:
+            out[k] = h
+    return out
+
+
+def _sweep_object(setup, draw, cone):
+    """A mutation cone of two line bundles with a nonzero Hom between them
+    when `cone`, else a line bundle or a sum of line bundles in one degree;
+    twists lie in [0, n], so every pair of these is inside the window."""
+    bundles = [EqLineBundle(i, j) for i in range(setup.n + 1)
+               for j in range(setup.r_plus_1)]
+    if cone:
+        a = draw(st.sampled_from(bundles))
+        targets = [b for b in bundles if b != a
+                   and setup.hom_dim(a.twist, b.twist, a.irrep, b.irrep)]
+        if targets:
+            E = from_line_bundle(setup, a)
+            F = from_line_bundle(setup, draw(st.sampled_from(targets)))
+            return right_mutation(E, F) if draw(st.booleans()) else left_mutation(E, F)
+    degree = draw(st.integers(-1, 1))
+    summands = draw(st.lists(st.sampled_from(bundles), min_size=1, max_size=3))
+    return EqComplex(setup, {degree: summands})
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(spec=repring_specs, data=st.data())
+def test_modular_ext_dims_match_exact(spec, data):
+    setup = build_repring_setup(spec)
+    C = _sweep_object(setup, data.draw, cone=True)
+    D = _sweep_object(setup, data.draw, cone=data.draw(st.booleans()))
+    if data.draw(st.booleans()):
+        C, D = D, C
+    hom = hom_complex(C, D)
+    image = _ext_image(setup)
+    for k in hom.dims:
+        if k + 1 in hom.dims:
+            assert hom._modular_rank(k, image) == sparse_rank(hom.delta(k))
+    fresh = hom_complex(C, D)
+    assert fresh.ext_dims() == exact_table(hom)
+    assert fresh.certified is not None
+
+
+def _cone(setup, scale):
+    """O -> O(1) tensor rho_1 on Z/3 acting on P^2, its differential
+    `scale` times the first basis vector of the degree-1 Hom space."""
+    phi = hom_space(setup, 1, 0, 1).basis[0]
+    return EqComplex(setup, {0: (EqLineBundle(0, 0),), 1: (EqLineBundle(1, 1),)},
+                     {0: {(0, 0): phi * scale}})
+
+
+def test_differential_vanishing_mod_p_falls_back(c3):
+    # Hom^-1 = Hom(O(1) rho_1, O(1) rho_1) and Hom^0 = Hom(O, O(1) rho_1),
+    # of dimensions 1 and 3; delta^-1 has rank 1 but vanishes mod p
+    p = _ext_image(c3).p
+    target = lb(c3, 1, 1)
+    plain = hom_complex(_cone(c3, 1), target)
+    assert plain.dims == {-1: 1, 0: 3}
+    assert plain.ext_dims() == {0: 2} and plain.certified is True
+    scaled = hom_complex(_cone(c3, p), target)
+    assert scaled._modular_rank(-1, _ext_image(c3)) == 0
+    assert scaled.ext_dims() == {0: 2} and scaled.certified is False
+    assert scaled.ext_dims() == exact_table(scaled)
+
+
+def test_conductor_outside_the_image_falls_back(c3):
+    # a differential scaled by zeta_5 lives outside Q(zeta_3), which the
+    # image of Z/3 covers; the exact path still gives the table
+    data = hom_complex(_cone(c3, CycNum.zeta(5)), lb(c3, 1, 1))
+    assert data.ext_dims() == {0: 2} and data.certified is False
+
+
+def test_tampered_modular_rank_cannot_give_a_wrong_dimension(bd2, c3, monkeypatch):
+    honest = HomComplexData._modular_rank
+
+    def one_short(self, k, image):
+        rank = honest(self, k, image)
+        return rank - 1 if rank else rank
+
+    pairs = []
+    for setup in (bd2, c3):
+        R = right_mutation(lb(setup, 0, 0), lb(setup, 1, 1))
+        L = left_mutation(lb(setup, 0, 1), lb(setup, 1, 0))
+        pairs += [(R, R), (L, L), (R, lb(setup, 1, 2)), (lb(setup, 0, 0), R),
+                  (L, R), (R, L)]
+    expected = [exact_table(hom_complex(C, D)) for C, D in pairs]
+    monkeypatch.setattr(HomComplexData, "_modular_rank", one_short)
+    tampered = 0
+    for (C, D), table in zip(pairs, expected):
+        data = hom_complex(C, D)
+        assert data.ext_dims() == table
+        tampered += data.certified is False
+    assert tampered
+
+
+def test_one_hom_complex_per_mutation_pair(bd2, monkeypatch):
+    builds = []
+    init = HomComplexData.__init__
+
+    def counting(self, C, D):
+        builds.append((C, D))
+        init(self, C, D)
+
+    monkeypatch.setattr(HomComplexData, "__init__", counting)
+    E, F, G = lb(bd2, 0, 2), lb(bd2, 1, 0), lb(bd2, 1, 1)
+    # line bundles: Ext from the closed form, H^0 from one complex
+    R = right_mutation(E, F)
+    assert builds == [(E, F)]
+    # a cone: Ext and H^0 from the same complex
+    builds.clear()
+    assert right_mutation(R, G) != R
+    assert builds == [(R, G)]
+    # an orthogonal pair of line bundles builds none
+    builds.clear()
+    assert right_mutation(lb(bd2, 0, 1), lb(bd2, 1, 3)) == lb(bd2, 0, 1)
+    assert builds == []
+
+
+def test_every_z4p3_hom_complex_is_certified(monkeypatch):
+    outcomes = []
+    certify = HomComplexData._certify
+
+    def recording(self):
+        outcomes.append(certify(self))
+        return outcomes[-1]
+
+    monkeypatch.setattr(HomComplexData, "_certify", recording)
+    data = {"name": "z4p3", "n_plus_1": 4,
+            "group": {"kind": "cyclic_diagonal", "m": 4, "weights": [1] * 4},
+            "mode": "invariant_veronese", "veronese_d": 1,
+            "tasks": ["beilinson", "cascade", "blocks", "dsing", "check", "gram",
+                      "quiver", {"task": "twist", "k": 1},
+                      {"task": "molien", "max_degree": 24}]}
+    report = run_scenario(parse_scenario(data))
+    assert report["passed"] is True
+    assert len(outcomes) > 50 and all(outcomes)

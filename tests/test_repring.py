@@ -17,7 +17,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from eqcol.cohomology import (EqLineBundle, KClass, _reduce_bundle,
                               ext_dim_equivariant)
-from eqcol.cyclotomic import CycNum, ModularImage, parse_cyc
+from eqcol.cyclotomic import (CycNum, ModularImage, _is_prime, _prime_factors,
+                               parse_cyc)
 from eqcol.errors import CertificateFailure
 from eqcol.reps import (_lambda_tables, binary_dihedral, cyclic_diagonal,
                         molien_dimension, setup_memo, sym_power_character)
@@ -162,6 +163,22 @@ def test_modular_image_is_a_ring_map():
     # the least prime = 1 (mod N) strictly above the bound
     assert [ModularImage(4, b).p for b in (12, 13)] == [13, 17]
     assert ModularImage(1, 1).p == 2
+
+
+def test_miller_rabin_agrees_with_trial_division():
+    assert [n for n in range(10 ** 5) if _is_prime(n)] == \
+        [n for n in range(2, 10 ** 5) if _prime_factors(n) == (n,)]
+    # Mersenne primes, 10^9 + 7, and the least prime above 10^18
+    for p in (2 ** 31 - 1, 2 ** 61 - 1, 10 ** 9 + 7, 10 ** 18 + 3):
+        assert _is_prime(p)
+    # a Carmichael number, a product and a square of large primes, and
+    # strong pseudoprimes to every prime base up to 23 and up to 37
+    for n in (561, (2 ** 31 - 1) * (10 ** 9 + 7), (2 ** 31 - 1) ** 2,
+              3825123056546413051, 318665857834031151167461):
+        assert not _is_prime(n)
+    image = ModularImage(7, 2 ** 31)
+    assert image.p == next(p for p in range(2 ** 31 + 1, 2 ** 32)
+                           if p % 7 == 1 and _prime_factors(p) == (p,))
 
 
 def test_modular_image_refuses_vanishing_denominators():
