@@ -309,19 +309,19 @@ def _accumulate(column: SparseVec, offset: int, space: HomSpace,
 @setup_memo
 def _ext_image(setup: Setup) -> ModularImage:
     """The map to F_p used for Ext ranks: p = 1 mod the lcm N of the
-    conductors of the group generators and of their irrep images, so every
-    value built from them maps.  p is the least such prime above 2^29: for
+    conductors of the group generators' entries and of the irreps (each
+    the lcm of its images' conductors), so every value built from them
+    maps.  p is the least such prime above 2^29: for
     moderate N it is below 2^30, so a residue is one 30-bit digit of a
     CPython int, and a rank drops mod p only when p divides a minor, which
     costs the exact fallback, never a wrong answer."""
-    group = setup.group
     conductor = 1
-    for g in group.generators:
-        gi = group.index_of(g)
-        for matrix in (g, *(rep.matrix(gi) for rep in setup.irreps)):
-            for row in matrix.rows:
-                for v in row:
-                    conductor = lcm(conductor, v.conductor)
+    for g in setup.group.generators:
+        for row in g.rows:
+            for v in row:
+                conductor = lcm(conductor, v.conductor)
+    for rep in setup.irreps:
+        conductor = lcm(conductor, rep.conductor)
     return ModularImage(conductor, 1 << 29)
 
 

@@ -14,15 +14,23 @@ so every basis derived from it is deterministic.
 `rref_rows`, hand their rows to this elimination and make the result dense
 again.  `sparse_rank_mod` runs the same forward elimination on integer
 residues modulo a prime.
+
+A square matrix over Q(zeta_N) also has a flat form: its power-basis
+numerators over one common denominator, on integer slots.  The power basis
+modulo Phi_N is a basis, so the flat form is unique and two matrices are
+equal exactly when their flat forms are.  `RightMultiplier` is X -> X A on
+flat forms for a fixed A, a Q-linear map kept as cached integer
+contributions, so a product takes no `CycNum` arithmetic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from math import gcd
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .cyclotomic import CycNum
+from .cyclotomic import CycNum, _make, _power_terms, euler_phi, lcm
 from .errors import InvalidParameter, NotInvertible
 
 
@@ -142,9 +150,6 @@ class CycMatrix:
         for i in range(self.nrows):
             total = total + self.rows[i][i]
         return total
-
-    def is_identity(self) -> bool:
-        return self.nrows == self.ncols and self == CycMatrix.identity(self.nrows)
 
     def is_scalar(self) -> bool:
         """True when the matrix is lambda * identity for some scalar."""
@@ -395,3 +400,133 @@ def eliminate_along(vector: Mapping[int, CycNum], rows: Sequence[Mapping[int, Cy
         for j in reached:
             heappush(queue, (position[j], j))
     return coeffs, v
+
+
+# -- flat integer coordinates --------------------------------------------
+
+# ((slot, numerator), ...) ascending by slot, nonzero numerators only, and
+# the common denominator
+FlatMatrix = tuple[tuple[tuple[int, int], ...], int]
+
+
+def flatten(matrix: CycMatrix, conductor: int) -> FlatMatrix:
+    """The flat form of a d x d matrix at conductor N: entry (row, col)
+    puts its numerators at slots (row * d + col) * phi(N) + power, over one
+    denominator den > 0 with gcd(den, *n) == 1.  Every entry's conductor
+    must divide N.
+
+    The den is the lcm of the entries' denominators.  A prime power p^k
+    exactly dividing it exactly divides some entry's denominator, whose
+    numerators are not all divisible by p, and that entry is scaled by a
+    factor prime to p; so the scaled numerators need no further division."""
+    d = matrix.nrows
+    phi = euler_phi(conductor)
+    entries = [((r * d + c) * phi, v.to_conductor(conductor))
+               for r, row in enumerate(matrix.rows)
+               for c, v in enumerate(row) if v]
+    den = 1
+    for _, v in entries:
+        den = lcm(den, v.den)
+    coords = []
+    for base, v in entries:
+        scale = den // v.den
+        coords.extend((base + t, x * scale) for t, x in enumerate(v.num) if x)
+    return tuple(coords), den
+
+
+def unflatten(flat: FlatMatrix, dim: int, conductor: int) -> CycMatrix:
+    """The dim x dim matrix of a flat form at conductor N; each rational
+    entry comes back at conductor 1, the others at N."""
+    coords, den = flat
+    phi = euler_phi(conductor)
+    nums = [[0] * phi for _ in range(dim * dim)]
+    for slot, n in coords:
+        entry, power = divmod(slot, phi)
+        nums[entry][power] = n
+    entries = [_make(conductor, num, den) if any(num[1:])
+               else CycNum.from_rat(Fraction(num[0], den)) for num in nums]
+    return CycMatrix([entries[r * dim:(r + 1) * dim] for r in range(dim)])
+
+
+def flat_trace(flat: FlatMatrix, dim: int, conductor: int) -> FlatMatrix:
+    """The trace of a flat form at conductor N, as the flat form of a 1 x 1
+    matrix: its slots are the powers, so equal traces are equal tuples."""
+    coords, den = flat
+    phi = euler_phi(conductor)
+    step = dim + 1
+    acc: dict[int, int] = {}
+    for slot, n in coords:
+        entry, power = divmod(slot, phi)
+        if entry % step == 0:
+            acc[power] = acc.get(power, 0) + n
+    return _canonical(acc, den)
+
+
+def _canonical(acc: dict[int, int], den: int) -> FlatMatrix:
+    """The nonzero (slot, numerator) pairs of acc, ascending, over den, both
+    divided by their gcd; the gcd is taken only when den != 1."""
+    items = sorted([i for i in acc.items() if i[1]])
+    if den != 1:
+        g = gcd(den, *[n for _, n in items])
+        if g != 1:
+            items = [(slot, n // g) for slot, n in items]
+            den //= g
+    return tuple(items), den
+
+
+class RightMultiplier:
+    """X -> X A on flat forms at conductor N, for a fixed d x d matrix A.
+
+    The map is Q-linear.  Input slot (row, k, t) of numerator n adds n
+    times the coordinates of x^t A[k][c], for every column c, to output row
+    `row`; those contributions depend on (k, t) alone, and are kept as
+    integers over A's denominator, each built on first use.  An application
+    visits only the input's nonzero coordinates and takes one gcd, and only
+    when the product of the denominators is not 1.  `CycMatrix.__mul__` is
+    the oracle.
+    """
+
+    __slots__ = ("image", "dim", "conductor", "_phi", "_rows", "_terms")
+
+    def __init__(self, matrix: CycMatrix, conductor: int):
+        self.image = flatten(matrix, conductor)
+        self.dim = d = matrix.nrows
+        self.conductor = conductor
+        self._phi = euler_phi(conductor)
+        # row k of A as (col * phi + power, numerator) pairs
+        width = d * self._phi
+        self._rows: list[list[tuple[int, int]]] = [[] for _ in range(d)]
+        for slot, n in self.image[0]:
+            k, offset = divmod(slot, width)
+            self._rows[k].append((offset, n))
+        self._terms: dict[int, tuple[tuple[int, int], ...]] = {}
+
+    def _contribution(self, key: int) -> tuple[tuple[int, int], ...]:
+        """The coordinates of x^t A[k][c], c = 0..d-1, within one row, for
+        key = k * phi + t."""
+        phi = self._phi
+        k, t = divmod(key, phi)
+        acc: dict[int, int] = {}
+        for offset, n in self._rows[k]:
+            col, s = divmod(offset, phi)
+            base = col * phi
+            for j, e in _power_terms(self.conductor, t + s):
+                acc[base + j] = acc.get(base + j, 0) + n * e
+        terms = self._terms[key] = _canonical(acc, 1)[0]
+        return terms
+
+    def __call__(self, flat: FlatMatrix) -> FlatMatrix:
+        coords, den = flat
+        width = self.dim * self._phi
+        terms = self._terms
+        out: dict[int, int] = {}
+        for slot, n in coords:
+            row, key = divmod(slot, width)
+            contribution = terms.get(key)
+            if contribution is None:
+                contribution = self._contribution(key)
+            base = row * width
+            for offset, e in contribution:
+                s = base + offset
+                out[s] = out.get(s, 0) + n * e
+        return _canonical(out, den * self.image[1])

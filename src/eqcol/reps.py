@@ -2,10 +2,18 @@
 
 Irreducible representations are never computed from scratch: the builtin
 families carry hand-pinned generator images, and user-supplied groups must
-provide them.  The images are extended along the group's spanning tree of
-words and then verified once, when the Setup is built: multiplicativity on
-the Schreier edges (the pairs off the tree), class constancy, character
-orthonormality from residues mod p, and the sum of squared dimensions.
+provide them.  An irrep keeps one coordinate table: each element's matrix
+in the flat form of `linalg.flatten` at the irrep's conductor N, the lcm
+of its images' conductors, i.e. the power-basis numerators of its entries
+over one common denominator.  That form is unique, so matrices are
+compared as tuples.  The images are extended along the group's spanning
+tree of words by one `RightMultiplier` per generator, X -> X A as a cached
+Q-linear map on integer coordinates, and then verified once, when the
+Setup is built: the identity, the generator images, multiplicativity on
+the Schreier edges (the pairs off the tree), class constancy on canonical
+traces, character orthonormality from residues mod p, and the sum of
+squared dimensions.  A `CycMatrix` of an element is a view, built on first
+use.
 
 Multiplicities live in the integer representation ring.  Once per Setup,
 on first use, the integer tables L_k (row sigma: the irrep decomposition of
@@ -30,7 +38,7 @@ from fractions import Fraction
 from functools import wraps
 from math import comb
 
-from .cyclotomic import CycNum, ModularImage, lcm
+from .cyclotomic import CycNum, ModularImage, euler_phi, lcm
 from .errors import (CertificateFailure, GroupMismatch, InvalidParameter,
                      NegativeDegree)
 from .groups import (
@@ -39,7 +47,8 @@ from .groups import (
     central_scalar_subgroup,
     generate_group,
 )
-from .linalg import CycMatrix
+from .linalg import (CycMatrix, FlatMatrix, RightMultiplier, flat_trace,
+                     unflatten)
 
 
 class CharacterVec:
@@ -138,69 +147,100 @@ class CharacterVec:
 
 
 class Irrep:
-    """An irreducible representation given by one matrix per group element.
+    """An irreducible representation, as flat integer coordinates per group
+    element.
 
-    Internal: use irrep_from_images, which forms every matrix from the
-    generator images along the group's spanning tree; verify_irreps relies
-    on that to skip the tree edges.
+    Internal: use irrep_from_images, which forms every element's flat form
+    from the generator images along the group's spanning tree; verify_irreps
+    relies on that to skip the tree edges.  `table[i]` is the flat form of
+    rho(element i) at the irrep's conductor N, the lcm of its images'
+    conductors, and `multipliers[g]` is right multiplication by the image of
+    generator g.  `matrix(i)` is a `CycMatrix` view, built on first use.
     """
 
-    __slots__ = ("group", "index", "name", "matrices", "_character")
+    __slots__ = ("group", "index", "name", "conductor", "dim", "multipliers",
+                 "table", "_views", "_character")
 
     def __init__(self, group: FiniteMatrixGroup, index: int, name: str,
-                 matrices: list[CycMatrix]):
-        if len(matrices) != group.order:
+                 conductor: int, dim: int, multipliers: list[RightMultiplier],
+                 table: list[FlatMatrix]):
+        if len(table) != group.order:
             raise InvalidParameter("one matrix per group element required")
         self.group = group
         self.index = index
         self.name = name
-        self.matrices = tuple(matrices)
+        self.conductor = conductor
+        self.dim = dim
+        self.multipliers = tuple(multipliers)
+        self.table = tuple(table)
+        self._views: dict[int, CycMatrix] = {}
         self._character: CharacterVec | None = None
 
-    @property
-    def dim(self) -> int:
-        return self.matrices[0].nrows
-
     def matrix(self, i: int) -> CycMatrix:
-        return self.matrices[i]
+        view = self._views.get(i)
+        if view is None:
+            view = self._views[i] = unflatten(self.table[i], self.dim,
+                                              self.conductor)
+        return view
+
+    def trace(self, i: int) -> FlatMatrix:
+        """The trace of rho(element i) as a canonical flat form."""
+        return flat_trace(self.table[i], self.dim, self.conductor)
 
     def character(self) -> CharacterVec:
+        """The traces at the class representatives, as values at the
+        irrep's conductor."""
         if self._character is None:
-            group = self.group
-            self._character = CharacterVec(
-                group,
-                [self.matrices[group.class_representative(c)].trace()
-                 for c in range(len(group.classes))],
-            )
+            group, conductor = self.group, self.conductor
+            phi = euler_phi(conductor)
+            values = []
+            for c in range(len(group.classes)):
+                coords, den = self.trace(group.class_representative(c))
+                num = [0] * phi
+                for power, n in coords:
+                    num[power] = n
+                values.append(CycNum(conductor, tuple(num), den))
+            self._character = CharacterVec(group, values)
         return self._character
 
     def __repr__(self) -> str:
         return f"Irrep({self.name}, dim={self.dim})"
 
 
+def _identity_flat(dim: int, conductor: int) -> FlatMatrix:
+    phi = euler_phi(conductor)
+    return tuple(((r * dim + r) * phi, 1) for r in range(dim)), 1
+
+
 def irrep_from_images(group: FiniteMatrixGroup, index: int, name: str,
                       images: list[CycMatrix]) -> Irrep:
     """Extend generator images along the group's spanning tree.
 
-    Each element's matrix is its parent's times the image of its last
-    letter.  Only shapes are checked here, and that each generator's
-    element receives that generator's image.  Multiplicativity is checked
-    once, by verify_irreps when the Setup is built.
+    Each element's flat form is its parent's times the image of its last
+    letter, through that letter's RightMultiplier.  Only shapes are checked
+    here, and that each generator's element receives that generator's
+    image.  Multiplicativity is checked once, by verify_irreps when the
+    Setup is built.
     """
     if len(images) != len(group.generators):
         raise InvalidParameter("one image per generator required")
     dim = images[0].nrows if images else 1
+    conductor = 1
     for img in images:
         if img.nrows != img.ncols or img.nrows != dim:
             raise InvalidParameter("irrep images must be square of equal size")
-    matrices = [CycMatrix.identity(dim)] * group.order
+        for row in img.rows:
+            for v in row:
+                conductor = lcm(conductor, v.conductor)
+    multipliers = [RightMultiplier(img, conductor) for img in images]
+    table = [_identity_flat(dim, conductor)] * group.order
     for j, parent, letter in group.tree:
-        matrices[j] = matrices[parent] * images[letter]
-    for g, img in zip(group.generators, images):
-        if matrices[group.index_of(g)] != img:
+        table[j] = multipliers[letter](table[parent])
+    for g, action in zip(group.generators, multipliers):
+        if table[group.index_of(g)] != action.image:
             raise InvalidParameter(
                 f"generator images for {name} are not multiplicative")
-    return Irrep(group, index, name, matrices)
+    return Irrep(group, index, name, conductor, dim, multipliers, table)
 
 
 @dataclass(frozen=True)
@@ -216,10 +256,11 @@ def verify_irreps(group: FiniteMatrixGroup, irreps: list[Irrep]) -> VerifyReport
     Multiplicativity, rho(i * g) = rho(i) rho(g) for every element i and
     generator g, pins the whole multiplication table by induction on word
     length.  irrep_from_images forms rho(i * g) as rho(i) times the image of
-    g whenever (i, g) is an edge of the group's spanning tree, and checks
-    that each generator's element carries its image, so those |G| - 1 edges
-    hold by construction; only the Schreier edges, the other |G| k - |G| + 1
-    pairs, are compared.
+    g whenever (i, g) is an edge of the group's spanning tree, so those
+    |G| - 1 edges hold by construction once each generator's element
+    carries its image; only the Schreier edges, the other |G| k - |G| + 1
+    pairs, are compared, each by one RightMultiplier application on flat
+    forms, which are equal exactly when the matrices are.
 
     Once every irrep is multiplicative and its character constant on
     classes, <chi_a, chi_b> = dim Hom_G(rho_b, rho_a) is an integer in
@@ -235,21 +276,29 @@ def verify_irreps(group: FiniteMatrixGroup, irreps: list[Irrep]) -> VerifyReport
     if not irreps:
         return fail("empty irrep table")
     first = irreps[0]
-    if first.dim != 1 or any(not m.is_identity() for m in first.matrices):
+    one = _identity_flat(1, first.conductor)
+    if first.dim != 1 or any(m != one for m in first.table):
         return fail("first irrep is not the trivial representation")
     gen_indices = [group.index_of(g) for g in group.generators]
-    edges = [(i, gen_indices[g]) for i, g in group.schreier_edges()]
+    edges = [(i, g, group.mul(i, gen_indices[g]))
+             for i, g in group.schreier_edges()]
     for rep in irreps:
         if rep.group is not group:
             return fail(f"{rep.name} belongs to a different group")
-        if not rep.matrices[0].is_identity():
+        table = rep.table
+        if table[0] != _identity_flat(rep.dim, rep.conductor):
             return fail(f"{rep.name} does not send the identity to the identity")
-        for i, s in edges:
-            if rep.matrices[group.mul(i, s)] != rep.matrices[i] * rep.matrices[s]:
-                return fail(f"{rep.name} is not multiplicative at ({i}, {s})")
-        traces = [m.trace() for m in rep.matrices]
+        actions = rep.multipliers
+        for g, s in enumerate(gen_indices):
+            if table[s] != actions[g].image:
+                return fail(f"{rep.name} does not send generator {g} to its image")
+        for i, g, target in edges:
+            if table[target] != actions[g](table[i]):
+                return fail(f"{rep.name} is not multiplicative at"
+                            f" ({i}, {gen_indices[g]})")
         for c, orbit in enumerate(group.classes):
-            if any(traces[i] != traces[orbit[0]] for i in orbit):
+            trace = rep.trace(orbit[0])
+            if any(rep.trace(i) != trace for i in orbit[1:]):
                 return fail(f"character of {rep.name} is not constant on class {c}")
     chars = [rep.character().values for rep in irreps]
     image = ModularImage(_conductor(chars),

@@ -15,7 +15,7 @@ import pytest
 import eqcol.reps as reps_mod
 from eqcol.cyclotomic import CycNum
 from eqcol.errors import GroupMismatch, NegativeDegree
-from eqcol.linalg import CycMatrix
+from eqcol.linalg import CycMatrix, RightMultiplier
 from eqcol.reps import (
     CharacterVec,
     binary_dihedral,
@@ -213,25 +213,82 @@ def test_orthonormality_prime_exceeds_dim_squares_and_order(monkeypatch, bd2, c3
 
 
 def test_verify_irreps_compares_the_schreier_edges_only(monkeypatch):
-    # one matrix product per Schreier edge and irrep: |G| k - |G| + 1 edges,
-    # 49 of the 96 (element, generator) pairs on binary dihedral l = 12
+    # one RightMultiplier application per Schreier edge and irrep, |G| k -
+    # |G| + 1 edges (49 of the 96 (element, generator) pairs on binary
+    # dihedral l = 12), and no CycMatrix product at all
     q8 = build_setup(load_scenario(SCENARIOS / "q8_explicit.json"))
-    products = []
-    multiply = CycMatrix.__mul__
+    applications, products = [], []
+    apply, multiply = RightMultiplier.__call__, CycMatrix.__mul__
 
-    def counting(self, other):
+    def counting_apply(self, flat):
+        applications.append(1)
+        return apply(self, flat)
+
+    def counting_multiply(self, other):
         products.append(1)
         return multiply(self, other)
 
-    monkeypatch.setattr(CycMatrix, "__mul__", counting)
+    monkeypatch.setattr(RightMultiplier, "__call__", counting_apply)
+    monkeypatch.setattr(CycMatrix, "__mul__", counting_multiply)
     for setup, edges in ((binary_dihedral(2), 9), (binary_dihedral(12), 49),
                          (q8, 9)):
         group = setup.group
         assert len(group.schreier_edges()) == edges == \
             group.order * len(group.generators) - group.order + 1
+        applications.clear()
         products.clear()
         assert verify_irreps(group, list(setup.irreps)).passed
-        assert len(products) == edges * len(setup.irreps)
+        assert len(applications) == edges * len(setup.irreps)
+        assert products == []
+
+
+def oracle_tree_products(rep):
+    """Every element's matrix as the CycMatrix product along the spanning
+    tree, from the generator images (irrep_from_images checks that each
+    generator's element carries its image)."""
+    group = rep.group
+    images = [rep.matrix(group.index_of(g)) for g in group.generators]
+    out = [CycMatrix.identity(rep.dim)] * group.order
+    for j, parent, letter in group.tree:
+        out[j] = out[parent] * images[letter]
+    return out
+
+
+@pytest.mark.parametrize("name", ["bd2", "bd3", "bd12", "c3", "q8_explicit"])
+def test_irrep_tables_match_the_tree_products(name, bd2, c3):
+    if name == "q8_explicit":
+        setup = build_setup(load_scenario(SCENARIOS / "q8_explicit.json"))
+    else:
+        setup = {"bd2": bd2, "c3": c3, "bd3": binary_dihedral(3),
+                 "bd12": binary_dihedral(12)}[name]
+    group = setup.group
+    gens = [group.index_of(g) for g in group.generators]
+    for rep in setup.irreps:
+        expected = oracle_tree_products(rep)
+        for i in range(group.order):
+            assert rep.matrix(i) == expected[i]
+            for s in gens:
+                assert rep.matrix(group.mul(i, s)) == expected[i] * expected[s]
+        for c, value in enumerate(rep.character().values):
+            assert value == expected[group.class_representative(c)].trace()
+
+
+def test_irrep_table_normalizes_denominators():
+    # R has trace -1 and determinant 1, so R^2 + R + 1 = 0 and R has order 3:
+    # an image of Z/3 with denominators, whose cube comes back to den 1
+    group = cyclic_diagonal(3, [1, 2]).group
+    r = CycMatrix([[Fraction(-1, 2), Fraction(-3, 4)], [1, Fraction(-1, 2)]])
+    rep = irrep_from_images(group, 0, "R", [r])
+    g = group.index_of(group.generators[0])
+    g2 = group.mul(g, g)
+    assert rep.table[g] == (((0, -2), (1, -3), (2, 4), (3, -2)), 4)
+    # R^2 = [[-1/2, 3/4], [-1, -1/2]]: over 16 before the gcd, 4 after
+    assert rep.table[g2] == (((0, -2), (1, 3), (2, -4), (3, -2)), 4)
+    assert rep.matrix(g2) == r * r
+    # R^3 = 1 is the Schreier edge (g2, g): over 16 before the gcd, 1 after
+    assert rep.multipliers[0](rep.table[g2]) == rep.table[0] == (((0, 1), (3, 1)), 1)
+    assert rep.trace(g) == rep.trace(g2) == (((0, -1),), 1)
+    assert [rep.matrix(i) for i in range(3)] == oracle_tree_products(rep)
 
 
 def test_sym_power_low_degrees(bd2):

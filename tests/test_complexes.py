@@ -37,8 +37,8 @@ from eqcol.errors import (
 from eqcol.homspaces import HomElement, hom_space
 from eqcol.linalg import sparse_rank
 from eqcol.reps import binary_dihedral, cyclic_diagonal
-from eqcol.scenario import parse_scenario, run_scenario
-from test_repring import build as build_repring_setup, specs as repring_specs
+from eqcol.scenario import build_setup, load_scenario, parse_scenario, run_scenario
+from test_repring import SCENARIOS, build as build_repring_setup, specs as repring_specs
 
 
 @pytest.fixture(scope="module")
@@ -416,6 +416,30 @@ def test_modular_ext_dims_match_exact(spec, data):
     fresh = hom_complex(C, D)
     assert fresh.ext_dims() == exact_table(hom)
     assert fresh.certified is not None
+
+
+# The Ext prime of each shipped scenario, of binary dihedral l = 12 and of
+# Z/4 on P^3, as it was when the conductor was the lcm over every entry of
+# every generator image: reading each irrep's stored conductor keeps it.
+EXT_PRIMES = {
+    "q8_crossed_veronese_d2": 536871001, "q8_d1": 536871001,
+    "q8_explicit": 536871001, "q8_veronese_d2": 536871001,
+    "z3_crossed_d3": 536870923, "z3_d1": 536870923,
+    "z3_veronese_d3": 536870923, "bd12": 536871001, "z4p3": 536871001,
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXT_PRIMES))
+def test_ext_prime_reads_the_irrep_conductors(name):
+    if name == "bd12":
+        setup = binary_dihedral(12)
+    elif name == "z4p3":
+        setup = cyclic_diagonal(4, [1, 1, 1, 1])
+    else:
+        setup = build_setup(load_scenario(SCENARIOS / f"{name}.json"))
+    image = _ext_image(setup)
+    assert image.p == EXT_PRIMES[name]
+    assert all(image.conductor % rep.conductor == 0 for rep in setup.irreps)
 
 
 def _cone(setup, scale):

@@ -4,22 +4,27 @@ the dense elimination as the oracle of the sparse one."""
 import random
 from fractions import Fraction
 from itertools import chain
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eqcol.cyclotomic import CycNum
+from eqcol.cyclotomic import CycNum, euler_phi
 from eqcol.errors import NotInvertible
 from eqcol.linalg import (
     CycMatrix,
+    RightMultiplier,
     eliminate_along,
+    flat_trace,
+    flatten,
     rank_of_rows,
     rref_rows,
     sparse_echelon,
     sparse_kernel,
     sparse_rank,
     sparse_rank_mod,
+    unflatten,
 )
 
 
@@ -40,8 +45,8 @@ def test_inverse_hand_value():
     a = CycMatrix([[1, 2], [3, 4]])
     inv = a.inverse()
     assert inv == CycMatrix([[-2, 1], [Fraction(3, 2), Fraction(-1, 2)]])
-    assert (a * inv).is_identity()
-    assert (inv * a).is_identity()
+    assert a * inv == CycMatrix.identity(2)
+    assert inv * a == CycMatrix.identity(2)
     with pytest.raises(NotInvertible):
         CycMatrix([[1, 2], [2, 4]]).inverse()
 
@@ -132,7 +137,7 @@ def test_inverse_round_trip_random():
         a = _random_matrix(rng, 3)
         if not a.det():
             continue
-        assert (a * a.inverse()).is_identity()
+        assert a * a.inverse() == CycMatrix.identity(3)
         done += 1
 
 
@@ -594,3 +599,57 @@ def test_eliminate_along_matches_sequential_reduction():
                 assert [coeffs.get(i, 0) for i in range(len(rows))] == want_coeffs
                 assert _dense(residual, width) == tuple(want_residual)
                 assert all(residual.values())
+
+
+# -- flat coordinates against CycMatrix products ---------------------------
+
+_FLAT_COEFFICIENTS = [0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 4),
+                      Fraction(5, 6)]
+
+
+@st.composite
+def flat_products(draw) -> tuple[int, CycMatrix, CycMatrix]:
+    """A conductor N and two d x d matrices, d <= 3, whose entries are
+    sums of up to two rational multiples of roots of unity of orders
+    dividing N."""
+    n = draw(st.sampled_from([1, 3, 4, 5, 8, 12, 15, 24]))
+    d = draw(st.integers(1, 3))
+    orders = [m for m in range(1, n + 1) if n % m == 0]
+    term = st.builds(lambda c, m, k: CycNum.zeta(m, k) * c,
+                     st.sampled_from(_FLAT_COEFFICIENTS),
+                     st.sampled_from(orders), st.integers(0, 23))
+    entry = st.lists(term, max_size=2).map(lambda ts: sum(ts, CycNum.zero()))
+
+    def matrix():
+        return CycMatrix([[draw(entry) for _ in range(d)] for _ in range(d)])
+
+    return n, matrix(), matrix()
+
+
+def _canonical(flat, size):
+    coords, den = flat
+    slots = [s for s, _ in coords]
+    return (den > 0 and gcd(den, *(v for _, v in coords)) == 1
+            and slots == sorted(set(slots)) and all(v for _, v in coords)
+            and all(0 <= s < size for s in slots))
+
+
+@ORACLE_SWEEP
+@given(flat_products())
+@example((1, CycMatrix([[Fraction(1, 2)]]), CycMatrix([[2]])))
+@example((4, CycMatrix([[0, 0], [0, 0]]), CycMatrix([[1, 0], [0, 1]])))
+def test_right_multiplier_matches_the_matrix_product(case):
+    n, m, a = case
+    d = m.nrows
+    size = d * d * euler_phi(n)
+    x = flatten(m, n)
+    assert _canonical(x, size)
+    assert unflatten(x, d, n) == m
+    assert flat_trace(x, d, n) == flatten(CycMatrix([[m.trace()]]), n)
+    right = RightMultiplier(a, n)
+    assert right.image == flatten(a, n)
+    once = right(x)
+    assert _canonical(once, size)
+    assert once == flatten(m * a, n)
+    # the second application reuses the contributions the first built
+    assert right(once) == flatten(m * a * a, n)

@@ -334,16 +334,26 @@ def test_fixture_is_json_fixed_point(name):
 # The child reads its peak from VmHWM, not ru_maxrss: Linux carries
 # ru_maxrss across fork and exec, so a child of a large pytest process
 # would report the parent's peak instead of its own.
+# The report is hashed as write_report_json streams it, so a report of
+# 134.7 MB (binary dihedral l = 96) is never held whole.
 _PIPELINE_CHILD = """
 import hashlib, json, re, sys
-from eqcol.report import emit_report_json
+from eqcol.report import write_report_json
 from eqcol.scenario import parse_scenario, run_scenario
+
+class Digest:
+    def __init__(self):
+        self.sha = hashlib.sha256()
+    def write(self, text):
+        self.sha.update(text.encode())
+
 report = run_scenario(parse_scenario(json.loads(sys.argv[1])))
-text = emit_report_json(report)
+digest = Digest()
+write_report_json(report, digest)
 with open("/proc/self/status") as status:
     hwm_kb = int(re.search(r"^VmHWM:\\s*(\\d+) kB", status.read(), re.M).group(1))
 print(json.dumps({"passed": report["passed"],
-                  "sha256": hashlib.sha256(text.encode()).hexdigest(),
+                  "sha256": digest.sha.hexdigest(),
                   "peak_kb": hwm_kb}))
 """
 
@@ -367,7 +377,12 @@ print(json.dumps({"passed": report["passed"],
     # costing the nonzero entries it meets rather than the ambient dimension.
     ("z6p5", {"kind": "cyclic_diagonal", "m": 6, "weights": [1] * 6}, 6,
      "a930f7bc10443267df8a618ea1f810ba217734069fd16d35d1036eefe330444f", 150),
-], ids=["z5p4", "bd24", "bd48", "z6p5"])
+    # binary dihedral l = 96 (order 384, 99 irreps): the irrep tables are
+    # flat integer coordinates at conductor 192, and the 134.7 MB report
+    # is streamed.
+    ("bd96", {"kind": "binary_dihedral", "l": 96}, 2,
+     "a4400db43722cfe9253737c40a854ca0e2132098bb465ee9815d7fba15dc9faf", 200),
+], ids=["z5p4", "bd24", "bd48", "z6p5", "bd96"])
 def test_z5_on_p4_pipeline_pinned_in_bounded_memory(name, group, n_plus_1,
                                                     sha256, maxrss_mb):
     # A fresh interpreter keeps the peak RSS of this run alone; it inherits
