@@ -54,9 +54,14 @@ from .reps import Setup, setup_memo
 
 
 class EqComplex:
-    """Immutable bounded complex of equivariant line bundles."""
+    """Immutable bounded complex of equivariant line bundles.
 
-    __slots__ = ("setup", "terms", "diffs")
+    `triangle` is (E, F) on a cone that `right_mutation` built, for its
+    triangle R -> E -> F tensor Hom(E, F)^* -> R[1], and None on every other
+    complex.  It is bookkeeping for Ext, not part of the complex: equality
+    and the hash ignore it, and shifts and twists drop it."""
+
+    __slots__ = ("setup", "terms", "diffs", "triangle", "_line_bundle")
 
     def __init__(self, setup: Setup, terms, diffs=None, check: bool = True):
         cleaned = {}
@@ -68,6 +73,9 @@ class EqComplex:
             raise InvalidParameter("a complex needs at least one summand")
         self.setup = setup
         self.terms = cleaned
+        self.triangle = None
+        self._line_bundle = (len(cleaned) == 1
+                             and len(next(iter(cleaned.values()))) == 1)
         self.diffs = {}
         for degree, blocks in (diffs or {}).items():
             degree = int(degree)
@@ -125,7 +133,7 @@ class EqComplex:
                 yield degree, index, bundle
 
     def is_line_bundle(self) -> bool:
-        return len(self.terms) == 1 and len(next(iter(self.terms.values()))) == 1
+        return self._line_bundle
 
     def single(self) -> tuple[int, EqLineBundle]:
         """(degree, bundle) of a one-summand complex."""
@@ -799,9 +807,10 @@ def _evaluation_maps(E: EqComplex, F: EqComplex) -> list[ChainMap]:
 
 def right_mutation(E: EqComplex, F: EqComplex) -> EqComplex:
     """Move F leftward past E: E is replaced by the cone gluing h copies of
-    F one degree above E via the evaluation maps, h = dim Hom(E, F).  When
-    the pair is orthogonal the operation is a pure transposition and E is
-    returned unchanged."""
+    F one degree above E via the evaluation maps, h = dim Hom(E, F).  The
+    cone records (E, F) as its `triangle`; the maps are a basis of Hom(E, F),
+    which is concentrated in degree 0.  When the pair is orthogonal the
+    operation is a pure transposition and E is returned unchanged."""
     maps = _evaluation_maps(E, F)
     if not maps:
         return E
@@ -838,7 +847,9 @@ def right_mutation(E: EqComplex, F: EqComplex) -> EqComplex:
             size_tgt = f_sizes[degree]
             for (t, s), elem in entry.items():
                 put(degree, f_offset[degree + 1] + copy * size_tgt + t, s, elem)
-    return EqComplex(E.setup, terms, diffs)
+    cone = EqComplex(E.setup, terms, diffs)
+    cone.triangle = (E, F)
+    return cone
 
 
 def left_mutation(E: EqComplex, F: EqComplex) -> EqComplex:

@@ -16,7 +16,8 @@ class ConductorOverflow(EqcolError):
 
 
 class CertificateFailure(EqcolError):
-    """An exact certificate of a computation modulo a prime failed."""
+    """An exact certificate failed: of a rank modulo a prime, or of the
+    Euler characteristic of an Ext table derived from a mutation triangle."""
 
 
 class NotInvertible(EqcolError):

@@ -15,6 +15,7 @@ those columns only (see _unimodular_columns and _Workbench._record).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .cohomology import (EqLineBundle, KClass, _basis_pairing, euler_pairing,
@@ -23,8 +24,8 @@ from .complexes import (EqComplex, cohomology_basis, compose_chain_maps,
                         from_line_bundle, hom_complex, pair_ext_dims,
                         right_mutation)
 from .cyclotomic import CycNum
-from .errors import (InvalidParameter, NonConcentratedHom, NotADivisor,
-                     NotStrong, OrthogonalityFailure)
+from .errors import (CertificateFailure, InvalidParameter, NonConcentratedHom,
+                     NotADivisor, NotStrong, OrthogonalityFailure)
 from .linalg import CycMatrix, rank_of_rows
 from .reps import Setup
 
@@ -42,10 +43,14 @@ class ExcCollection:
     mutation step could not be realized on the nose.  Stubs still carry a
     K-class and a label, so Gram bookkeeping survives, but Ext tables and
     quivers are unavailable for them.
+
+    `sources` counts the Ext tables `ext_table` has filled in by where they
+    came from: "closed_form", "triangle" or "hom_complex".  It is a side
+    channel and stays out of every report.
     """
 
     __slots__ = ("setup", "objects", "kclasses", "labels", "provenance",
-                 "_ext_cache", "_gram")
+                 "_ext_cache", "_gram", "_known", "sources")
 
     def __init__(self, setup: Setup, objects, kclasses, labels, provenance):
         self.setup = setup
@@ -60,6 +65,8 @@ class ExcCollection:
                 raise InvalidParameter("stored K-class disagrees with the complex")
         self._ext_cache = {}
         self._gram = None
+        self._known = {}
+        self.sources = Counter()
 
     def __len__(self) -> int:
         return len(self.objects)
@@ -68,13 +75,76 @@ class ExcCollection:
         return any(obj is None for obj in self.objects)
 
     def ext_table(self, i: int, j: int) -> dict[int, int]:
-        """Ext dimensions from object i to object j, cached per pair."""
+        """Ext dimensions from object i to object j, cached per pair.
+
+        Two line bundles take the closed form.  Otherwise the mutation
+        triangles of the objects may decide the table (`_by_triangles`);
+        such a table must have the Euler characteristic of Gram entry
+        (i, j), or CertificateFailure is raised.  Every other pair takes
+        its Hom complex."""
         key = (i, j)
         if key not in self._ext_cache:
-            if self.objects[i] is None or self.objects[j] is None:
+            X, Y = self.objects[i], self.objects[j]
+            if X is None or Y is None:
                 raise InvalidParameter("K-class-only stub has no Ext data")
-            self._ext_cache[key] = pair_ext_dims(self.objects[i], self.objects[j])
+            if X.is_line_bundle() and Y.is_line_bundle():
+                source, table = "closed_form", pair_ext_dims(X, Y)
+            else:
+                source, table = "triangle", self._by_triangles(X, Y)
+                if table is None:
+                    source, table = "hom_complex", pair_ext_dims(X, Y)
+                elif _euler_characteristic(table) != self.gram_matrix()[i][j]:
+                    raise CertificateFailure(
+                        f"Ext {self.labels[i]} -> {self.labels[j]} derived as"
+                        f" {_fmt_table(table)} against the Gram entry"
+                        f" {self.gram_matrix()[i][j]}")
+            self._known[(id(X), id(Y))] = table
+            self.sources[source] += 1
+            self._ext_cache[key] = table
         return self._ext_cache[key]
+
+    def _by_triangles(self, X: EqComplex, Y: EqComplex) -> dict[int, int] | None:
+        """The Ext table from X to Y when it is known without a new Hom
+        complex, else None.  It is memoized by object identity, which
+        neither hashes a complex nor compares two: every object reached is
+        held by the collection or by the triangle of an object it holds,
+        so no id is reused while the memo lives.
+
+        A table is known from the closed form for two line bundles, from an
+        earlier table of the collection, or from the triangle
+        R -> E -> F tensor W -> R[1] of a right-mutation cone R, whose
+        evaluation maps are a basis of Hom(E, F) concentrated in degree 0
+        (Bondal's mutation lemma; Bondal 1989, Gorodentsev-Rudakov 1987):
+        - Ext(R, F) = 0 when F is exceptional, since precomposition with
+          the evaluation is then an isomorphism Hom(F tensor W, F) ->
+          Hom(E, F);
+        - Ext(R, R) = k when E and F are exceptional and Ext(F, E) = 0, by
+          Ext(R, R) = Ext(R, E) = Ext(E, E);
+        - Ext(X, R) = 0 when Ext(X, E) = Ext(X, F) = 0, and Ext(R, Y) = 0
+          when Ext(E, Y) = Ext(F, Y) = 0, by the long exact sequences."""
+        key = (id(X), id(Y))
+        if key in self._known:
+            return self._known[key]
+        known = self._by_triangles
+        table = None
+        if X.is_line_bundle() and Y.is_line_bundle():
+            table = pair_ext_dims(X, Y)
+        elif X is Y:
+            if X.triangle is not None:
+                E, F = X.triangle
+                if (known(E, E) == {0: 1} and known(F, F) == {0: 1}
+                        and known(F, E) == {}):
+                    table = {0: 1}
+        elif X.triangle is not None and X.triangle[1] is Y:
+            if known(Y, Y) == {0: 1}:
+                table = {}
+        elif ((Y.triangle is not None
+               and all(known(X, Z) == {} for Z in Y.triangle))
+              or (X.triangle is not None
+                  and all(known(Z, Y) == {} for Z in X.triangle))):
+            table = {}
+        self._known[key] = table
+        return table
 
     def gram_matrix(self) -> tuple[tuple[int, ...], ...]:
         if self._gram is None:
@@ -108,6 +178,10 @@ def _euler_gram(kclasses) -> tuple[tuple[int, ...], ...]:
     columns = [list(col) for col in zip(*rows)]
     gram = _int_product(rows, _int_product(_basis_pairing(setup), columns))
     return tuple(tuple(row) for row in gram)
+
+
+def _euler_characteristic(table: dict[int, int]) -> int:
+    return sum(-dim if k % 2 else dim for k, dim in table.items())
 
 
 def is_unitriangular(gram) -> bool:

@@ -585,8 +585,7 @@ def binary_dihedral(l: int) -> Setup:
     rotation [[0,1],[-1,0]], with its standard irrep table attached."""
     if l < 1:
         raise InvalidParameter(f"binary dihedral parameter {l} must be positive")
-    za = CycNum.zeta(2 * l)
-    a = CycMatrix.diagonal([za, za ** -1])
+    a = CycMatrix.diagonal([CycNum.zeta(2 * l), CycNum.zeta(2 * l, -1)])
     b = CycMatrix([[0, 1], [-1, 0]])
     group = generate_group([a, b])
     if group.order != 4 * l:
@@ -600,7 +599,8 @@ def binary_dihedral(l: int) -> Setup:
     for h in range(1, l):
         images.append((
             f"rho_{1 + h}",
-            [CycMatrix.diagonal([za ** h, za ** -h]),
+            [CycMatrix.diagonal([CycNum.zeta(2 * l, h),
+                                 CycNum.zeta(2 * l, -h)]),
              CycMatrix([[0, 1], [(-1) ** h, 0]])],
         ))
     images.append((f"rho_{l + 1}", [CycMatrix([[-one]]), CycMatrix([[beta]])]))

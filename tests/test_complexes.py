@@ -34,6 +34,7 @@ from eqcol.errors import (
     NonConcentratedHom,
     WindowViolation,
 )
+from eqcol.excol import beilinson_collection, cascade_mutation
 from eqcol.homspaces import HomElement, hom_space
 from eqcol.linalg import sparse_rank
 from eqcol.reps import binary_dihedral, cyclic_diagonal
@@ -518,6 +519,9 @@ def test_one_hom_complex_per_mutation_pair(bd2, monkeypatch):
 
 
 def test_every_z4p3_hom_complex_is_certified(monkeypatch):
+    # the pipeline takes most Ext tables of its cones from their mutation
+    # triangles, so every pair of the cascade collection also goes through
+    # its Hom complex here
     outcomes = []
     certify = HomComplexData._certify
 
@@ -534,4 +538,8 @@ def test_every_z4p3_hom_complex_is_certified(monkeypatch):
                       {"task": "molien", "max_degree": 24}]}
     report = run_scenario(parse_scenario(data))
     assert report["passed"] is True
+    coll = cascade_mutation(beilinson_collection(cyclic_diagonal(4, [1] * 4)))
+    for X in coll.objects:
+        for Y in coll.objects:
+            pair_ext_dims(X, Y)
     assert len(outcomes) > 50 and all(outcomes)

@@ -8,15 +8,21 @@ trail that every pipeline is required to leave behind.
 
 import itertools
 import random
+from collections import Counter
+from math import gcd
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eqcol.cohomology import EqLineBundle, KClass, euler_pairing, twist_kclass
-from eqcol.complexes import EqComplex, from_line_bundle
-from eqcol.errors import (InvalidParameter, NonConcentratedHom, NotADivisor,
+from eqcol.complexes import (EqComplex, HomComplexData, from_line_bundle,
+                             pair_ext_dims, right_mutation)
+from eqcol.errors import (CertificateFailure, InvalidParameter,
+                          NonConcentratedHom, NotADivisor,
                           NotStrong, OrthogonalityFailure)
 from eqcol.excol import (
+    ExcCollection,
     _conjugate_columns,
     _euler_gram,
     _int_det,
@@ -35,7 +41,7 @@ from eqcol.excol import (
     veronese_blocks,
 )
 from eqcol.reps import binary_dihedral, cyclic_diagonal
-from eqcol.scenario import run_scenario
+from eqcol.scenario import build_setup, load_scenario, run_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -348,6 +354,123 @@ def test_tensor_twist_preserves_ext_tables(bd2):
     for i in range(0, len(coll), 3):
         for j in range(i + 1, len(coll), 2):
             assert twisted.ext_table(i, j) == coll.ext_table(i, j)
+
+
+# -- Ext from mutation triangles -----------------------------------------
+
+
+def _derived_tables_match(coll) -> int:
+    """Every table of the collection that its mutation triangles decide
+    equals the table of the pair's Hom complex; returns how many there are.
+    A fresh copy of the collection starts from empty tables."""
+    coll = coll.subset(range(len(coll)), {"op": "subset", "kind": "test"})
+    derived = 0
+    for i, j in itertools.product(range(len(coll)), repeat=2):
+        X, Y = coll.objects[i], coll.objects[j]
+        if X is None or Y is None:
+            continue
+        before = coll.sources["triangle"]
+        table = coll.ext_table(i, j)
+        if coll.sources["triangle"] > before:
+            derived += 1
+            assert table == pair_ext_dims(X, Y), (coll.labels[i], coll.labels[j])
+    return derived
+
+
+def _pipeline_collections(setup, mode, d):
+    colls = [cascade_mutation(beilinson_collection(setup))]
+    if mode == "crossed_product" or (mode == "invariant_veronese"
+                                     and setup.det_trivial()):
+        try:
+            colls.append(dsing_collection(setup, d, mode))
+        except NonConcentratedHom:
+            pass  # a bubbling step meets a Hom outside degree 0
+    return colls
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in SCENARIOS.glob("*.json")))
+def test_triangle_tables_match_hom_complexes_on_shipped_scenarios(name):
+    scenario = load_scenario(SCENARIOS / f"{name}.json")
+    setup = build_setup(scenario)
+    for coll in _pipeline_collections(setup, scenario.mode, scenario.veronese_d):
+        _derived_tables_match(coll)
+
+
+def test_triangle_tables_match_hom_complexes_on_z4p3():
+    colls = _pipeline_collections(cyclic_diagonal(4, [1] * 4),
+                                  "invariant_veronese", 1)
+    assert sum(_derived_tables_match(coll) for coll in colls) == 142
+
+
+cyclic_cases = st.integers(1, 5).flatmap(
+    lambda m: st.tuples(st.just(m), st.lists(st.integers(0, m - 1), min_size=2,
+                                             max_size=4))
+).filter(lambda case: gcd(case[0], *case[1]) == 1)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.one_of(cyclic_cases.map(lambda case: cyclic_diagonal(*case)),
+                 st.integers(1, 6).map(binary_dihedral)))
+def test_triangle_tables_match_hom_complexes_sweep(setup):
+    for coll in _pipeline_collections(setup, "invariant_veronese", 1):
+        _derived_tables_match(coll)
+
+
+def test_z4p3_cascade_check_builds_no_hom_complex(monkeypatch):
+    coll = cascade_mutation(beilinson_collection(cyclic_diagonal(4, [1] * 4)))
+    fresh = coll.subset(range(len(coll)), {"op": "subset", "kind": "test"})
+    builds = []
+    init = HomComplexData.__init__
+
+    def counting(self, C, D):
+        builds.append((C, D))
+        init(self, C, D)
+
+    monkeypatch.setattr(HomComplexData, "__init__", counting)
+    assert check_exceptional(fresh).passed
+    # 6 cones' self-Ext and the 75 backward pairs with a cone
+    assert fresh.sources == Counter(closed_form=55, triangle=81)
+    assert builds == []
+    assert coll.sources["hom_complex"] == 0
+
+
+@pytest.mark.parametrize("entry", ["diagonal", "backward"])
+def test_corrupted_gram_entry_fails_the_triangle_certificate(c3, entry):
+    coll = cascade_mutation(beilinson_collection(c3))
+    fresh = coll.subset(range(len(coll)), {"op": "subset", "kind": "test"})
+    cone = next(i for i, obj in enumerate(fresh.objects)
+                if obj.triangle is not None)
+    # object 0 is the anchor O@rho_0, ahead of every cone
+    i, j = (cone, cone) if entry == "diagonal" else (cone, 0)
+    gram = [list(row) for row in fresh.gram_matrix()]
+    gram[i][j] += 1
+    fresh._gram = tuple(tuple(row) for row in gram)
+    with pytest.raises(CertificateFailure):
+        fresh.ext_table(i, j)
+
+
+def _single(obj) -> ExcCollection:
+    return ExcCollection(obj.setup, [obj], [obj.kclass()], [obj.label()], [])
+
+
+def test_triangle_with_unmet_hypothesis_takes_the_hom_complex(bd2):
+    def lb(twist, irrep):
+        return from_line_bundle(bd2, EqLineBundle(twist, irrep))
+
+    E, F = right_mutation(lb(0, 2), lb(1, 1)), lb(1, 0)
+    derived = _single(right_mutation(E, F))
+    assert derived.ext_table(0, 0) == {0: 1}
+    assert derived.sources == Counter(triangle=1)
+    # a twist drops E's own triangle, so Ext(E, E) is not known
+    unknown = _single(right_mutation(E.twisted(0), F))
+    assert unknown.ext_table(0, 0) == {0: 1}
+    assert unknown.sources == Counter(hom_complex=1)
+    # Ext(F, E) = Hom(E, E) is not zero: the cone of the identity is zero,
+    # not exceptional
+    O = lb(0, 0)
+    zero = _single(right_mutation(O, O))
+    assert zero.ext_table(0, 0) == {}
+    assert zero.sources == Counter(hom_complex=1)
 
 
 # -- audit trail ---------------------------------------------------------
