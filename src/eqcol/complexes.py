@@ -747,12 +747,19 @@ class HomComplexData:
         return vector
 
     def h0_coordinates(self, cm: ChainMap) -> tuple[CycNum, ...]:
-        """Coefficients of a cycle over h0_vectors, modulo boundaries."""
+        """Coefficients of a cycle over h0_vectors, modulo boundaries.
+
+        When Hom^-1 and Hom^1 are both 0 there are no boundaries and every
+        vector is a cycle, so H^0 = Hom^0, h0_vectors are the unit vectors
+        in order, and the coefficients are the Hom^0 coordinates."""
+        vector = self._sparse_vector(cm)
+        zero = CycNum.zero()
+        if not self.dim(-1) and not self.dim(1):
+            return tuple(vector.get(i, zero) for i in range(self.dim(0)))
         span, position, count = self._h0
-        coords, residual = eliminate_along(self._sparse_vector(cm), span, position)
+        coords, residual = eliminate_along(vector, span, position)
         if residual:
             raise BasisMismatch("map is not a cycle in the given Hom complex")
-        zero = CycNum.zero()
         return tuple(coords.get(i, zero) for i in range(count, len(span)))
 
 

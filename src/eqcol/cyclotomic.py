@@ -527,12 +527,12 @@ class CycNum:
         red = self.reduced()
         if red.conductor == 1:
             return str(Fraction(red.num[0], red.den))
-        coeffs = red.coeffs
+        num, den = red.num, red.den
         parts: list[str] = []
-        for k in range(len(coeffs) - 1, -1, -1):
-            c = coeffs[k]
-            if not c:
+        for k in range(len(num) - 1, -1, -1):
+            if not num[k]:
                 continue
+            c = Fraction(num[k], den)
             mag = abs(c)
             if k == 0:
                 body = str(mag)

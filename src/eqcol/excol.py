@@ -769,7 +769,16 @@ class Quiver:
 
 def quiver(coll: ExcCollection) -> Quiver:
     """Arrows i -> j count a basis of Hom(E_i, E_j) modulo the span of all
-    compositions through intermediate objects; requires a strong collection."""
+    compositions through intermediate objects; requires a strong collection.
+
+    The compositions are taken only through the middles k with an arrow
+    i -> k.  Their span rad^2(i, j), the sum over i < k < j of
+    Hom(k, j) o Hom(i, k), is the same: Hom(i, k) is spanned by arrows and
+    by rad^2(i, k), a sum of Hom(k', k) o Hom(i, k') over i < k' < k, so
+    Hom(k, j) o Hom(i, k) lies in the sum of the terms for k' < k whenever
+    i -> k has no arrow.  By induction on k, the terms over the k with an
+    arrow span the terms over all k.  The arrows out of i are counted with
+    j ascending, so those to every k < j are known when j is reached."""
     exc = check_exceptional(coll)
     if not exc.passed:
         raise NotStrong(f"not exceptional: {exc.violation}")
@@ -796,7 +805,7 @@ def quiver(coll: ExcCollection) -> Quiver:
         for j in range(i + 1, size):
             if not hom[i][j]:
                 continue
-            middles = [k for k in range(i + 1, j) if hom[i][k] and hom[k][j]]
+            middles = [k for k in range(i + 1, j) if arrows[i][k] and hom[k][j]]
             if not middles:
                 arrows[i][j] = hom[i][j]
                 continue

@@ -10,11 +10,18 @@ downstream report is reproducible.
 The closure is a breadth-first search that forms m * g for every element
 m and generator g, so it also yields the right action of each generator
 as a permutation of the elements and a spanning tree of words (each
-element is its parent times one generator, its last letter).  From these
-the group law is an integer Cayley table: i * j = (i * parent(j)) * g for
-j = parent(j) * g.  Products, inverses, powers, element orders and
-conjugacy classes are lookups in that table; no matrix is multiplied or
-inverted after the closure.
+element is its parent times one generator, its last letter).  It runs on
+the flat forms of `linalg.flatten` at N, the lcm of the generator
+entries' conductors: m * g is one `RightMultiplier` application, and the
+elements found are keyed by their flat tuples, which are equal exactly
+when the matrices are.  After the closure each element becomes a
+`CycMatrix` once, all of them sharing one `CycNum` per distinct entry
+value, so the canonical sort, the index hashes and the class keys reduce
+each value once.  From the right actions and the tree the group law is an
+integer Cayley table: i * j = (i * parent(j)) * g for j = parent(j) * g.
+Products, inverses, powers, element orders and conjugacy classes are
+lookups in that table; no matrix is multiplied or inverted after the
+closure.
 """
 
 from __future__ import annotations
@@ -24,7 +31,8 @@ from dataclasses import dataclass
 from .config import order_cap as configured_order_cap
 from .cyclotomic import CycNum
 from .errors import GroupMismatch, InvalidParameter, NotInvertible, OrderCapExceeded
-from .linalg import CycMatrix
+from .linalg import (CycMatrix, RightMultiplier, flat_identity, matrix_conductor,
+                     unflatten)
 
 
 class FiniteMatrixGroup:
@@ -155,16 +163,20 @@ def generate_group(generators: list[CycMatrix], dimension: int | None = None,
             raise NotInvertible(f"generator {g} is singular")
     if dimension is not None and dimension != dim:
         raise InvalidParameter(f"generator size {dim} does not match dimension {dimension}")
-    # Breadth-first closure; `found` grows while it is scanned.  right[g][i]
-    # is the index of found[i] * g, and tree holds (child, parent, letter).
-    found = [CycMatrix.identity(dim)]
+    # Breadth-first closure on flat forms at the generators' conductor,
+    # which are equal exactly when the matrices are; `found` grows while it
+    # is scanned.  right[g][i] is the index of found[i] * g, and tree holds
+    # (child, parent, letter).
+    conductor = matrix_conductor(generators)
+    actions = [RightMultiplier(g, conductor) for g in generators]
+    found = [flat_identity(dim, conductor)]
     index = {found[0]: 0}
     words: list[tuple[int, ...]] = [()]
     tree: list[tuple[int, int, int]] = []
     right: list[list[int]] = [[] for _ in generators]
     for i, m in enumerate(found):
-        for gi, g in enumerate(generators):
-            prod = m * g
+        for gi, action in enumerate(actions):
+            prod = action(m)
             j = index.get(prod)
             if j is None:
                 j = index[prod] = len(found)
@@ -188,14 +200,21 @@ def generate_group(generators: list[CycMatrix], dimension: int | None = None,
         while x:
             x, k = row[x], k + 1
         orders.append(k)
-    ordered = sorted(range(n), key=lambda i: (orders[i], str(found[i])))
+    # one CycNum per distinct entry value, so each is reduced and written
+    # out once for the canonical sort
+    shared: dict = {}
+    matrices = [unflatten(flat, dim, conductor, shared) for flat in found]
+    text = {id(v): str(v) for v in shared.values()}
+    keys = [(orders[i], m.to_text(lambda v: text[id(v)]))
+            for i, m in enumerate(matrices)]
+    ordered = sorted(range(n), key=keys.__getitem__)
     rank = [0] * n
     for new, old in enumerate(ordered):
         rank[old] = new
     table = tuple(tuple([rank[row[j]] for j in ordered])
                   for row in (rows[i] for i in ordered))
     return FiniteMatrixGroup(
-        [found[i] for i in ordered], [words[i] for i in ordered], generators,
+        [matrices[i] for i in ordered], [words[i] for i in ordered], generators,
         table, tuple(orders[i] for i in ordered),
         tuple((rank[j], rank[parent], letter) for j, parent, letter in tree))
 

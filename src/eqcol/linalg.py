@@ -20,7 +20,8 @@ numerators over one common denominator, on integer slots.  The power basis
 modulo Phi_N is a basis, so the flat form is unique and two matrices are
 equal exactly when their flat forms are.  `RightMultiplier` is X -> X A on
 flat forms for a fixed A, a Q-linear map kept as cached integer
-contributions, so a product takes no `CycNum` arithmetic.
+contributions, so a product takes no `CycNum` arithmetic; it keeps each
+product by its input, so an input met again costs a lookup.
 """
 
 from __future__ import annotations
@@ -28,9 +29,9 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .cyclotomic import CycNum, _make, _power_terms, euler_phi, lcm
+from .cyclotomic import CycNum, _power_terms, euler_phi, lcm
 from .errors import InvalidParameter, NotInvertible
 
 
@@ -91,8 +92,12 @@ class CycMatrix:
         return hash(tuple(v.key() for row in self.rows for v in row))
 
     def __str__(self) -> str:
+        return self.to_text(str)
+
+    def to_text(self, entry_text: Callable[[CycNum], str]) -> str:
+        """The text of `str(self)`, each entry written by entry_text."""
         return "[" + ", ".join(
-            "[" + ", ".join(str(v) for v in row) + "]" for row in self.rows
+            "[" + ", ".join(entry_text(v) for v in row) + "]" for row in self.rows
         ) + "]"
 
     __repr__ = __str__
@@ -434,17 +439,47 @@ def flatten(matrix: CycMatrix, conductor: int) -> FlatMatrix:
     return tuple(coords), den
 
 
-def unflatten(flat: FlatMatrix, dim: int, conductor: int) -> CycMatrix:
+def flat_identity(dim: int, conductor: int) -> FlatMatrix:
+    """The flat form of the dim x dim identity at conductor N."""
+    phi = euler_phi(conductor)
+    return tuple(((r * dim + r) * phi, 1) for r in range(dim)), 1
+
+
+def matrix_conductor(matrices: Iterable[CycMatrix]) -> int:
+    """The lcm of the stored conductors of every entry of the matrices: a
+    conductor at which they all have flat forms."""
+    conductor = 1
+    for matrix in matrices:
+        for row in matrix.rows:
+            for v in row:
+                conductor = lcm(conductor, v.conductor)
+    return conductor
+
+
+def unflatten(flat: FlatMatrix, dim: int, conductor: int,
+              shared: dict | None = None) -> CycMatrix:
     """The dim x dim matrix of a flat form at conductor N; each rational
-    entry comes back at conductor 1, the others at N."""
+    entry comes back at conductor 1, the others at N.
+
+    With a `shared` dict, equal entries of every matrix unflattened through
+    it are one `CycNum` object, so its cached reduced form is computed once
+    per distinct value."""
     coords, den = flat
     phi = euler_phi(conductor)
     nums = [[0] * phi for _ in range(dim * dim)]
     for slot, n in coords:
         entry, power = divmod(slot, phi)
         nums[entry][power] = n
-    entries = [_make(conductor, num, den) if any(num[1:])
-               else CycNum.from_rat(Fraction(num[0], den)) for num in nums]
+    cache = {} if shared is None else shared
+    entries = []
+    for num in nums:
+        g = gcd(den, *num)
+        num, d = tuple([x // g for x in num]), den // g
+        value = cache.get((num, d))
+        if value is None:
+            value = cache[(num, d)] = (CycNum(conductor, num, d) if any(num[1:])
+                                       else CycNum(1, num[:1], d))
+        entries.append(value)
     return CycMatrix([entries[r * dim:(r + 1) * dim] for r in range(dim)])
 
 
@@ -482,11 +517,14 @@ class RightMultiplier:
     `row`; those contributions depend on (k, t) alone, and are kept as
     integers over A's denominator, each built on first use.  An application
     visits only the input's nonzero coordinates and takes one gcd, and only
-    when the product of the denominators is not 1.  `CycMatrix.__mul__` is
-    the oracle.
+    when the product of the denominators is not 1.  Its result is kept per
+    input flat form, so a table that repeats a matrix (the image of a
+    non-faithful representation) multiplies it once.  `CycMatrix.__mul__`
+    is the oracle.
     """
 
-    __slots__ = ("image", "dim", "conductor", "_phi", "_rows", "_terms")
+    __slots__ = ("image", "dim", "conductor", "_phi", "_rows", "_terms",
+                 "_products")
 
     def __init__(self, matrix: CycMatrix, conductor: int):
         self.image = flatten(matrix, conductor)
@@ -500,6 +538,7 @@ class RightMultiplier:
             k, offset = divmod(slot, width)
             self._rows[k].append((offset, n))
         self._terms: dict[int, tuple[tuple[int, int], ...]] = {}
+        self._products: dict[FlatMatrix, FlatMatrix] = {}
 
     def _contribution(self, key: int) -> tuple[tuple[int, int], ...]:
         """The coordinates of x^t A[k][c], c = 0..d-1, within one row, for
@@ -516,6 +555,12 @@ class RightMultiplier:
         return terms
 
     def __call__(self, flat: FlatMatrix) -> FlatMatrix:
+        product = self._products.get(flat)
+        if product is None:
+            product = self._products[flat] = self._apply(flat)
+        return product
+
+    def _apply(self, flat: FlatMatrix) -> FlatMatrix:
         coords, den = flat
         width = self.dim * self._phi
         terms = self._terms

@@ -10,10 +10,11 @@ compared as tuples.  The images are extended along the group's spanning
 tree of words by one `RightMultiplier` per generator, X -> X A as a cached
 Q-linear map on integer coordinates, and then verified once, when the
 Setup is built: the identity, the generator images, multiplicativity on
-the Schreier edges (the pairs off the tree), class constancy on canonical
-traces, character orthonormality from residues mod p, and the sum of
-squared dimensions.  A `CycMatrix` of an element is a view, built on first
-use.
+the Schreier edges (the pairs off the tree), character orthonormality from
+residues mod p, and the sum of squared dimensions.  A table that passes the
+first three is a homomorphism, so its character is a class function and is
+read at the class representatives.  A `CycMatrix` of an element is a view,
+built on first use.
 
 Multiplicities live in the integer representation ring.  Once per Setup,
 on first use, the integer tables L_k (row sigma: the irrep decomposition of
@@ -47,8 +48,8 @@ from .groups import (
     central_scalar_subgroup,
     generate_group,
 )
-from .linalg import (CycMatrix, FlatMatrix, RightMultiplier, flat_trace,
-                     unflatten)
+from .linalg import (CycMatrix, FlatMatrix, RightMultiplier, flat_identity,
+                     flat_trace, matrix_conductor, unflatten)
 
 
 class CharacterVec:
@@ -207,11 +208,6 @@ class Irrep:
         return f"Irrep({self.name}, dim={self.dim})"
 
 
-def _identity_flat(dim: int, conductor: int) -> FlatMatrix:
-    phi = euler_phi(conductor)
-    return tuple(((r * dim + r) * phi, 1) for r in range(dim)), 1
-
-
 def irrep_from_images(group: FiniteMatrixGroup, index: int, name: str,
                       images: list[CycMatrix]) -> Irrep:
     """Extend generator images along the group's spanning tree.
@@ -225,15 +221,12 @@ def irrep_from_images(group: FiniteMatrixGroup, index: int, name: str,
     if len(images) != len(group.generators):
         raise InvalidParameter("one image per generator required")
     dim = images[0].nrows if images else 1
-    conductor = 1
     for img in images:
         if img.nrows != img.ncols or img.nrows != dim:
             raise InvalidParameter("irrep images must be square of equal size")
-        for row in img.rows:
-            for v in row:
-                conductor = lcm(conductor, v.conductor)
+    conductor = matrix_conductor(images)
     multipliers = [RightMultiplier(img, conductor) for img in images]
-    table = [_identity_flat(dim, conductor)] * group.order
+    table = [flat_identity(dim, conductor)] * group.order
     for j, parent, letter in group.tree:
         table[j] = multipliers[letter](table[parent])
     for g, action in zip(group.generators, multipliers):
@@ -260,10 +253,15 @@ def verify_irreps(group: FiniteMatrixGroup, irreps: list[Irrep]) -> VerifyReport
     |G| - 1 edges hold by construction once each generator's element
     carries its image; only the Schreier edges, the other |G| k - |G| + 1
     pairs, are compared, each by one RightMultiplier application on flat
-    forms, which are equal exactly when the matrices are.
+    forms, which are equal exactly when the matrices are.  The multipliers
+    keep their products, so an edge whose product the tree extension
+    already formed (a repeated matrix of a non-faithful irrep) costs a
+    lookup.
 
-    Once every irrep is multiplicative and its character constant on
-    classes, <chi_a, chi_b> = dim Hom_G(rho_b, rho_a) is an integer in
+    A multiplicative table is a homomorphism, so rho(h g h^-1) is conjugate
+    to rho(g) and the trace is constant on classes without a check; the
+    characters are the traces at the class representatives.  Then
+    <chi_a, chi_b> = dim Hom_G(rho_b, rho_a) is an integer in
     [0, dim_a dim_b].  It is computed in F_p by Dixon's method, p = 1 (mod
     the characters' conductor) and p above max dim^2 and |G|, so the residue
     is the exact integer.
@@ -276,7 +274,7 @@ def verify_irreps(group: FiniteMatrixGroup, irreps: list[Irrep]) -> VerifyReport
     if not irreps:
         return fail("empty irrep table")
     first = irreps[0]
-    one = _identity_flat(1, first.conductor)
+    one = flat_identity(1, first.conductor)
     if first.dim != 1 or any(m != one for m in first.table):
         return fail("first irrep is not the trivial representation")
     gen_indices = [group.index_of(g) for g in group.generators]
@@ -286,7 +284,7 @@ def verify_irreps(group: FiniteMatrixGroup, irreps: list[Irrep]) -> VerifyReport
         if rep.group is not group:
             return fail(f"{rep.name} belongs to a different group")
         table = rep.table
-        if table[0] != _identity_flat(rep.dim, rep.conductor):
+        if table[0] != flat_identity(rep.dim, rep.conductor):
             return fail(f"{rep.name} does not send the identity to the identity")
         actions = rep.multipliers
         for g, s in enumerate(gen_indices):
@@ -296,10 +294,6 @@ def verify_irreps(group: FiniteMatrixGroup, irreps: list[Irrep]) -> VerifyReport
             if table[target] != actions[g](table[i]):
                 return fail(f"{rep.name} is not multiplicative at"
                             f" ({i}, {gen_indices[g]})")
-        for c, orbit in enumerate(group.classes):
-            trace = rep.trace(orbit[0])
-            if any(rep.trace(i) != trace for i in orbit[1:]):
-                return fail(f"character of {rep.name} is not constant on class {c}")
     chars = [rep.character().values for rep in irreps]
     image = ModularImage(_conductor(chars),
                          max(max(r.dim for r in irreps) ** 2, group.order))
@@ -454,9 +448,11 @@ class Setup:
     def central_scalars(self, d: int) -> CentralSubgroupInfo:
         return central_scalar_subgroup(self.group, d)
 
+    @setup_memo
     def irrep_scalar_weight(self, j: int, info: CentralSubgroupInfo) -> int:
         """The exponent c with rho_j(zeta*Id) = zeta^c * Id for the canonical
-        generator zeta of the scalar subgroup."""
+        generator zeta of the scalar subgroup, computed once per (irrep,
+        subgroup)."""
         if info.e == 1:
             return 0
         image = self.irreps[j].matrix(info.generator_index)

@@ -15,7 +15,7 @@ import pytest
 import eqcol.reps as reps_mod
 from eqcol.cyclotomic import CycNum
 from eqcol.errors import GroupMismatch, NegativeDegree
-from eqcol.linalg import CycMatrix, RightMultiplier
+from eqcol.linalg import CycMatrix, RightMultiplier, unflatten
 from eqcol.reps import (
     CharacterVec,
     binary_dihedral,
@@ -273,6 +273,42 @@ def test_irrep_tables_match_the_tree_products(name, bd2, c3):
             assert value == expected[group.class_representative(c)].trace()
 
 
+@pytest.mark.parametrize("name", ["bd2", "bd12", "q8_explicit", "c3", "z4"])
+def test_characters_are_constant_on_classes(name, bd2, c3):
+    # verify_irreps no longer checks this: a table that passes the identity,
+    # generator and Schreier checks is a homomorphism, so its trace is a
+    # class function.  The oracle is the CycMatrix trace of every element.
+    if name == "q8_explicit":
+        setup = build_setup(load_scenario(SCENARIOS / "q8_explicit.json"))
+    else:
+        setup = {"bd2": bd2, "c3": c3, "bd12": binary_dihedral(12),
+                 "z4": cyclic_diagonal(4, [1, 1, 1, 1])}[name]
+    group = setup.group
+    for rep in setup.irreps:
+        values = rep.character().values
+        for c, orbit in enumerate(group.classes):
+            assert {rep.trace(i) for i in orbit} == {rep.trace(orbit[0])}
+            assert all(rep.matrix(i).trace() == values[c] for i in orbit)
+
+
+def test_right_multipliers_keep_one_product_per_distinct_matrix():
+    # the tree extension and the Schreier check apply each generator's
+    # multiplier to every element, |G| k = 96 applications per irrep on
+    # binary dihedral l = 12; the non-faithful irreps repeat matrices, so
+    # 305 distinct table values of 720 are multiplied once per generator,
+    # and every kept product is the CycMatrix product
+    setup = binary_dihedral(12)
+    assert sum(len(rep.table) for rep in setup.irreps) == 720
+    assert sum(len(set(rep.table)) for rep in setup.irreps) == 305
+    for rep in setup.irreps:
+        for g, action in enumerate(rep.multipliers):
+            image = rep.matrix(setup.group.index_of(setup.group.generators[g]))
+            assert set(action._products) == set(rep.table)
+            for x, y in action._products.items():
+                assert unflatten(y, rep.dim, rep.conductor) == \
+                    unflatten(x, rep.dim, rep.conductor) * image
+
+
 def test_irrep_table_normalizes_denominators():
     # R has trace -1 and determinant 1, so R^2 + R + 1 = 0 and R has order 3:
     # an image of Z/3 with denominators, whose cube comes back to den 1
@@ -416,6 +452,22 @@ def test_scalar_weights(bd2, c3):
     assert [bd2.irrep_scalar_weight(j, info) for j in range(5)] == [0, 0, 1, 0, 0]
     info3 = c3.central_scalars(3)
     assert [c3.irrep_scalar_weight(j, info3) for j in range(3)] == [0, 1, 2]
+
+
+def test_scalar_weights_computed_once_per_irrep(monkeypatch):
+    setup = cyclic_diagonal(3, [1, 1, 1])
+    views = []
+    matrix = reps_mod.Irrep.matrix
+
+    def counting(rep, i):
+        views.append(i)
+        return matrix(rep, i)
+
+    monkeypatch.setattr(reps_mod.Irrep, "matrix", counting)
+    info = setup.central_scalars(3)
+    for _ in range(3):
+        assert [setup.irrep_scalar_weight(j, info) for j in range(3)] == [0, 1, 2]
+    assert len(views) == 3
 
 
 def test_dual_and_power_map(bd2):

@@ -16,7 +16,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eqcol.cohomology import EqLineBundle, KClass, euler_pairing, twist_kclass
-from eqcol.complexes import (EqComplex, HomComplexData, from_line_bundle,
+import eqcol.excol as excol_mod
+import eqcol.scenario as scenario_mod
+from eqcol.complexes import (EqComplex, HomComplexData, cohomology_basis,
+                             compose_chain_maps, from_line_bundle, hom_complex,
                              pair_ext_dims, right_mutation)
 from eqcol.errors import (CertificateFailure, InvalidParameter,
                           NonConcentratedHom, NotADivisor,
@@ -40,6 +43,8 @@ from eqcol.excol import (
     tensor_twist,
     veronese_blocks,
 )
+from eqcol.cyclotomic import CycNum
+from eqcol.linalg import eliminate_along, rank_of_rows
 from eqcol.reps import binary_dihedral, cyclic_diagonal
 from eqcol.scenario import build_setup, load_scenario, run_scenario
 
@@ -670,3 +675,122 @@ def test_record_matches_full_gram_on_every_shipped_step(monkeypatch):
         assert run_scenario(path)["passed"] is True
     assert {"transpose", "right_mutation", "block_sort",
             "helix_rotate"} <= set(steps)
+
+
+# -- quiver through arrow targets ----------------------------------------
+
+
+def _oracle_h0_coordinates(data, cm):
+    """H^0 coordinates through the boundary span and cycle representatives
+    of `_h0`, whatever the dimensions of Hom^-1 and Hom^1."""
+    span, position, count = data._h0
+    coords, residual = eliminate_along(data._sparse_vector(cm), span, position)
+    assert not residual
+    return [coords.get(i, CycNum.zero()) for i in range(count, len(span))]
+
+
+def _oracle_arrows(coll):
+    """Arrows with the composites through every middle k where Hom(i, k)
+    and Hom(k, j) are both nonzero, ranked densely; and the number of rows
+    formed."""
+    size = len(coll)
+    hom = [[coll.ext_table(i, j).get(0, 0) if i < j else 0
+            for j in range(size)] for i in range(size)]
+    bases = {}
+
+    def basis(i, k):
+        if (i, k) not in bases:
+            bases[(i, k)] = cohomology_basis(coll.objects[i], coll.objects[k])
+        return bases[(i, k)]
+
+    arrows = [[0] * size for _ in range(size)]
+    count = 0
+    for i in range(size):
+        for j in range(i + 1, size):
+            if not hom[i][j]:
+                continue
+            data = hom_complex(coll.objects[i], coll.objects[j])
+            rows = [_oracle_h0_coordinates(data, compose_chain_maps(f, g))
+                    for k in range(i + 1, j) if hom[i][k] and hom[k][j]
+                    for f in basis(i, k) for g in basis(k, j)]
+            count += len(rows)
+            arrows[i][j] = hom[i][j] - rank_of_rows(rows)
+    return tuple(tuple(row) for row in arrows), count
+
+
+def _quiver_rows(monkeypatch):
+    """Record the number of rows each quiver rank receives."""
+    counts = []
+
+    def counting(rows):
+        counts.append(len(rows))
+        return rank_of_rows(rows)
+
+    monkeypatch.setattr(excol_mod, "rank_of_rows", counting)
+    return counts
+
+
+def _arrows_match(coll, counts):
+    """The quiver, after checking its arrows against the oracle's, with the
+    oracle's row count and the quiver's."""
+    counts.clear()
+    q = quiver(coll)
+    expected, oracle_rows = _oracle_arrows(coll)
+    assert q.arrows == expected
+    return q, oracle_rows, sum(counts)
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in SCENARIOS.glob("*.json")))
+def test_quiver_arrows_match_every_middle_on_shipped_scenarios(name, monkeypatch):
+    counts = _quiver_rows(monkeypatch)
+    checked = []
+
+    def checking(coll):
+        q, oracle_rows, rows = _arrows_match(coll, counts)
+        assert rows <= oracle_rows
+        checked.append(coll)
+        return q
+
+    monkeypatch.setattr(scenario_mod, "quiver", checking)
+    report = run_scenario(SCENARIOS / f"{name}.json")
+    assert report["passed"] is True
+    assert len(checked) == ("quiver" in report["tasks"])
+
+
+@pytest.mark.parametrize("case, rows", [
+    ("bd2 dsing", (0, 0)),
+    ("z4p3 dsing", (64, 64)),
+    ("z5p4 dsing", (1000, 625)),
+])
+def test_quiver_arrows_match_every_middle(case, rows, monkeypatch):
+    # The bd2 dsing collection is the cascade with its anchors removed, and
+    # holds a cone; z4p3 has an arrow into every middle it composes
+    # through, and Z/5 on P^4 composes through 375 fewer rows.
+    counts = _quiver_rows(monkeypatch)
+    setup = {"bd2 dsing": lambda: binary_dihedral(2),
+             "z4p3 dsing": lambda: cyclic_diagonal(4, [1] * 4),
+             "z5p4 dsing": lambda: cyclic_diagonal(5, [1] * 5)}[case]()
+    coll = dsing_collection(setup, 1, "invariant_veronese")
+    if case == "bd2 dsing":
+        assert any(obj.triangle is not None for obj in coll.objects)
+    assert _arrows_match(coll, counts)[1:] == rows
+
+
+def test_h0_coordinates_without_neighbours_are_the_hom0_coordinates(bd2):
+    # Hom^-1 = Hom^1 = 0 between line bundles: no boundaries, every vector a
+    # cycle, and h0_vectors are the unit vectors of Hom^0
+    coll = beilinson_collection(bd2)
+    checked = 0
+    for i, j in itertools.combinations(range(len(coll)), 2):
+        data = hom_complex(coll.objects[i], coll.objects[j])
+        if not data.dim(0):
+            continue
+        assert not data.dim(-1) and not data.dim(1)
+        size = data.dim(0)
+        assert data.h0_vectors() == [tuple(CycNum.one() if c == r else CycNum.zero()
+                                           for c in range(size))
+                                     for r in range(size)]
+        for f in cohomology_basis(coll.objects[i], coll.objects[j]):
+            assert list(data.h0_coordinates(f)) == _oracle_h0_coordinates(data, f)
+            checked += 1
+    assert checked == 8

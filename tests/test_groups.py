@@ -281,3 +281,19 @@ def test_spanning_tree_and_schreier_edges(case):
     assert sorted(edges + sorted(on_tree)) == \
         [(i, g) for i in range(n) for g in range(k)]
     assert edges == sorted(edges)
+
+
+@pytest.mark.parametrize("case", ["bd12", "q8_explicit", "z4"])
+def test_elements_share_one_entry_object_per_value(case):
+    # the closure runs on flat forms and makes each element a CycMatrix
+    # once, with one CycNum per distinct entry value, so every value is
+    # reduced once for the canonical sort and the index hashes
+    if case == "q8_explicit":
+        group = build_setup(load_scenario(SCENARIOS / "q8_explicit.json")).group
+    elif case == "z4":
+        group = cyclic_diagonal(4, [1, 1, 1, 1]).group
+    else:
+        group = binary_dihedral(12).group
+    entries = [v for m in group.elements for row in m.rows for v in row]
+    assert len({id(v) for v in entries}) == len(set(entries))
+    assert all(v._reduced is not None for v in entries)

@@ -653,3 +653,7 @@ def test_right_multiplier_matches_the_matrix_product(case):
     assert once == flatten(m * a, n)
     # the second application reuses the contributions the first built
     assert right(once) == flatten(m * a * a, n)
+    # an equal input returns the kept product, still the matrix product
+    again = right(flatten(m, n))
+    assert again is once
+    assert again == flatten(m * a, n)
