@@ -8,23 +8,10 @@ that between any two summands only degree-0 morphisms exist; this is what
 makes the naive Hom complex compute Ext.  Between two different complexes
 the same condition is the window precondition, checked pairwise.
 
-Ext dimensions need only the ranks of the Hom-complex differentials, and
-those are taken mod a prime p = 1 (mod N), N the conductor of the group
-generators and their irrep images, through `ModularImage` (J. D. Dixon's
-map, Numer. Math. 10, 1967).  Every value here is built from those
-matrices, so it maps to F_p unless a denominator vanishes mod p.  A minor
-that is nonzero mod p is nonzero, so rank_p(delta^k) <= rank(delta^k) and
-the cohomology mod p is at least as large as the exact one in every
-degree.  Both have the Euler characteristic sum (-1)^k dim Hom^k.  When
-the cohomology mod p lies in degrees of one parity, the exact cohomology
-lies there too, and the two alternating sums are then plain sums of
-nonnegative differences that add up to zero: every dimension mod p is
-exact, and by induction from the lowest degree so is every rank.
-Otherwise, or when a denominator or a conductor does not map, the exact
-sparse differentials decide.  This certifies the common cases outright:
-an exceptional pair expects {} or {0: 1}, and a strong pair degree 0
-only.  The H^0 representatives that cones and the quiver need are always
-computed exactly.
+Ext dimensions need only the ranks of the Hom-complex differentials:
+dim Ext^k = dim Hom^k - rank delta^k - rank delta^(k-1), each rank taken
+exactly by sparse elimination.  The H^0 representatives that cones and the
+quiver need come from the same exact differentials.
 
 Mutation degree convention: the right mutation keeps E in its original
 degrees and glues the copies of F one degree higher.  The left mutation
@@ -39,18 +26,16 @@ from .cohomology import EqLineBundle, KClass, ext_table, line_bundle_class
 from .config import hom_complex_cap
 from .errors import (
     BasisMismatch,
-    CertificateFailure,
     HomComplexCapExceeded,
     InvalidParameter,
     NonConcentratedHom,
     WindowViolation,
 )
-from .cyclotomic import CycNum, ModularImage, lcm
-from .homspaces import (HomElement, HomSpace, compose_hom, hom_space,
-                        monomial_basis)
+from .cyclotomic import CycNum
+from .homspaces import HomElement, HomSpace, compose_hom, hom_space
 from .linalg import (SparseVec, eliminate_along, sparse_echelon, sparse_kernel,
-                     sparse_rank, sparse_rank_mod)
-from .reps import Setup, setup_memo
+                     sparse_rank)
+from .reps import Setup
 
 
 class EqComplex:
@@ -311,118 +296,12 @@ def _accumulate(column: SparseVec, offset: int, space: HomSpace,
         column[row] = c if old is None else old + c
 
 
-# -- Hom-complex ranks modulo a prime ------------------------------------
-
-
-@setup_memo
-def _ext_image(setup: Setup) -> ModularImage:
-    """The map to F_p used for Ext ranks: p = 1 mod the lcm N of the
-    conductors of the group generators' entries and of the irreps (each
-    the lcm of its images' conductors), so every value built from them
-    maps.  p is the least such prime above 2^29: for
-    moderate N it is below 2^30, so a residue is one 30-bit digit of a
-    CPython int, and a rank drops mod p only when p divides a minor, which
-    costs the exact fallback, never a wrong answer."""
-    conductor = 1
-    for g in setup.group.generators:
-        for row in g.rows:
-            for v in row:
-                conductor = lcm(conductor, v.conductor)
-    for rep in setup.irreps:
-        conductor = lcm(conductor, rep.conductor)
-    return ModularImage(conductor, 1 << 29)
-
-
-@setup_memo
-def _monomial_codes(setup: Setup, m: int) -> tuple[tuple[int, ...], dict[int, int]]:
-    """Each degree-m monomial as one integer, its exponents in 16-bit
-    fields, so that the code of a product is the sum of the codes; and the
-    monomial index of each code."""
-    codes = tuple(sum(e << (16 * i) for i, e in enumerate(alpha))
-                  for alpha in monomial_basis(setup.n_plus_1, m))
-    return codes, {c: i for i, c in enumerate(codes)}
-
-
-class _Residues:
-    """A morphism mod p: its nonzero residues by flat index, each as (monomial
-    code, row, column, residue), and those grouped by column as (monomial
-    code, row, residue)."""
-
-    __slots__ = ("entries", "quads", "by_col")
-
-    def __init__(self, image: ModularImage, elem: HomElement):
-        space = elem.space
-        codes = _monomial_codes(space.setup, space.m)[0]
-        self.entries: dict[int, int] = {}
-        self.quads = []
-        self.by_col: dict[int, list] = {}
-        for j, x in elem.entries.items():
-            if image.conductor % x.conductor:
-                raise CertificateFailure(
-                    f"conductor {x.conductor} does not divide {image.conductor}")
-            r = image(x)
-            if r:
-                rest, col = divmod(j, space.dim_rho)
-                mi, row = divmod(rest, space.dim_sigma)
-                self.entries[j] = r
-                self.quads.append((codes[mi], row, col, r))
-                self.by_col.setdefault(col, []).append((codes[mi], row, r))
-
-
-class _SpaceResidues:
-    """A Hom space's echelon basis mod p.  Its pivots stay 1 and the other
-    pivots 0, so a coordinate is still the entry at a pivot."""
-
-    __slots__ = ("basis", "pivot_at", "code_index", "dim_sigma", "dim_rho")
-
-    def __init__(self, image: ModularImage, space: HomSpace):
-        self.basis = tuple(_Residues(image, f) for f in space.basis)
-        self.pivot_at = {j: i for i, j in enumerate(space.pivots)}
-        self.code_index = _monomial_codes(space.setup, space.m)[1]
-        self.dim_sigma, self.dim_rho = space.dim_sigma, space.dim_rho
-
-
-@setup_memo
-def _space_residues(setup: Setup, m: int, rho: int, sigma: int) -> _SpaceResidues:
-    """hom_space(setup, m, rho, sigma) reduced once by the setup's _ext_image."""
-    return _SpaceResidues(_ext_image(setup), hom_space(setup, m, rho, sigma))
-
-
-def _compose_mod(first: _Residues, second: _Residues, target: _SpaceResidues,
-                 p: int) -> dict[int, int]:
-    """The coordinates mod p of second o first in the echelon basis of
-    target, as {basis index: residue}: compose_hom and sparse_coordinates on
-    residues, with the same residual check taken mod p."""
-    index, dim_tau, dim_rho = target.code_index, target.dim_sigma, target.dim_rho
-    by_col = second.by_col
-    comp: dict[int, int] = {}
-    for ca, mid, t, x in first.quads:
-        for cb, s2, y in by_col.get(mid, ()):
-            j = (index[ca + cb] * dim_tau + s2) * dim_rho + t
-            comp[j] = comp.get(j, 0) + x * y
-    pivot_at = target.pivot_at
-    coords = {}
-    for j, v in comp.items():
-        i = pivot_at.get(j)
-        if i is not None and v % p:
-            coords[i] = v % p
-    for i, c in coords.items():
-        for j, x in target.basis[i].entries.items():
-            comp[j] = comp.get(j, 0) - c * x
-    if any(v % p for v in comp.values()):
-        raise BasisMismatch("composite is outside the invariant span mod p")
-    return coords
-
-
 class HomComplexData:
     """The complex Hom^k = sum over p of Hom(C^p, D^(p+k)), with exact
     differentials delta(f) = d_D o f - (-1)^k f o d_C.
 
     The dimensions come from the representation ring; the Hom spaces of a
-    degree are built when its differential is first needed.  `ext_dims`
-    takes ranks mod p under the parity certificate of the module docstring
-    and records in `certified` whether it held; `rank`, `delta` and the H^0
-    data are exact."""
+    degree are built when its differential is first needed."""
 
     def __init__(self, C: EqComplex, D: EqComplex):
         if C.setup is not D.setup:
@@ -453,8 +332,6 @@ class HomComplexData:
         self._spaces: dict[tuple[int, int, int], HomSpace] = {}
         self._deltas: dict[int, list[SparseVec]] = {}
         self._ranks: dict[int, int] = {}
-        self._residues: dict[int, _Residues] = {}
-        self.certified: bool | None = None
 
     def dim(self, k: int) -> int:
         return self.dims.get(k, 0)
@@ -538,44 +415,38 @@ class HomComplexData:
                 pres.setdefault((d + 1, s), []).append((sp, e))
         return posts, pres
 
-    def _blocks(self, k: int):
-        """Per nonzero Hom space of Hom^k, in row order: the space, the
-        blocks g of D's differential that meet it and the blocks e of C's
-        that meet it, each with the first row and the space of Hom^(k+1)
-        that g o f or f o e lands in."""
-        C, D = self.source, self.target
-        posts, pres = self._diff_index
-        outs = self._layout(k + 1)
-        for p, s, t, space, _ in self._slices(k):
-            q = p + k
-            post = []
-            if p in outs:
-                a = C.terms[p][s]
-                for u, g in posts.get((q, t), ()):
-                    start = outs[p][s][u]
-                    if start is not None:
-                        post.append((g, start, self._space(a, D.terms[q + 1][u])))
-            pre = []
-            if p - 1 in outs:
-                b = D.terms[q][t]
-                for sp, e in pres.get((p, s), ()):
-                    start = outs[p - 1][sp][t]
-                    if start is not None:
-                        pre.append((e, start, self._space(C.terms[p - 1][sp], b)))
-            yield space, post, pre
-
     def delta(self, k: int) -> list[SparseVec]:
         """delta^k as sparse columns, one per basis vector of Hom^k, each
         {row: value} with the zero entries dropped.  Each column composes a
-        basis vector with the differential blocks it meets and reads the
-        composites' coordinates with `sparse_coordinates`; both visit the
-        nonzero entries only, so a column costs the supports it receives,
-        not the ambient dimensions of its Hom spaces."""
+        basis vector f with the blocks g of D's differential and e of C's
+        that meet its Hom space, and reads the coordinates of g o f and
+        f o e with `sparse_coordinates` at the first row of the space of
+        Hom^(k+1) they land in; both visit the nonzero entries only, so a
+        column costs the supports it receives, not the ambient dimensions
+        of its Hom spaces."""
         if k in self._deltas:
             return self._deltas[k]
+        C, D = self.source, self.target
+        post_index, pre_index = self._diff_index
+        outs = self._layout(k + 1)
         negate_pre = k % 2 == 0
         columns = []
-        for space, posts, pres in self._blocks(k):
+        for p, s, t, space, _ in self._slices(k):
+            q = p + k
+            posts = []
+            if p in outs:
+                a = C.terms[p][s]
+                for u, g in post_index.get((q, t), ()):
+                    start = outs[p][s][u]
+                    if start is not None:
+                        posts.append((g, start, self._space(a, D.terms[q + 1][u])))
+            pres = []
+            if p - 1 in outs:
+                b = D.terms[q][t]
+                for sp, e in pre_index.get((p, s), ()):
+                    start = outs[p - 1][sp][t]
+                    if start is not None:
+                        pres.append((e, start, self._space(C.terms[p - 1][sp], b)))
             for f in space.basis:
                 column: SparseVec = {}
                 for g, start, out in posts:
@@ -593,75 +464,8 @@ class HomComplexData:
                               if k in self.dims and k + 1 in self.dims else 0)
         return self._ranks[k]
 
-    def _reduced(self, image: ModularImage, elem: HomElement) -> _Residues:
-        """A differential block mod p, reduced once per Hom complex (the
-        complexes hold the blocks, so their ids stay unique)."""
-        out = self._residues.get(id(elem))
-        if out is None:
-            out = self._residues[id(elem)] = _Residues(image, elem)
-        return out
-
-    def _modular_columns(self, k: int, image: ModularImage):
-        """The columns of delta^k mod p, {row: integer} with residues
-        summed, one at a time."""
-        p = image.p
-        negate_pre = k % 2 == 0
-        spaces: dict[int, _SpaceResidues] = {}
-
-        def residues(space: HomSpace) -> _SpaceResidues:
-            out = spaces.get(id(space))
-            if out is None:
-                out = spaces[id(space)] = _space_residues(
-                    self.setup, space.m, space.rho_index, space.sigma_index)
-            return out
-
-        for space, posts, pres in self._blocks(k):
-            posts = [(self._reduced(image, g), start, residues(out))
-                     for g, start, out in posts]
-            pres = [(self._reduced(image, e), start, residues(out))
-                    for e, start, out in pres]
-            for f in residues(space).basis:
-                column: dict[int, int] = {}
-                for g, offset, target in posts:
-                    for i, c in _compose_mod(f, g, target, p).items():
-                        column[offset + i] = column.get(offset + i, 0) + c
-                for e, offset, target in pres:
-                    for i, c in _compose_mod(e, f, target, p).items():
-                        column[offset + i] = column.get(offset + i, 0) + (
-                            -c if negate_pre else c)
-                yield column
-
-    def _modular_rank(self, k: int, image: ModularImage) -> int:
-        """The rank of delta^k mod p, a lower bound for its rank."""
-        return sparse_rank_mod(self._modular_columns(k, image), image.p)
-
-    def _certify(self) -> bool:
-        """Fill in the rank of every differential from its rank mod p when
-        the parity certificate holds, and say whether it held.  Ranks
-        already known exactly are kept; nothing is filled in on failure."""
-        degrees = [k for k in self.dims
-                   if k + 1 in self.dims and k not in self._ranks]
-        if not degrees:
-            return True
-        try:
-            image = _ext_image(self.setup)
-            ranks = {k: self._modular_rank(k, image) for k in degrees}
-        except CertificateFailure:
-            return False
-        known = {**self._ranks, **ranks}
-        parities = {k % 2 for k, dim in self.dims.items()
-                    if dim != known.get(k, 0) + known.get(k - 1, 0)}
-        if len(parities) > 1:
-            return False
-        self._ranks.update(ranks)
-        return True
-
     def ext_dims(self) -> dict[int, int]:
-        """The cohomology dimensions, nonzero only.  The ranks come from the
-        parity certificate when it holds, and from the exact differentials
-        when it does not."""
-        if self.certified is None:
-            self.certified = self._certify()
+        """The cohomology dimensions, nonzero only."""
         out = {}
         for k, dim in self.dims.items():
             h = dim - self.rank(k) - self.rank(k - 1)

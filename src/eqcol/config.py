@@ -41,7 +41,7 @@ def order_cap() -> int:
 
 @lru_cache(maxsize=None)
 def hom_complex_cap() -> int:
-    """Largest dimension of one degree of a Hom complex.  Z/7 on P^6 builds
-    a degree of dimension 853,777, whose differential holds about 650 bytes
-    per nonzero."""
+    """Largest dimension of one degree of a Hom complex.  A differential
+    holds about 650 bytes per nonzero, and the self Hom complex of a cone
+    gluing h copies of one bundle has dimension about h^2 in degree 0."""
     return _cap("EQCOL_HOM_COMPLEX_CAP", 1_000_000)

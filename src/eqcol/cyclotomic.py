@@ -120,6 +120,17 @@ def lcm(a: int, b: int) -> int:
     return a * b // gcd(a, b)
 
 
+def common_conductor(value_lists) -> int:
+    """The lcm of the stored conductors of every value in the lists, such
+    as the rows of matrices or the values of characters: a conductor at
+    which they all have coordinates."""
+    conductor = 1
+    for values in value_lists:
+        for v in values:
+            conductor = lcm(conductor, v.conductor)
+    return conductor
+
+
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Coefficients of the n-th cyclotomic polynomial, ascending degree.

@@ -29,10 +29,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .config import order_cap as configured_order_cap
-from .cyclotomic import CycNum
+from .cyclotomic import CycNum, common_conductor
 from .errors import GroupMismatch, InvalidParameter, NotInvertible, OrderCapExceeded
-from .linalg import (CycMatrix, RightMultiplier, flat_identity, matrix_conductor,
-                     unflatten)
+from .linalg import CycMatrix, RightMultiplier, flat_identity, unflatten
 
 
 class FiniteMatrixGroup:
@@ -167,7 +166,7 @@ def generate_group(generators: list[CycMatrix], dimension: int | None = None,
     # which are equal exactly when the matrices are; `found` grows while it
     # is scanned.  right[g][i] is the index of found[i] * g, and tree holds
     # (child, parent, letter).
-    conductor = matrix_conductor(generators)
+    conductor = common_conductor(row for g in generators for row in g.rows)
     actions = [RightMultiplier(g, conductor) for g in generators]
     found = [flat_identity(dim, conductor)]
     index = {found[0]: 0}

@@ -12,8 +12,7 @@ so every basis derived from it is deterministic.
 
 `CycMatrix` rank, determinant, solve, inverse, RREF and kernel, and
 `rref_rows`, hand their rows to this elimination and make the result dense
-again.  `sparse_rank_mod` runs the same forward elimination on integer
-residues modulo a prime.
+again.
 
 A square matrix over Q(zeta_N) also has a flat form: its power-basis
 numerators over one common denominator, on integer slots.  The power basis
@@ -310,33 +309,6 @@ def sparse_rank(vectors: Iterable[Mapping[int, CycNum]]) -> int:
     return len(_sparse_forward(vectors)[0])
 
 
-def sparse_rank_mod(vectors: Iterable[Mapping[int, int]], p: int) -> int:
-    """Dimension over F_p of the span of sparse integer vectors, by the
-    forward elimination of `_sparse_forward` on residues mod the prime p.
-    The vectors are consumed one at a time, so only the echelon rows are
-    held, each as the (index, residue) pairs after its lead, where it is 1:
-    a unit row is the empty tuple."""
-    rows: dict[int, tuple[tuple[int, int], ...]] = {}
-    for vector in vectors:
-        v = {j: r for j, c in vector.items() if (r := c % p)}
-        while v:
-            lead = min(v)
-            row = rows.get(lead)
-            if row is None:
-                inv = pow(v.pop(lead), -1, p)
-                rows[lead] = tuple((j, c * inv % p) for j, c in v.items())
-                break
-            c = p - v.pop(lead)
-            for j, x in row:
-                # c * x is nonzero mod p, so a zero sum means v held j
-                new = (v.get(j, 0) + c * x) % p
-                if new:
-                    v[j] = new
-                else:
-                    del v[j]
-    return len(rows)
-
-
 def sparse_echelon(vectors: Iterable[Mapping[int, CycNum]]
                    ) -> tuple[list[SparseVec], list[int]]:
     """Reduced echelon basis of the span of sparse vectors, with leads.
@@ -443,17 +415,6 @@ def flat_identity(dim: int, conductor: int) -> FlatMatrix:
     """The flat form of the dim x dim identity at conductor N."""
     phi = euler_phi(conductor)
     return tuple(((r * dim + r) * phi, 1) for r in range(dim)), 1
-
-
-def matrix_conductor(matrices: Iterable[CycMatrix]) -> int:
-    """The lcm of the stored conductors of every entry of the matrices: a
-    conductor at which they all have flat forms."""
-    conductor = 1
-    for matrix in matrices:
-        for row in matrix.rows:
-            for v in row:
-                conductor = lcm(conductor, v.conductor)
-    return conductor
 
 
 def unflatten(flat: FlatMatrix, dim: int, conductor: int,

@@ -19,7 +19,7 @@ built on first use.
 Multiplicities live in the integer representation ring.  Once per Setup,
 on first use, the integer tables L_k (row sigma: the irrep decomposition of
 Lambda^k V-dual tensor rho_sigma, k = 1..n+1) are computed modulo a prime
-by Dixon's method and certified by their dimensions; the permutation
+by Dixon's method, with their dimensions as a certificate; the permutation
 "tensor with det" is read off L_(n+1).  Every Sym^m multiplicity then
 follows from the Koszul relation on integer vectors.  The CycNum character
 path (Newton power characters, inner products) stays for decomposing
@@ -39,7 +39,7 @@ from fractions import Fraction
 from functools import wraps
 from math import comb
 
-from .cyclotomic import CycNum, ModularImage, euler_phi, lcm
+from .cyclotomic import CycNum, ModularImage, common_conductor, euler_phi
 from .errors import (CertificateFailure, GroupMismatch, InvalidParameter,
                      NegativeDegree)
 from .groups import (
@@ -49,7 +49,7 @@ from .groups import (
     generate_group,
 )
 from .linalg import (CycMatrix, FlatMatrix, RightMultiplier, flat_identity,
-                     flat_trace, matrix_conductor, unflatten)
+                     flat_trace, unflatten)
 
 
 class CharacterVec:
@@ -224,7 +224,7 @@ def irrep_from_images(group: FiniteMatrixGroup, index: int, name: str,
     for img in images:
         if img.nrows != img.ncols or img.nrows != dim:
             raise InvalidParameter("irrep images must be square of equal size")
-    conductor = matrix_conductor(images)
+    conductor = common_conductor(row for img in images for row in img.rows)
     multipliers = [RightMultiplier(img, conductor) for img in images]
     table = [flat_identity(dim, conductor)] * group.order
     for j, parent, letter in group.tree:
@@ -295,7 +295,7 @@ def verify_irreps(group: FiniteMatrixGroup, irreps: list[Irrep]) -> VerifyReport
                 return fail(f"{rep.name} is not multiplicative at"
                             f" ({i}, {gen_indices[g]})")
     chars = [rep.character().values for rep in irreps]
-    image = ModularImage(_conductor(chars),
+    image = ModularImage(common_conductor(chars),
                          max(max(r.dim for r in irreps) ** 2, group.order))
     left, right = _character_residues(group, chars, image)
     for a in range(len(irreps)):
@@ -477,7 +477,7 @@ def _lambda_tables(setup: Setup):
     character conductors; Lambda^k V-dual comes from Newton's identities mod
     p, and each entry is an inner product mod p.  The entries lie in
     [0, C(n+1, k) * max dim] and p exceeds that and |G|, so each residue is
-    the exact integer.  Each row is certified by its dimension,
+    the exact integer.  Each row's certificate is its dimension,
     sum_rho L_k[sigma][rho] dim rho = C(n+1, k) dim sigma, and L_(n+1) must
     be the permutation det^-1 tensor; anything else raises
     CertificateFailure.
@@ -488,7 +488,7 @@ def _lambda_tables(setup: Setup):
     chars = [rep.character().values for rep in setup.irreps]
     defining = setup.defining_character().values
     dims = [rep.dim for rep in setup.irreps]
-    image = ModularImage(_conductor([*chars, defining]),
+    image = ModularImage(common_conductor([*chars, defining]),
                          max(comb(n1, n1 // 2) * max(dims), group.order))
     p = image.p
     # e_k of V-dual at each class: chi_(V-dual)(g^i) = conj chi_V(g^i)
@@ -527,15 +527,6 @@ def _lambda_tables(setup: Setup):
                 f" not permute the irreps mod {p}")
         det[row[0][0]] = sigma
     return tuple(tables), tuple(det)
-
-
-def _conductor(value_lists) -> int:
-    """The lcm of the conductors of every value in the lists."""
-    conductor = 1
-    for values in value_lists:
-        for v in values:
-            conductor = lcm(conductor, v.conductor)
-    return conductor
 
 
 def _character_residues(group: FiniteMatrixGroup, chars, image: ModularImage):

@@ -11,6 +11,7 @@ from eqcol.cyclotomic import (
     CycNum,
     _int_poly_divexact,
     _restrict,
+    common_conductor,
     cyclotomic_polynomial,
     divisors,
     euler_phi,
@@ -205,6 +206,16 @@ def test_reduction_to_minimal_conductor():
     # rational recognition
     r = CycNum.zeta(3) * CycNum.zeta(3, 2)
     assert r.reduced().conductor == 1 and r.as_rat() == 1
+
+
+def test_common_conductor_is_the_lcm_of_stored_conductors():
+    rows = [[CycNum.zeta(4), CycNum.from_rat(2)], [], [CycNum.zeta(5, 2)]]
+    assert common_conductor(rows) == 20
+    assert common_conductor(iter(rows[:2])) == 4
+    assert common_conductor([]) == 1
+    # the stored conductor is read as it is, not reduced first
+    unreduced = CycNum.zeta(8) ** 2
+    assert common_conductor([[unreduced]]) == 8
 
 
 def test_galois_and_conjugation():

@@ -23,7 +23,6 @@ from eqcol.linalg import (
     sparse_echelon,
     sparse_kernel,
     sparse_rank,
-    sparse_rank_mod,
     unflatten,
 )
 
@@ -525,27 +524,6 @@ def test_sparse_echelon_matches_dense_elimination():
         checked += 1
     assert checked == 52 + 16
     assert kernels > 20 and one_entry > 50
-
-
-@settings(derandomize=True, max_examples=80, deadline=None)
-@given(st.integers(1, 6).flatmap(lambda n: st.lists(
-    st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=1, max_size=6)))
-def test_sparse_rank_mod_matches_rational_rank(rows):
-    # By Hadamard's bound every minor is at most 3^6 * 6^3 = 157,464 in
-    # absolute value, so the prime 1,000,003 divides no nonzero minor and
-    # the rank mod p is the rational rank.
-    vectors = [{j: c for j, c in enumerate(row) if c} for row in rows]
-    rational = sparse_rank([{j: CycNum.from_rat(c) for j, c in v.items()}
-                            for v in vectors])
-    assert sparse_rank_mod(iter(vectors), 1_000_003) == rational
-
-
-def test_sparse_rank_mod_drops_where_p_divides_a_minor():
-    # det [[1, 1], [1, -1]] = -2, and entries come in unreduced
-    rows = [{0: 1, 1: 1}, {0: 1, 1: -1}]
-    assert [sparse_rank_mod(rows, p) for p in (2, 3, 5)] == [1, 2, 2]
-    assert sparse_rank_mod([{0: 7, 3: 14}], 7) == 0
-    assert sparse_rank_mod([{0: 8, 3: 15}, {0: 1, 3: 1}], 7) == 1
 
 
 def _dense_eliminate(vector, rows, leads):

@@ -48,3 +48,29 @@ def test_every_private_definition_is_referenced():
             if all(id(node) in inside for node in uses.get(name, [])):
                 unused.append(f"{module}: {name}")
     assert unused == []
+
+
+def _imported_names(tree: ast.Module):
+    """(name, line) for each name bound by an import anywhere in the module,
+    other than `from __future__` imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                yield name, node.lineno
+
+
+def test_every_imported_name_is_used():
+    # __init__.py imports to re-export, so its names need no use inside it
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        loaded = {node.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+        unused += [f"{path.name}:{line}: {name}"
+                   for name, line in _imported_names(tree) if name not in loaded]
+    assert unused == []
