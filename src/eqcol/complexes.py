@@ -13,9 +13,9 @@ dim Ext^k = dim Hom^k - rank delta^k - rank delta^(k-1), each rank taken
 exactly by sparse elimination.  The H^0 representatives that cones and the
 quiver need come from the same exact differentials.
 
-Mutation degree convention: the right mutation keeps E in its original
-degrees and glues the copies of F one degree higher.  The left mutation
-keeps F and glues the copies of E one degree lower.
+Both mutations are mapping cones of the evaluation map, with
+Cone(f: X -> Y)^d = X^(d+1) + Y^d:
+R = Cone(E -> F tensor Hom(E, F)^*)[-1] and L = Cone(E tensor Hom(E, F) -> F).
 """
 
 from __future__ import annotations
@@ -317,7 +317,6 @@ class HomComplexData:
                 "Ext classes that the Hom complex cannot see")
         c_degrees = C.degrees
         d_degrees = D.degrees
-        self._sym: dict[tuple[int, int], tuple[int, ...]] = {}
         self.dims: dict[int, int] = {}
         for k in range(d_degrees[0] - c_degrees[-1], d_degrees[-1] - c_degrees[0] + 1):
             total = sum(sum(map(sum, dims)) for _, dims in self._pair_dims(k))
@@ -329,7 +328,6 @@ class HomComplexData:
             if total:
                 self.dims[k] = total
         self._layouts: dict[int, dict[int, list[list[int | None]]]] = {}
-        self._spaces: dict[tuple[int, int, int], HomSpace] = {}
         self._deltas: dict[int, list[SparseVec]] = {}
         self._ranks: dict[int, int] = {}
 
@@ -338,29 +336,14 @@ class HomComplexData:
 
     def _pair_dims(self, k: int):
         """(p, dims) for each p with C^p and D^(p+k) nonzero, dims[s][t] the
-        dimension of Hom(C^p[s], D^(p+k)[t]), read off the integer tables
-        (Sym^m V-dual tensor sigma, cached by (m, sigma)) with no Hom space
-        built."""
-        C, D, sym = self.source, self.target, self._sym
+        dimension of Hom(C^p[s], D^(p+k)[t]), read off the setup's integer
+        tables (`Setup.hom_dim`) with no Hom space built."""
+        C, D, hom_dim = self.source, self.target, self.setup.hom_dim
         for p in C.degrees:
             targets = D.terms.get(p + k)
-            if not targets:
-                continue
-            dims = []
-            for a in C.terms[p]:
-                row = []
-                for b in targets:
-                    m = b.twist - a.twist
-                    if m < 0:
-                        row.append(0)
-                        continue
-                    table = sym.get((m, b.irrep))
-                    if table is None:
-                        table = sym[(m, b.irrep)] = \
-                            self.setup.sym_decomposition(m, b.irrep)
-                    row.append(table[a.irrep])
-                dims.append(row)
-            yield p, dims
+            if targets:
+                yield p, [[hom_dim(a.twist, b.twist, a.irrep, b.irrep)
+                           for b in targets] for a in C.terms[p]]
 
     def _layout(self, k: int) -> dict[int, list[list[int | None]]]:
         """The first row of Hom^k of each Hom(C^p[s], D^(p+k)[t]), as
@@ -383,12 +366,8 @@ class HomComplexData:
         return layout
 
     def _space(self, a: EqLineBundle, b: EqLineBundle) -> HomSpace:
-        """The Hom space from a to b, looked up once per Hom complex."""
-        key = (b.twist - a.twist, a.irrep, b.irrep)
-        space = self._spaces.get(key)
-        if space is None:
-            space = self._spaces[key] = hom_space(self.setup, *key)
-        return space
+        """The Hom space from a to b, from the setup's memo."""
+        return hom_space(self.setup, b.twist - a.twist, a.irrep, b.irrep)
 
     def _slices(self, k: int):
         """(p, s, t, space, offset) for each nonzero Hom(C^p[s], D^(p+k)[t]),
@@ -616,91 +595,74 @@ def _evaluation_maps(E: EqComplex, F: EqComplex) -> list[ChainMap]:
     return maps
 
 
+def _copies(C: EqComplex, h: int) -> EqComplex:
+    """The direct sum of h copies of C, copy-major: copy c of C^d[s] is
+    summand c * len(C^d) + s."""
+    sizes = {d: len(summands) for d, summands in C.terms.items()}
+    terms = {d: summands * h for d, summands in C.terms.items()}
+    diffs = {d: {(c * sizes[d + 1] + t, c * sizes[d] + s): elem
+                 for c in range(h) for (t, s), elem in blocks.items()}
+             for d, blocks in C.diffs.items()}
+    return EqComplex(C.setup, terms, diffs, check=False)
+
+
+def _cone(X: EqComplex, Y: EqComplex, blocks) -> EqComplex:
+    """The mapping cone of the chain map f: X -> Y whose blocks[d][(t, s)]
+    sends X^d[s] to Y^d[t]: Cone^d = X^(d+1) + Y^d, X's summands first,
+    with differential (x, y) -> (-d_X x, f x + d_Y y)."""
+    offset = {}
+    terms = {}
+    for d in sorted({p - 1 for p in X.terms} | set(Y.terms)):
+        x_part = X.terms.get(d + 1, ())
+        offset[d] = len(x_part)
+        terms[d] = x_part + Y.terms.get(d, ())
+    diffs: dict[int, dict] = {}
+    for d, entry in X.diffs.items():
+        diffs.setdefault(d - 1, {}).update(
+            ((t, s), -elem) for (t, s), elem in entry.items())
+    for d, entry in Y.diffs.items():
+        diffs.setdefault(d, {}).update(
+            ((offset[d + 1] + t, offset[d] + s), elem)
+            for (t, s), elem in entry.items())
+    for d, entry in blocks.items():
+        diffs.setdefault(d - 1, {}).update(
+            ((offset[d] + t, s), elem) for (t, s), elem in entry.items())
+    return EqComplex(X.setup, terms, diffs)
+
+
 def right_mutation(E: EqComplex, F: EqComplex) -> EqComplex:
-    """Move F leftward past E: E is replaced by the cone gluing h copies of
-    F one degree above E via the evaluation maps, h = dim Hom(E, F).  The
-    cone records (E, F) as its `triangle`; the maps are a basis of Hom(E, F),
-    which is concentrated in degree 0.  When the pair is orthogonal the
-    operation is a pure transposition and E is returned unchanged."""
+    """Move F leftward past E: E is replaced by
+    R = Cone(E -> F tensor Hom(E, F)^*)[-1], whose map stacks the
+    evaluation maps, a basis of Hom(E, F) concentrated in degree 0, over
+    the h = dim Hom(E, F) copies of F, so R^d = E^d + (F^(d-1))^h.  The
+    cone records (E, F) as its `triangle`.  When the pair is orthogonal
+    the operation is a pure transposition and E is returned unchanged."""
     maps = _evaluation_maps(E, F)
     if not maps:
         return E
-    h = len(maps)
-    terms: dict[int, tuple] = {}
-    f_offset: dict[int, int] = {}
-    for degree in set(E.degrees) | {d + 1 for d in F.degrees}:
-        e_part = E.terms.get(degree, ())
-        f_part = F.terms.get(degree - 1, ())
-        f_offset[degree] = len(e_part)
-        combined = tuple(e_part) + tuple(f_part) * h
-        if combined:
-            terms[degree] = combined
-    diffs: dict[int, dict] = {}
-
-    def put(degree, t, s, elem):
-        diffs.setdefault(degree, {})[(t, s)] = elem
-
-    for degree, blocks in E.diffs.items():
-        for (t, s), elem in blocks.items():
-            put(degree, t, s, elem)
-    f_sizes = {d: len(F.terms[d]) for d in F.terms}
-    for degree, blocks in F.diffs.items():
-        size_src = f_sizes[degree]
-        size_tgt = f_sizes[degree + 1]
-        for (t, s), elem in blocks.items():
-            for copy in range(h):
-                put(degree + 1,
-                    f_offset[degree + 2] + copy * size_tgt + t,
-                    f_offset[degree + 1] + copy * size_src + s,
-                    -elem)
-    for copy, phi in enumerate(maps):
-        for degree, entry in phi.blocks.items():
-            size_tgt = f_sizes[degree]
-            for (t, s), elem in entry.items():
-                put(degree, f_offset[degree + 1] + copy * size_tgt + t, s, elem)
-    cone = EqComplex(E.setup, terms, diffs)
+    sizes = {d: len(summands) for d, summands in F.terms.items()}
+    ev: dict[int, dict] = {}
+    for c, phi in enumerate(maps):
+        for d, entry in phi.blocks.items():
+            ev.setdefault(d, {}).update(
+                ((c * sizes[d] + t, s), -elem) for (t, s), elem in entry.items())
+    cone = _cone(E, _copies(F, len(maps)), ev).shift(-1)
     cone.triangle = (E, F)
     return cone
 
 
 def left_mutation(E: EqComplex, F: EqComplex) -> EqComplex:
-    """Move E rightward past F: F is replaced by the cone under h copies of
-    E one degree below, glued by the coevaluation maps.  Orthogonal pairs
-    transpose and return F unchanged."""
+    """Move E rightward past F: F is replaced by
+    L = Cone(E tensor Hom(E, F) -> F), whose map sends the h copies of E
+    along the evaluation maps, so L^d = (E^(d+1))^h + F^d.  Orthogonal
+    pairs transpose and return F unchanged."""
     maps = _evaluation_maps(E, F)
     if not maps:
         return F
-    h = len(maps)
-    terms: dict[int, tuple] = {}
-    f_offset: dict[int, int] = {}
-    for degree in set(F.degrees) | {d - 1 for d in E.degrees}:
-        e_part = E.terms.get(degree + 1, ())
-        f_part = F.terms.get(degree, ())
-        combined = tuple(e_part) * h + tuple(f_part)
-        f_offset[degree] = len(e_part) * h
-        if combined:
-            terms[degree] = combined
-    diffs: dict[int, dict] = {}
-
-    def put(degree, t, s, elem):
-        diffs.setdefault(degree, {})[(t, s)] = elem
-
-    e_sizes = {d: len(E.terms[d]) for d in E.terms}
-    for degree, blocks in E.diffs.items():
-        size_src = e_sizes[degree]
-        size_tgt = e_sizes[degree + 1]
-        for (t, s), elem in blocks.items():
-            for copy in range(h):
-                put(degree - 1,
-                    copy * size_tgt + t,
-                    copy * size_src + s,
-                    -elem)
-    for degree, blocks in F.diffs.items():
-        for (t, s), elem in blocks.items():
-            put(degree, f_offset[degree + 1] + t, f_offset[degree] + s, elem)
-    for copy, phi in enumerate(maps):
-        for degree, entry in phi.blocks.items():
-            size_src = e_sizes[degree]
-            for (t, s), elem in entry.items():
-                put(degree - 1, f_offset[degree] + t, copy * size_src + s, elem)
-    return EqComplex(E.setup, terms, diffs)
+    sizes = {d: len(summands) for d, summands in E.terms.items()}
+    ev: dict[int, dict] = {}
+    for c, phi in enumerate(maps):
+        for d, entry in phi.blocks.items():
+            ev.setdefault(d, {}).update(
+                ((t, c * sizes[d] + s), elem) for (t, s), elem in entry.items())
+    return _cone(_copies(E, len(maps)), F, ev)

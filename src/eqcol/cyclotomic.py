@@ -697,7 +697,11 @@ def parse_cyc(text: str) -> CycNum:
         match = _TERM_RE.match(text, pos)
         if not match or (match.group("coef") is None and match.group("cond") is None):
             raise InvalidParameter(f"bad cyclotomic literal at offset {pos}: {text!r}")
-        coef = Fraction(match.group("coef")) if match.group("coef") else 1
+        try:
+            coef = Fraction(match.group("coef")) if match.group("coef") else 1
+        except ZeroDivisionError:
+            raise InvalidParameter(
+                f"zero denominator at offset {pos}: {text!r}") from None
         if match.group("cond") is not None:
             n = int(match.group("cond"))
             if n < 1:

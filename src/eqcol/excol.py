@@ -638,7 +638,8 @@ def dsing_collection(setup: Setup, d: int, mode: str) -> ExcCollection:
     scalar_full = (setup.group.is_scalar()
                    and setup.central_scalars(setup.n_plus_1).e == setup.n_plus_1)
     if scalar_full:
-        _helix_present(bench, targets)
+        _helix_present(bench, veronese_blocks(pullback, setup.n_plus_1),
+                       targets)
 
     for t, label in enumerate(targets):
         pos = bench.labels.index(label)
@@ -658,43 +659,26 @@ def dsing_collection(setup: Setup, d: int, mode: str) -> ExcCollection:
     return result
 
 
-def _helix_present(bench: _Workbench, targets: list[str]) -> None:
-    """For a full scalar group, regroup the pullback block into rows by the
-    weight of the whole scalar group and rotate each row holding a removal
-    target so the target leads; objects wrapped around the end pick up a
-    twist by O(n+1).  All moves stay inside the recorded base-change trail."""
-    setup = bench.setup
-    full = setup.central_scalars(setup.n_plus_1)
-    row_weight = []
-    for obj in bench.objects:
-        row_weight.append(_object_weight(setup, obj, full))
-
-    order = sorted(range(len(bench.objects)),
-                   key=lambda i: (row_weight[i], i))
-    for a in range(len(order)):
-        for b in range(len(order)):
-            if row_weight[order[a]] != row_weight[order[b]]:
-                ta = pair_ext_dims(bench.objects[order[a]],
-                                   bench.objects[order[b]])
-                if ta:
-                    raise OrthogonalityFailure(
-                        "scalar-weight rows are not orthogonal")
+def _helix_present(bench: _Workbench, rows: VeroneseBlocks,
+                   targets: list[str]) -> None:
+    """For a full scalar group, sort the pullback block into `rows`, its
+    blocks by the weight of the whole scalar group, whose cross-row Ext
+    vanishing `veronese_blocks` verified; then rotate each row holding a
+    removal target so the target leads.  Objects wrapped around the end
+    pick up a twist by O(n+1).  All moves stay inside the recorded
+    base-change trail."""
+    order = [i for block in rows.blocks for i in block]
     if order != list(range(len(order))):
         bench.permute(order, {"op": "block_sort",
-                              "weights": sorted(row_weight)})
-
-    rows: dict[int, list[int]] = {}
-    for pos in range(len(bench.objects)):
-        w = _object_weight(setup, bench.objects[pos], full)
-        rows.setdefault(w, []).append(pos)
-
-    for w in sorted(rows):
-        positions = rows[w]
+                              "weights": sorted(rows.weights)})
+    start = 0
+    for w, block in enumerate(rows.blocks):
+        positions = list(range(start, start + len(block)))
+        start += len(block)
         lead = next((k for k, pos in enumerate(positions)
                      if bench.labels[pos] in targets), None)
-        if lead is None or lead == 0:
-            continue
-        _rotate_row(bench, positions, lead, w)
+        if lead:
+            _rotate_row(bench, positions, lead, w)
 
 
 def _rotate_row(bench: _Workbench, positions: list[int], lead: int,

@@ -10,9 +10,8 @@ from the highest lead down, touching only the leads in its own support.
 The result is the reduced row echelon basis of the span, which is unique,
 so every basis derived from it is deterministic.
 
-`CycMatrix` rank, determinant, solve, inverse, RREF and kernel, and
-`rref_rows`, hand their rows to this elimination and make the result dense
-again.
+`CycMatrix` rank, determinant and solve, and `rref_rows`, hand their rows
+to this elimination and make the result dense again.
 
 A square matrix over Q(zeta_N) also has a flat form: its power-basis
 numerators over one common denominator, on integer slots.  The power basis
@@ -31,7 +30,7 @@ from math import gcd
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .cyclotomic import CycNum, _power_terms, euler_phi, lcm
-from .errors import InvalidParameter, NotInvertible
+from .errors import InvalidParameter
 
 
 def _coerce_entry(value) -> CycNum:
@@ -101,19 +100,6 @@ class CycMatrix:
 
     __repr__ = __str__
 
-    def __add__(self, other: "CycMatrix") -> "CycMatrix":
-        if self.shape != other.shape:
-            raise InvalidParameter(f"shape mismatch {self.shape} + {other.shape}")
-        return CycMatrix(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
-        )
-
-    def __neg__(self) -> "CycMatrix":
-        return CycMatrix([[-v for v in row] for row in self.rows])
-
-    def __sub__(self, other: "CycMatrix") -> "CycMatrix":
-        return self + (-other)
-
     def __mul__(self, other):
         if isinstance(other, CycMatrix):
             if self.ncols != other.nrows:
@@ -128,24 +114,6 @@ class CycMatrix:
     def __rmul__(self, other):
         scalar = _coerce_entry(other)
         return CycMatrix([[scalar * v for v in row] for row in self.rows])
-
-    def __pow__(self, exponent: int) -> "CycMatrix":
-        if self.nrows != self.ncols:
-            raise InvalidParameter("power of a non-square matrix")
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        result = CycMatrix.identity(self.nrows)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    def transpose(self) -> "CycMatrix":
-        return CycMatrix(list(zip(*self.rows)))
 
     def trace(self) -> CycNum:
         if self.nrows != self.ncols:
@@ -183,30 +151,8 @@ class CycMatrix:
             result = result * head
         return -result if inversions % 2 else result
 
-    def inverse(self) -> "CycMatrix":
-        if self.nrows != self.ncols:
-            raise NotInvertible("inverse of a non-square matrix")
-        n = self.nrows
-        one = CycNum.one()
-        rows, leads = sparse_echelon({**dict(enumerate(row)), n + i: one}
-                                     for i, row in enumerate(self.rows))
-        if leads != list(range(n)):
-            raise NotInvertible(f"singular matrix {self}")
-        return CycMatrix([_dense(row, 2 * n)[n:] for row in rows])
-
-    def rref(self) -> tuple["CycMatrix", tuple[int, ...]]:
-        rows, leads = sparse_echelon(_sparse_rows(self.rows))
-        zero_rows = [{}] * (self.nrows - len(rows))
-        return (CycMatrix([_dense(row, self.ncols) for row in rows + zero_rows]),
-                tuple(leads))
-
     def rank(self) -> int:
         return sparse_rank(_sparse_rows(self.rows))
-
-    def kernel_basis(self) -> list[tuple[CycNum, ...]]:
-        """Basis of the right kernel, one vector per free column, ascending."""
-        kernel = sparse_kernel(*sparse_echelon(_sparse_rows(self.rows)), self.ncols)
-        return [_dense(vec, self.ncols) for vec in kernel]
 
     def solve(self, rhs: Sequence) -> tuple[CycNum, ...] | None:
         """One solution of self * x = rhs with the free variables 0, or None
@@ -316,7 +262,7 @@ def sparse_echelon(vectors: Iterable[Mapping[int, CycNum]]
     Rows come in ascending lead order; each is 1 at its lead, its lowest
     index, and 0 at every other lead.  This is the unique reduced row
     echelon basis of the span, whatever the order of the vectors; the dense
-    `rref_rows` and `CycMatrix.rref` are this basis made dense.
+    `rref_rows` is this basis made dense.
     """
     rows = _sparse_forward(vectors)[0]
     leads = sorted(rows)
@@ -333,8 +279,7 @@ def sparse_kernel(rows: Sequence[Mapping[int, CycNum]], leads: Sequence[int],
                   ncols: int) -> list[SparseVec]:
     """Basis of the right kernel of a matrix given by its reduced echelon
     rows (as `sparse_echelon` returns them): one vector per free column,
-    ascending, 1 there and minus the free column's entries at the leads.
-    `CycMatrix.kernel_basis` is this basis made dense."""
+    ascending, 1 there and minus the free column's entries at the leads."""
     lead_set = set(leads)
     kernel = {f: {f: CycNum.one()} for f in range(ncols) if f not in lead_set}
     for row, lead in zip(rows, leads):

@@ -363,15 +363,14 @@ def setup_memo(fn):
 class Setup:
     """A finite matrix group acting on projective space plus its irrep table.
 
-    The group dimension is n + 1; projective space has dimension n.
+    The group dimension is n + 1; projective space has dimension n.  The
+    irrep table is verified by `verify_irreps` on construction.
     """
 
-    def __init__(self, group: FiniteMatrixGroup, irreps: list[Irrep],
-                 check: bool = True):
-        if check:
-            report = verify_irreps(group, irreps)
-            if not report.passed:
-                raise InvalidParameter(f"irrep table rejected: {report.failure}")
+    def __init__(self, group: FiniteMatrixGroup, irreps: list[Irrep]):
+        report = verify_irreps(group, irreps)
+        if not report.passed:
+            raise InvalidParameter(f"irrep table rejected: {report.failure}")
         self.group = group
         self.irreps = tuple(irreps)
         self.trivial = CharacterVec.trivial(group)

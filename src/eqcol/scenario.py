@@ -48,6 +48,12 @@ class Scenario:
     output: dict
 
 
+def _is_int(value) -> bool:
+    """True for an integer, false for a bool: JSON true and false load as
+    bool, a subclass of int."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def load_scenario(path) -> Scenario:
     path = Path(path)
     try:
@@ -81,7 +87,7 @@ def parse_scenario(data, default_name: str = "scenario") -> Scenario:
         raise ValidationError("group must be an object with a 'kind'")
 
     n_plus_1 = data.get("n_plus_1")
-    if not isinstance(n_plus_1, int) or n_plus_1 < 1:
+    if not _is_int(n_plus_1) or n_plus_1 < 1:
         raise ValidationError("n_plus_1 must be a positive integer")
 
     mode = data.get("mode", "beilinson_only")
@@ -90,8 +96,7 @@ def parse_scenario(data, default_name: str = "scenario") -> Scenario:
             f"mode must be one of {', '.join(MODES)}; got {mode!r}")
 
     veronese_d = data.get("veronese_d")
-    if veronese_d is not None and (not isinstance(veronese_d, int)
-                                   or veronese_d < 1):
+    if veronese_d is not None and (not _is_int(veronese_d) or veronese_d < 1):
         raise ValidationError("veronese_d must be a positive integer")
 
     tasks = _parse_tasks(data.get("tasks", []))
@@ -143,11 +148,11 @@ def _parse_tasks(raw) -> list[dict]:
             if not extra <= {"max_degree"}:
                 raise ValidationError("molien accepts only max_degree")
             degree = entry.get("max_degree", DEFAULT_MOLIEN_DEGREE)
-            if not isinstance(degree, int) or degree < 0:
+            if not _is_int(degree) or degree < 0:
                 raise ValidationError("molien max_degree must be >= 0")
             entry["max_degree"] = degree
         elif kind == "twist":
-            if extra != {"k"} or not isinstance(entry.get("k"), int):
+            if extra != {"k"} or not _is_int(entry.get("k")):
                 raise ValidationError("twist task requires an integer k")
         elif extra:
             raise ValidationError(
@@ -195,22 +200,24 @@ def _require(data: dict, keys: set[str]) -> None:
 def _build_cyclic(data: dict) -> Setup:
     _require(data, {"m", "weights"})
     m, weights = data["m"], data["weights"]
-    if not isinstance(m, int) or not isinstance(weights, list) \
-            or not all(isinstance(w, int) for w in weights):
+    if not _is_int(m) or not isinstance(weights, list) \
+            or not all(_is_int(w) for w in weights):
         raise ValidationError("cyclic_diagonal needs integer m and weights")
     return cyclic_diagonal(m, weights)
 
 
 def _build_binary_dihedral(data: dict) -> Setup:
     _require(data, {"l"})
-    if not isinstance(data["l"], int):
+    if not _is_int(data["l"]):
         raise ValidationError("binary_dihedral needs an integer l")
     return binary_dihedral(data["l"])
 
 
 def _build_explicit(data: dict, n_plus_1: int) -> Setup:
     _require(data, {"generators", "irreps", "conductor"})
-    conductor = data.get("conductor")
+    conductor = data["conductor"]
+    if not _is_int(conductor) or conductor < 1:
+        raise ValidationError("explicit group needs a positive integer conductor")
     generators = [_parse_matrix(mat, conductor) for mat in data["generators"]]
     for g in generators:
         if g.nrows != n_plus_1:
@@ -251,7 +258,7 @@ def _parse_matrix(rows, conductor) -> CycMatrix:
                 value = parse_cyc(cell)
             except EqcolError as exc:
                 raise ValidationError(f"bad entry {cell!r}: {exc}") from exc
-            if conductor is not None and conductor % value.reduced().conductor:
+            if conductor % value.reduced().conductor:
                 raise ValidationError(
                     f"entry {cell!r} needs conductor"
                     f" {value.reduced().conductor}, outside {conductor}")

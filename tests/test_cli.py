@@ -63,6 +63,17 @@ def test_run_exit_two_on_validation_error(tmp_path, capsys):
     assert "unknown task" in capsys.readouterr().err
 
 
+def test_run_exit_two_on_zero_denominator(tmp_path, capsys):
+    data = json.loads((SCENARIOS / "q8_explicit.json").read_text())
+    data["group"]["generators"][1][0][1] = "1/0"
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(data))
+    code = main(["run", str(path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "bad entry '1/0'" in err and "zero denominator" in err
+
+
 def test_run_out_file(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = main(["run", str(SCENARIOS / "z3_crossed_d3.json"),

@@ -14,6 +14,7 @@ from eqcol.complexes import (
     ChainMap,
     EqComplex,
     HomComplexData,
+    _cone as mapping_cone,
     cohomology_basis,
     compose_chain_maps,
     ext_dims,
@@ -442,3 +443,48 @@ def test_one_hom_complex_per_mutation_pair(bd2, monkeypatch):
     builds.clear()
     assert right_mutation(lb(bd2, 0, 1), lb(bd2, 1, 3)) == lb(bd2, 0, 1)
     assert builds == []
+
+
+# -- both mutations as mapping cones ----------------------------------------
+
+
+def _hom_pairs(setup):
+    """Every ordered pair (E, F) of distinct window line bundles with
+    Hom(E, F) nonzero; each is exceptional, since Ext(F, E) = 0 when F has
+    the higher twist and the gap is at most n."""
+    bundles = [EqLineBundle(i, j) for i in range(setup.n + 1)
+               for j in range(setup.r_plus_1)]
+    return [(from_line_bundle(setup, a), from_line_bundle(setup, b))
+            for a in bundles for b in bundles
+            if a != b and setup.hom_dim(a.twist, b.twist, a.irrep, b.irrep)]
+
+
+@pytest.mark.parametrize("name", ["p1", "bd2", "c3"])
+def test_mutation_lemma_on_the_hom_complex(name, request):
+    # Bondal's mutation lemma, read off the Hom complex of each cone:
+    # R = Cone(E -> F tensor Hom(E, F)^*)[-1] is left orthogonal to F and
+    # L = Cone(E tensor Hom(E, F) -> F) is right orthogonal to E, and both
+    # are exceptional
+    pairs = _hom_pairs(request.getfixturevalue(name))
+    assert pairs
+    for E, F in pairs:
+        R = right_mutation(E, F)
+        assert R.triangle == (E, F)
+        assert ext_dims(R, F) == {}
+        assert ext_dims(R, R) == {0: 1}
+        L = left_mutation(E, F)
+        assert ext_dims(E, L) == {}
+        assert ext_dims(L, L) == {0: 1}
+
+
+def test_cone_of_the_identity_is_acyclic(bd2):
+    # Cone(id_C) is contractible, so it has no Ext with anything
+    window = [lb(bd2, i, j) for i in range(bd2.n + 1)
+              for j in range(bd2.r_plus_1)]
+    for E, F in _hom_pairs(bd2):
+        C = right_mutation(E, F)
+        Z = mapping_cone(C, C, identity_chain_map(C).blocks)
+        assert Z.degrees == [-1, 0, 1]
+        for L in window:
+            assert ext_dims(Z, L) == {}
+            assert ext_dims(L, Z) == {}

@@ -317,6 +317,12 @@ def test_literal_rejects_garbage():
             parse_cyc(bad)
 
 
+def test_literal_zero_denominator_is_invalid():
+    for bad in ("1/0", "0/0", "z4 + 3/0*z8"):
+        with pytest.raises(InvalidParameter, match="zero denominator"):
+            parse_cyc(bad)
+
+
 def test_printer_canonical_form():
     # printing always reduces: zeta_8^2 prints at conductor 4
     assert str(CycNum.zeta(8) ** 2) == "z4"

@@ -161,6 +161,14 @@ def oracle_element_order(matrix: CycMatrix) -> int:
     return k
 
 
+def oracle_inverse(matrix: CycMatrix) -> CycMatrix:
+    """m^(k-1) for m of order k: the inverse by matrix products alone."""
+    inverse = CycMatrix.identity(matrix.nrows)
+    for _ in range(oracle_element_order(matrix) - 1):
+        inverse = inverse * matrix
+    return inverse
+
+
 class OracleGroup:
     """The closure by frontiers of matrix products, sorted by (element
     order, matrix string); every operation multiplies or inverts matrices
@@ -190,16 +198,17 @@ class OracleGroup:
         return self.index[self.elements[i] * self.elements[j]]
 
     def inv(self, i):
-        return self.index[self.elements[i].inverse()]
+        return self.index[oracle_inverse(self.elements[i])]
 
     def power(self, i, k):
-        base = self.elements[i] if k >= 0 else self.elements[i].inverse()
+        base = self.elements[i] if k >= 0 else oracle_inverse(self.elements[i])
         result = CycMatrix.identity(base.nrows)
         for _ in range(abs(k)):
             result = result * base
         return self.index[result]
 
     def classes(self):
+        inverses = [oracle_inverse(g) for g in self.generators]
         seen, raw = set(), []
         for start in range(len(self.elements)):
             if start in seen:
@@ -207,8 +216,8 @@ class OracleGroup:
             orbit, stack = {start}, [start]
             while stack:
                 m = self.elements[stack.pop()]
-                for g in self.generators:
-                    j = self.index[g * m * g.inverse()]
+                for g, g_inv in zip(self.generators, inverses):
+                    j = self.index[g * m * g_inv]
                     if j not in orbit:
                         orbit.add(j)
                         stack.append(j)

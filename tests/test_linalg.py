@@ -6,12 +6,10 @@ from fractions import Fraction
 from itertools import chain
 from math import gcd
 
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eqcol.cyclotomic import CycNum, euler_phi
-from eqcol.errors import NotInvertible
 from eqcol.linalg import (
     CycMatrix,
     RightMultiplier,
@@ -40,27 +38,17 @@ def test_det_hand_values():
     assert CycMatrix([[0, 0, 1], [0, 1, 0], [1, 0, 0]]).det() == -1
 
 
-def test_inverse_hand_value():
-    a = CycMatrix([[1, 2], [3, 4]])
-    inv = a.inverse()
-    assert inv == CycMatrix([[-2, 1], [Fraction(3, 2), Fraction(-1, 2)]])
-    assert a * inv == CycMatrix.identity(2)
-    assert inv * a == CycMatrix.identity(2)
-    with pytest.raises(NotInvertible):
-        CycMatrix([[1, 2], [2, 4]]).inverse()
-
-
 def test_rref_known_pivots():
     m = CycMatrix([[0, 1, 2], [0, 2, 4], [1, 0, 1]])
-    reduced, pivots = m.rref()
-    assert pivots == (0, 1)
-    assert reduced == CycMatrix([[1, 0, 1], [0, 1, 2], [0, 0, 0]])
+    reduced, pivots = rref_rows(list(m.rows))
+    assert pivots == [0, 1]
+    assert reduced == list(CycMatrix([[1, 0, 1], [0, 1, 2]]).rows)
     assert m.rank() == 2
 
 
 def test_kernel_annihilates_and_is_canonical():
     m = CycMatrix([[1, 2, 3]])
-    basis = m.kernel_basis()
+    basis = _kernel(m)
     assert len(basis) == 2
     # free columns 1 and 2 each carry a unit entry
     assert basis[0][1] == 1 and basis[1][2] == 1
@@ -88,14 +76,24 @@ def _random_matrix(rng: random.Random, n: int, ncols: int | None = None) -> CycM
                       for _ in range(n)])
 
 
+def _transpose(m: CycMatrix) -> CycMatrix:
+    return CycMatrix(list(zip(*m.rows)))
+
+
+def _kernel(m: CycMatrix) -> list[tuple[CycNum, ...]]:
+    """The sparse kernel basis of m, made dense."""
+    rows, leads = sparse_echelon(_sparse(row) for row in m.rows)
+    return [_dense(vec, m.ncols) for vec in sparse_kernel(rows, leads, m.ncols)]
+
+
 def _check_elimination(m: CycMatrix) -> int:
     """Rank, transpose rank, RREF pivots, determinant and kernel agree."""
     rank = m.rank()
-    assert rank == m.transpose().rank() == len(m.rref()[1])
+    assert rank == _transpose(m).rank() == len(rref_rows(list(m.rows))[1])
     assert rank == rank_of_rows(list(m.rows))
     if m.nrows == m.ncols:
         assert bool(m.det()) == (rank == m.nrows)
-    kernel = m.kernel_basis()
+    kernel = _kernel(m)
     assert len(kernel) == m.ncols - rank
     for vec in kernel:
         assert all(not sum((row[j] * vec[j] for j in range(m.ncols)), CycNum.zero())
@@ -129,25 +127,17 @@ def test_det_is_multiplicative():
         assert (a * b).det() == a.det() * b.det()
 
 
-def test_inverse_round_trip_random():
-    rng = random.Random(31)
-    done = 0
-    while done < 6:
-        a = _random_matrix(rng, 3)
-        if not a.det():
-            continue
-        assert a * a.inverse() == CycMatrix.identity(3)
-        done += 1
-
-
 def test_matrix_power_and_scalar():
     i = CycNum.zeta(4)
     r = CycMatrix([[0, 1], [-1, 0]])
-    assert r ** 4 == CycMatrix.identity(2)
-    assert r ** 2 == CycMatrix([[-1, 0], [0, -1]])
+    r2 = r * r
+    assert r2 == CycMatrix([[-1, 0], [0, -1]])
+    assert r2 * r2 == CycMatrix.identity(2)
+    assert r2.is_scalar()
     assert (r * i).is_scalar() is False
     assert CycMatrix.diagonal([i, i]).is_scalar()
-    assert (r ** -1) == r.transpose()
+    # r is orthogonal: r^3 is its transpose
+    assert r2 * r == _transpose(r)
 
 
 def test_rref_rows_canonicalizes_span():
@@ -162,8 +152,9 @@ def test_rref_rows_canonicalizes_span():
 # -- the dense elimination, kept as the oracle ---------------------------
 #
 # Every `CycMatrix` elimination method and `rref_rows` run on the sparse
-# echelon engine.  These are the dense loops they replaced: the pivot is
-# the first row with a nonzero entry in the current column.
+# echelon engine, and the complexes take kernels with `sparse_kernel`.
+# These are the dense loops they replaced: the pivot is the first row with
+# a nonzero entry in the current column.
 
 
 def _eliminate(work: list[list[CycNum]]) -> tuple[list[int], int]:
@@ -230,11 +221,6 @@ def oracle_det(m: CycMatrix) -> CycNum:
     for i in range(m.nrows):
         result = result * work[i][i]
     return result * sign
-
-
-def oracle_rref(m: CycMatrix) -> tuple[CycMatrix, tuple[int, ...]]:
-    reduced, pivots = _rref_inplace(_work(m))
-    return CycMatrix(reduced), tuple(pivots)
 
 
 def oracle_rref_rows(rows) -> tuple[list[tuple[CycNum, ...]], list[int]]:
@@ -319,8 +305,7 @@ ORACLE_SWEEP = settings(derandomize=True, max_examples=120, deadline=None)
 def test_elimination_matches_dense_oracle(m):
     assert m.rank() == oracle_rank(m)
     assert rank_of_rows(list(m.rows)) == oracle_rank(m)
-    assert m.rref() == oracle_rref(m)
-    assert m.kernel_basis() == oracle_kernel(m)
+    assert _kernel(m) == oracle_kernel(m)
     assert rref_rows(list(m.rows)) == oracle_rref_rows(list(m.rows))
 
 
@@ -372,11 +357,8 @@ def test_det_and_inverse_match_dense_oracle(case):
     assert det == oracle_det(m)
     inverse = oracle_inverse(m)
     assert bool(det) == (inverse is not None)
-    if inverse is None:
-        with pytest.raises(NotInvertible):
-            m.inverse()
-    else:
-        assert m.inverse() == inverse
+    if inverse is not None:
+        assert m * inverse == CycMatrix.identity(m.nrows)
     if swap is not None:
         # a row swap flips the sign
         i, k = swap
@@ -388,7 +370,9 @@ def test_det_and_inverse_match_dense_oracle(case):
 def test_trace_linear():
     a = CycMatrix([[1, 2], [3, 4]])
     b = CycMatrix([[0, 1], [1, 0]])
-    assert (a + b).trace() == a.trace() + b.trace()
+    total = CycMatrix([[x + y for x, y in zip(ra, rb)]
+                       for ra, rb in zip(a.rows, b.rows)])
+    assert total.trace() == a.trace() + b.trace()
     assert (a * b).trace() == (b * a).trace()
 
 
@@ -510,7 +494,7 @@ def test_sparse_echelon_matches_dense_elimination():
         one_entry += sum(1 for row in m.rows
                          if sum(map(bool, row)) == 1 and not any(c == 1 for c in row))
         rows = [_sparse(row) for row in m.rows]
-        cols = [_sparse(col) for col in m.transpose().rows]
+        cols = [_sparse(col) for col in zip(*m.rows)]
         rank = oracle_rank(m)
         assert sparse_rank(rows) == sparse_rank(cols) == rank
         echelon, leads = sparse_echelon(rows)

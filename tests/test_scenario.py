@@ -220,6 +220,41 @@ def test_explicit_group_rejects_non_multiplicative_irrep(tmp_path, capsys):
         Setup(group, irreps)
 
 
+def _explicit_with_conductor(conductor):
+    data = json.loads((SCENARIOS / "q8_explicit.json").read_text())
+    data["group"]["conductor"] = conductor
+    return data
+
+
+NON_INTEGERS = {
+    "n_plus_1_true": minimal(n_plus_1=True, group={"kind": "cyclic_diagonal",
+                                                   "m": 2, "weights": [1]}),
+    "veronese_d_true": minimal(veronese_d=True),
+    "twist_k_true": minimal(tasks=["beilinson", {"task": "twist", "k": True}]),
+    "max_degree_true": minimal(tasks=[{"task": "molien", "max_degree": True}]),
+    "m_true": minimal(group={"kind": "cyclic_diagonal", "m": True,
+                             "weights": [1, 1]}),
+    "weights_true": minimal(group={"kind": "cyclic_diagonal", "m": 2,
+                                   "weights": [1, True]}),
+    "l_true": minimal(group={"kind": "binary_dihedral", "l": True}),
+    **{f"conductor_{name}": _explicit_with_conductor(value)
+       for name, value in [("0", 0), ("minus_4", -4), ("float", 4.0),
+                           ("string", "4"), ("true", True), ("null", None)]},
+}
+
+
+@pytest.mark.parametrize("data", NON_INTEGERS.values(), ids=NON_INTEGERS.keys())
+def test_integer_fields_reject_bools_and_non_integers(data, tmp_path, capsys):
+    # JSON true loads as a bool, which is an int to isinstance; every
+    # integer field refuses it, and the conductor must be a positive int
+    with pytest.raises(ValidationError):
+        run_scenario(parse_scenario(data))
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_invariant_mode_rejects_non_sl_group():
     data = minimal(
         group={"kind": "cyclic_diagonal", "m": 4, "weights": [1, 0]},
