@@ -20,6 +20,7 @@ R = Cone(E -> F tensor Hom(E, F)^*)[-1] and L = Cone(E tensor Hom(E, F) -> F).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from functools import cached_property
 
 from .cohomology import EqLineBundle, KClass, ext_table, line_bundle_class
@@ -480,33 +481,35 @@ class HomComplexData:
             span.append({j: c * inv for j, c in v.items()})
         return span, position, count
 
-    def h0_vectors(self) -> list[tuple[CycNum, ...]]:
-        """Cycle representatives of a basis of H^0, by echelon lifting:
-        each is the unique vector of its class modulo the boundaries and
-        the earlier representatives that is 0 at all their pivots."""
-        span, _, count = self._h0
-        zero = CycNum.zero()
-        return [tuple(row.get(i, zero) for i in range(self.dim(0)))
-                for row in span[count:]]
+    @cached_property
+    def _hom0_slices(self):
+        """The slices of Hom^0 in row order, and their first rows."""
+        slices = list(self._slices(0))
+        return slices, [offset for *_, offset in slices]
+
+    def chain_map(self, coords) -> ChainMap:
+        """The chain map with Hom^0 coordinates {index: c}, an index
+        outside Hom^0 an InvalidParameter.  Each coordinate finds its slice
+        by bisection over the slices' first rows, so the map costs its
+        support, not dim Hom^0."""
+        slices, starts = self._hom0_slices
+        blocks: dict[int, dict] = {}
+        for index in sorted(coords):
+            if not 0 <= index < self.dim(0):
+                raise InvalidParameter(f"coordinate {index} is outside Hom^0")
+            p, s, t, space, offset = slices[bisect_right(starts, index) - 1]
+            part = space.basis[index - offset] * coords[index]
+            entry = blocks.setdefault(p, {})
+            entry[(t, s)] = entry[(t, s)] + part if (t, s) in entry else part
+        return ChainMap(self.source, self.target, blocks)
 
     def h0_maps(self) -> list[ChainMap]:
-        """The chain maps of h0_vectors."""
-        return [self.chain_map_from_vector(v) for v in self.h0_vectors()]
-
-    def chain_map_from_vector(self, vector) -> ChainMap:
-        if len(vector) != self.dim(0):
-            raise InvalidParameter("vector length does not match Hom^0")
-        blocks: dict[int, dict] = {}
-        for p, s, t, space, offset in self._slices(0):
-            total = None
-            for i, base in enumerate(space.basis):
-                c = vector[offset + i]
-                if c:
-                    part = base * c
-                    total = part if total is None else total + part
-            if total is not None and total:
-                blocks.setdefault(p, {})[(t, s)] = total
-        return ChainMap(self.source, self.target, blocks)
+        """Cycle representatives of a basis of H^0, by echelon lifting:
+        each is the unique cycle of its class modulo the boundaries and the
+        earlier representatives that is 0 at all their pivots, built from
+        its sparse row of `_h0`."""
+        span, _, count = self._h0
+        return [self.chain_map(row) for row in span[count:]]
 
     def _sparse_vector(self, cm: ChainMap) -> SparseVec:
         """The Hom^0 coordinates of a chain map, {row: value} with the
@@ -529,21 +532,21 @@ class HomComplexData:
                         "chain map has a block in a zero morphism space")
         return vector
 
-    def h0_coordinates(self, cm: ChainMap) -> tuple[CycNum, ...]:
-        """Coefficients of a cycle over h0_vectors, modulo boundaries.
+    def h0_coordinates(self, cm: ChainMap) -> dict[int, CycNum]:
+        """Coefficients of a cycle over h0_maps, modulo boundaries, as
+        {index: c} with the zeros dropped.
 
         When Hom^-1 and Hom^1 are both 0 there are no boundaries and every
-        vector is a cycle, so H^0 = Hom^0, h0_vectors are the unit vectors
-        in order, and the coefficients are the Hom^0 coordinates."""
+        vector is a cycle, so H^0 = Hom^0, h0_maps are the unit vectors in
+        order, and the coefficients are the Hom^0 coordinates."""
         vector = self._sparse_vector(cm)
-        zero = CycNum.zero()
         if not self.dim(-1) and not self.dim(1):
-            return tuple(vector.get(i, zero) for i in range(self.dim(0)))
+            return vector
         span, position, count = self._h0
         coords, residual = eliminate_along(vector, span, position)
         if residual:
             raise BasisMismatch("map is not a cycle in the given Hom complex")
-        return tuple(coords.get(i, zero) for i in range(count, len(span)))
+        return {i - count: c for i, c in coords.items() if i >= count}
 
 
 def hom_complex(C: EqComplex, D: EqComplex) -> HomComplexData:

@@ -26,7 +26,7 @@ from .complexes import (EqComplex, cohomology_basis, compose_chain_maps,
 from .cyclotomic import CycNum
 from .errors import (CertificateFailure, InvalidParameter, NonConcentratedHom,
                      NotADivisor, NotStrong, OrthogonalityFailure)
-from .linalg import CycMatrix, rank_of_rows
+from .linalg import CycMatrix, _dense, rank_of_rows
 from .reps import Setup
 
 
@@ -799,8 +799,10 @@ def quiver(coll: ExcCollection) -> Quiver:
                 for f in basis(i, k):
                     for g in basis(k, j):
                         composite = compose_chain_maps(f, g)
-                        rows.append(list(data.h0_coordinates(composite)))
-            arrows[i][j] = hom[i][j] - rank_of_rows(rows)
+                        rows.append(data.h0_coordinates(composite))
+            # dense rows only because perfbench/tracer.py hooks CycMatrix.rank
+            arrows[i][j] = hom[i][j] - rank_of_rows(
+                [_dense(row, hom[i][j]) for row in rows])
 
     seen = [False] * size
     components = []

@@ -36,7 +36,7 @@ from operator import add
 
 from .cyclotomic import CycNum
 from .errors import BasisMismatch, NegativeDegree
-from .linalg import _axpy, rref_rows, sparse_echelon, sparse_kernel
+from .linalg import _axpy, _dense, rref_rows, sparse_echelon, sparse_kernel
 from .reps import Setup, setup_memo
 
 Monomial = tuple[int, ...]
@@ -123,13 +123,6 @@ class HomElement:
         elem.space = space
         elem.entries = entries
         return elem
-
-    @property
-    def coords(self) -> tuple[CycNum, ...]:
-        """Dense ambient coordinates (a read-only view)."""
-        zero = CycNum.zero()
-        get = self.entries.get
-        return tuple(get(j, zero) for j in range(self.space.ambient_dim))
 
     def __bool__(self) -> bool:
         return bool(self.entries)
@@ -264,14 +257,15 @@ class HomSpace:
                 if row:
                     constraints.append(row)
         kernel = sparse_kernel(*sparse_echelon(constraints), total)
-        zero = CycNum.zero()
-        basis_rows, self.pivots = rref_rows(
-            [[vec.get(j, zero) for j in range(total)] for vec in kernel])
+        # dense rows only because perfbench/tracer.py hooks rref_rows
+        basis_rows, self.pivots = rref_rows([_dense(vec, total) for vec in kernel])
         # The kernel is computed at the group conductor, so rational entries
         # come out stored there; reducing once here keeps later arithmetic on
         # the rational fast paths.
-        self.basis = tuple(HomElement(self, [v.reduced() for v in row])
-                           for row in basis_rows)
+        self.basis = tuple(
+            HomElement._from_entries(self, {j: v.reduced()
+                                            for j, v in enumerate(row) if v})
+            for row in basis_rows)
         self._pivot_at = {p: i for i, p in enumerate(self.pivots)}
         expected = setup.hom_dim(0, m, rho_index, sigma_index)
         if len(self.basis) != expected:
@@ -291,10 +285,9 @@ class HomSpace:
     def identity_element(self) -> HomElement:
         if self.m != 0 or self.rho_index != self.sigma_index:
             raise BasisMismatch("identity exists only in degree-0 endomorphisms")
-        coords = [CycNum.zero()] * self.ambient_dim
-        for s in range(self.dim_sigma):
-            coords[self.flat_index_by_mono(0, s, s)] = CycNum.one()
-        return HomElement(self, coords)
+        one = CycNum.one()
+        return HomElement._from_entries(self, {self.flat_index_by_mono(0, s, s): one
+                                               for s in range(self.dim_sigma)})
 
     def sparse_coordinates(self, elem: HomElement) -> dict[int, CycNum]:
         """Coordinates of an invariant morphism in the echelon basis, as

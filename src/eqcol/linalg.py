@@ -460,6 +460,10 @@ class RightMultiplier:
         terms = self._terms[key] = _canonical(acc, 1)[0]
         return terms
 
+    def release(self) -> None:
+        """Forget the kept products; later applications form them anew."""
+        self._products.clear()
+
     def __call__(self, flat: FlatMatrix) -> FlatMatrix:
         product = self._products.get(flat)
         if product is None:

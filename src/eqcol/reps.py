@@ -18,8 +18,9 @@ built on first use.
 
 Multiplicities live in the integer representation ring.  Once per Setup,
 on first use, the integer tables L_k (row sigma: the irrep decomposition of
-Lambda^k V-dual tensor rho_sigma, k = 1..n+1) are computed modulo a prime
-by Dixon's method, with their dimensions as a certificate; the permutation
+Lambda^k V-dual tensor rho_sigma, k = 1..n+1) are computed by Dixon's
+method modulo the prime of the orthonormality check, from the character
+residues it took, with their dimensions as a certificate; the permutation
 "tensor with det" is read off L_(n+1).  Every Sym^m multiplicity then
 follows from the Koszul relation on integer vectors.  The CycNum character
 path (Newton power characters, inner products) stays for decomposing
@@ -34,7 +35,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import wraps
 from math import comb
@@ -238,9 +239,13 @@ def irrep_from_images(group: FiniteMatrixGroup, index: int, name: str,
 
 @dataclass(frozen=True)
 class VerifyReport:
+    """The outcome of `verify_irreps`.  A passing report also carries the
+    prime image and character residues of its orthonormality check, which
+    the Setup reuses for its Lambda^k tables."""
     passed: bool
     failure: str | None
     dim_square_sum: int
+    residues: tuple | None = field(default=None, compare=False, repr=False)
 
 
 def verify_irreps(group: FiniteMatrixGroup, irreps: list[Irrep]) -> VerifyReport:
@@ -256,15 +261,17 @@ def verify_irreps(group: FiniteMatrixGroup, irreps: list[Irrep]) -> VerifyReport
     forms, which are equal exactly when the matrices are.  The multipliers
     keep their products, so an edge whose product the tree extension
     already formed (a repeated matrix of a non-faithful irrep) costs a
-    lookup.
+    lookup; once an irrep's edges hold, nothing applies its multipliers
+    again, and their products are released.
 
     A multiplicative table is a homomorphism, so rho(h g h^-1) is conjugate
     to rho(g) and the trace is constant on classes without a check; the
     characters are the traces at the class representatives.  Then
     <chi_a, chi_b> = dim Hom_G(rho_b, rho_a) is an integer in
     [0, dim_a dim_b].  It is computed in F_p by Dixon's method, p = 1 (mod
-    the characters' conductor) and p above max dim^2 and |G|, so the residue
-    is the exact integer.
+    the conductor of the characters and of V's) and p above max dim^2 and
+    |G|, so the residue is the exact integer.  p also exceeds the bound of
+    `_lambda_tables`, so the Setup reduces its characters once.
     """
     dim_sq = sum(r.dim ** 2 for r in irreps)
 
@@ -294,9 +301,12 @@ def verify_irreps(group: FiniteMatrixGroup, irreps: list[Irrep]) -> VerifyReport
             if table[target] != actions[g](table[i]):
                 return fail(f"{rep.name} is not multiplicative at"
                             f" ({i}, {gen_indices[g]})")
+        for action in actions:
+            action.release()
     chars = [rep.character().values for rep in irreps]
-    image = ModularImage(common_conductor(chars),
-                         max(max(r.dim for r in irreps) ** 2, group.order))
+    n1, top = group.dimension, max(r.dim for r in irreps)
+    image = ModularImage(common_conductor([*chars, _defining_values(group)]),
+                         max(top ** 2, group.order, comb(n1, n1 // 2) * top))
     left, right = _character_residues(group, chars, image)
     for a in range(len(irreps)):
         for b in range(a, len(irreps)):
@@ -307,7 +317,7 @@ def verify_irreps(group: FiniteMatrixGroup, irreps: list[Irrep]) -> VerifyReport
                     f"<{irreps[a].name}, {irreps[b].name}> = {got}, expected {expect}")
     if dim_sq != group.order:
         return fail(f"dimension squares sum to {dim_sq}, group order is {group.order}")
-    return VerifyReport(True, None, dim_sq)
+    return VerifyReport(True, None, dim_sq, (image, left, right))
 
 
 def sym_power_character(chi: CharacterVec, m: int) -> CharacterVec:
@@ -371,6 +381,7 @@ class Setup:
         report = verify_irreps(group, irreps)
         if not report.passed:
             raise InvalidParameter(f"irrep table rejected: {report.failure}")
+        self._residues = report.residues
         self.group = group
         self.irreps = tuple(irreps)
         self.trivial = CharacterVec.trivial(group)
@@ -389,12 +400,7 @@ class Setup:
         return len(self.irreps)
 
     def defining_character(self) -> CharacterVec:
-        group = self.group
-        return CharacterVec(
-            group,
-            [group.elements[group.class_representative(c)].trace()
-             for c in range(len(group.classes))],
-        )
+        return CharacterVec(self.group, _defining_values(self.group))
 
     def ext(self, k: int) -> CharacterVec:
         return ext_power_character(self.defining_character(), k)
@@ -403,9 +409,10 @@ class Setup:
         return self.ext(self.n_plus_1)
 
     def det_trivial(self) -> bool:
-        """True when every element has determinant 1 (the group is in SL)."""
-        one = CycNum.one()
-        return all(v == one for v in self.det_character().values)
+        """True when every element has determinant 1 (the group is in SL):
+        det tensor the trivial irrep is then the trivial irrep, as the
+        certified det permutation reads."""
+        return self.det_twist(0) == 0
 
     def hom_dim(self, a: int, b: int, rho: int, sigma: int) -> int:
         """dim Hom(O(a) tensor rho, O(b) tensor sigma); zero when b < a."""
@@ -472,23 +479,22 @@ class Setup:
 def _lambda_tables(setup: Setup):
     """The tables L_1..L_(n+1) and the det permutation, by Dixon's method.
 
-    Every class value is mapped into F_p, p = 1 (mod N) for N the lcm of the
-    character conductors; Lambda^k V-dual comes from Newton's identities mod
-    p, and each entry is an inner product mod p.  The entries lie in
-    [0, C(n+1, k) * max dim] and p exceeds that and |G|, so each residue is
-    the exact integer.  Each row's certificate is its dimension,
-    sum_rho L_k[sigma][rho] dim rho = C(n+1, k) dim sigma, and L_(n+1) must
-    be the permutation det^-1 tensor; anything else raises
+    Every class value is mapped into F_p by the prime image of
+    `verify_irreps`, p = 1 (mod N) for N the lcm of the irrep and V
+    conductors, whose character residues it reuses; Lambda^k V-dual comes
+    from Newton's identities mod p, and each entry is an inner product mod
+    p.  The entries lie in [0, C(n+1, k) * max dim] and p exceeds that and
+    |G|, so each residue is the exact integer.  Each row's certificate is
+    its dimension, sum_rho L_k[sigma][rho] dim rho = C(n+1, k) dim sigma,
+    and L_(n+1) must be the permutation det^-1 tensor; anything else raises
     CertificateFailure.
     """
     group = setup.group
     n1 = setup.n_plus_1
     classes = range(len(group.classes))
-    chars = [rep.character().values for rep in setup.irreps]
-    defining = setup.defining_character().values
+    defining = _defining_values(group)
     dims = [rep.dim for rep in setup.irreps]
-    image = ModularImage(common_conductor([*chars, defining]),
-                         max(comb(n1, n1 // 2) * max(dims), group.order))
+    image, left, right = setup._residues
     p = image.p
     # e_k of V-dual at each class: chi_(V-dual)(g^i) = conj chi_V(g^i)
     power_sums = [None] + [
@@ -501,7 +507,6 @@ def _lambda_tables(setup: Setup):
             sum((power_sums[i][c] if i % 2 else -power_sums[i][c])
                 * ext[k - i][c] for i in range(1, k + 1)) * inv_k % p
             for c in classes])
-    left, right = _character_residues(group, chars, image)
     tables = []
     for k in range(1, n1 + 1):
         rows = []
@@ -526,6 +531,12 @@ def _lambda_tables(setup: Setup):
                 f" not permute the irreps mod {p}")
         det[row[0][0]] = sigma
     return tuple(tables), tuple(det)
+
+
+def _defining_values(group: FiniteMatrixGroup) -> list[CycNum]:
+    """The character of V, the traces at the class representatives."""
+    return [group.elements[group.class_representative(c)].trace()
+            for c in range(len(group.classes))]
 
 
 def _character_residues(group: FiniteMatrixGroup, chars, image: ModularImage):

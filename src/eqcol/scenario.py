@@ -119,6 +119,8 @@ def parse_scenario(data, default_name: str = "scenario") -> Scenario:
     bad = sorted(set(output) - {"dot"})
     if bad:
         raise ValidationError(f"unknown output options: {', '.join(bad)}")
+    if not isinstance(output.get("dot", True), bool):
+        raise ValidationError("output.dot must be true or false")
 
     return Scenario(name, group, n_plus_1, veronese_d, mode,
                     tuple(tasks), dict(output))
@@ -218,6 +220,8 @@ def _build_explicit(data: dict, n_plus_1: int) -> Setup:
     conductor = data["conductor"]
     if not _is_int(conductor) or conductor < 1:
         raise ValidationError("explicit group needs a positive integer conductor")
+    if not isinstance(data["generators"], list):
+        raise ValidationError("explicit group needs a list of generators")
     generators = [_parse_matrix(mat, conductor) for mat in data["generators"]]
     for g in generators:
         if g.nrows != n_plus_1:
@@ -229,10 +233,12 @@ def _build_explicit(data: dict, n_plus_1: int) -> Setup:
         raise ValidationError("explicit group needs a nonempty irrep list")
     irreps = []
     for idx, entry in enumerate(irrep_entries):
-        if not isinstance(entry, dict) or "images" not in entry:
+        if not isinstance(entry, dict) or not isinstance(entry.get("images"), list):
             raise ValidationError("each irrep needs an 'images' list")
-        images = [_parse_matrix(mat, conductor) for mat in entry["images"]]
         name = entry.get("name", f"rho_{idx}")
+        if not isinstance(name, str) or not name:
+            raise ValidationError("an irrep name must be a nonempty string")
+        images = [_parse_matrix(mat, conductor) for mat in entry["images"]]
         try:
             irreps.append(irrep_from_images(group, idx, name, images))
         except EqcolError as exc:

@@ -296,17 +296,81 @@ def test_right_multipliers_keep_one_product_per_distinct_matrix():
     # multiplier to every element, |G| k = 96 applications per irrep on
     # binary dihedral l = 12; the non-faithful irreps repeat matrices, so
     # 305 distinct table values of 720 are multiplied once per generator,
-    # and every kept product is the CycMatrix product
-    setup = binary_dihedral(12)
-    assert sum(len(rep.table) for rep in setup.irreps) == 720
-    assert sum(len(set(rep.table)) for rep in setup.irreps) == 305
-    for rep in setup.irreps:
+    # and every kept product is the CycMatrix product.  verify_irreps
+    # releases the products once an irrep's edges hold, so the irreps are
+    # built outside a Setup and the edges applied here.
+    group = binary_dihedral(12).group
+    irreps = [irrep_from_images(group, rep.index, rep.name,
+                                [rep.matrix(group.index_of(g))
+                                 for g in group.generators])
+              for rep in binary_dihedral(12).irreps]
+    for rep in irreps:
+        for i, g in group.schreier_edges():
+            rep.multipliers[g](rep.table[i])
+    assert sum(len(rep.table) for rep in irreps) == 720
+    assert sum(len(set(rep.table)) for rep in irreps) == 305
+    for rep in irreps:
         for g, action in enumerate(rep.multipliers):
-            image = rep.matrix(setup.group.index_of(setup.group.generators[g]))
+            image = rep.matrix(group.index_of(group.generators[g]))
             assert set(action._products) == set(rep.table)
             for x, y in action._products.items():
                 assert unflatten(y, rep.dim, rep.conductor) == \
                     unflatten(x, rep.dim, rep.conductor) * image
+
+
+def test_a_built_setup_releases_the_multiplier_products():
+    # verify_irreps is the last to apply the multipliers, so it releases
+    # each irrep's products once its edges hold and a Setup keeps none; the
+    # maps themselves still apply
+    q8 = build_setup(load_scenario(SCENARIOS / "q8_explicit.json"))
+    for setup in (binary_dihedral(2), cyclic_diagonal(3, [1, 1, 1]), q8,
+                  binary_dihedral(12)):
+        irreps = list(setup.irreps)
+        assert all(not action._products for rep in irreps
+                   for action in rep.multipliers)
+        assert verify_irreps(setup.group, irreps).passed
+        assert all(not action._products for rep in irreps
+                   for action in rep.multipliers)
+
+
+def test_characters_are_reduced_once_per_setup(monkeypatch):
+    # verify_irreps and the Lambda^k tables share one prime and one
+    # reduction of the irrep characters
+    calls = []
+    reduce = reps_mod._character_residues
+
+    def counting(group, chars, image):
+        calls.append(image.p)
+        return reduce(group, chars, image)
+
+    monkeypatch.setattr(reps_mod, "_character_residues", counting)
+    for build in (lambda: binary_dihedral(6), lambda: cyclic_diagonal(4, [1, 1, 1]),
+                  lambda: build_setup(load_scenario(SCENARIOS / "q8_explicit.json"))):
+        calls.clear()
+        setup = build()
+        assert len(calls) == 1
+        for k in range(1, setup.n_plus_1 + 1):
+            assert setup.lambda_table(k)
+        assert setup.sym_decomposition(5, 0) and setup.det_twist(0) >= 0
+        assert len(calls) == 1
+
+
+def test_det_trivial_agrees_with_the_det_character(bd2, c3):
+    # det_trivial reads the certified det permutation; the Lambda^(n+1)
+    # character over CycNum is its oracle
+    one = CycNum.one()
+    setups = [bd2, c3, binary_dihedral(3), binary_dihedral(12),
+              cyclic_diagonal(1, [0, 0]), cyclic_diagonal(4, [1, 3]),
+              cyclic_diagonal(4, [1, 0]), cyclic_diagonal(4, [1, 1, 1, 1]),
+              cyclic_diagonal(5, [1, 2, 2]), cyclic_diagonal(6, [1, 5])]
+    setups += [build_setup(load_scenario(path))
+               for path in sorted(SCENARIOS.glob("*.json"))]
+    seen = set()
+    for setup in setups:
+        expected = all(v == one for v in setup.det_character().values)
+        assert setup.det_trivial() is expected
+        seen.add(expected)
+    assert seen == {True, False}
 
 
 def test_irrep_table_normalizes_denominators():

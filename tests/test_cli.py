@@ -74,6 +74,28 @@ def test_run_exit_two_on_zero_denominator(tmp_path, capsys):
     assert "bad entry '1/0'" in err and "zero denominator" in err
 
 
+@pytest.mark.parametrize("path, value", [
+    (("group", "generators"), 5),
+    (("group", "irreps", 1, "images"), 5),
+    (("group", "irreps", 1, "name"), 5),
+    (("output", "dot"), "no"),
+], ids=["generators_int", "images_int", "name_int", "dot_string"])
+def test_run_exit_two_on_explicit_field_of_the_wrong_type(path, value, tmp_path,
+                                                           capsys):
+    data = json.loads((SCENARIOS / "q8_explicit.json").read_text())
+    *keys, last = path
+    node = data
+    for key in keys:
+        node = node.setdefault(key, {}) if isinstance(key, str) else node[key]
+    node[last] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert main(["run", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err and captured.err
+
+
 def test_run_out_file(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = main(["run", str(SCENARIOS / "z3_crossed_d3.json"),

@@ -4,6 +4,7 @@ Closed-form line bundle cohomology (cohomology module) serves as the
 independent oracle for every Hom-complex rank computed here.
 """
 
+import itertools
 import random
 
 import pytest
@@ -244,8 +245,9 @@ def test_chain_map_composition(c3):
     assert data.ext_dims() == {0: 6}
     comp = compose_chain_maps(f[0], g[1])
     coords = data.h0_coordinates(comp)
-    assert len(coords) == 6
-    assert any(coords)
+    assert coords and set(coords) <= set(range(6))
+    assert all(coords.values())
+    assert data.chain_map(coords) == comp
 
 
 def test_identity_composes_neutrally(bd2):
@@ -261,10 +263,10 @@ def test_h0_coordinates_scaling(bd2):
     F = lb(bd2, 1, 2)
     data = hom_complex(E, F)
     rep = cohomology_basis(E, F)[0]
-    assert data.h0_coordinates(rep) == (1,)
+    assert data.h0_coordinates(rep) == {0: 1}
     doubled = ChainMap(E, F, {0: {(0, 0): rep.block(0, 0, 0) * 2}})
     coords = data.h0_coordinates(doubled)
-    assert [str(c) for c in coords] == ["2"]
+    assert {i: str(c) for i, c in coords.items()} == {0: "2"}
 
 
 def test_twist_invariance_of_ext_tables(bd2):
@@ -302,19 +304,19 @@ def test_h0_coordinates_modulo_nonzero_boundary(c3, j, j2):
     data = hom_complex(C, D)
     assert data.dims == {-1: 1, 0: 9}
     assert data.rank(-1) == 1
-    reps = data.h0_vectors()
-    assert len(reps) == 8 == data.ext_dims()[0]
+    span, _, count = data._h0
+    reps = span[count:]
+    assert len(reps) == 8 == data.ext_dims()[0] == len(data.h0_maps())
     # reduced modulo the boundary e0 + e4 + e8
-    assert reps[0] == tuple(int(i in (4, 8)) for i in range(9))
-    for i, rep in enumerate(reps):
-        cm = data.chain_map_from_vector(rep)
-        coords = data.h0_coordinates(cm)
-        assert coords == tuple(int(k == i) for k in range(8))
-    boundary = [data.delta(-1)[0].get(i, 0) for i in range(9)]
-    assert any(boundary)
-    shifted = [2 * a + b for a, b in zip(reps[0], boundary)]
-    coords = data.h0_coordinates(data.chain_map_from_vector(shifted))
-    assert coords == (2,) + (0,) * 7
+    assert reps[0] == {4: 1, 8: 1}
+    for i, (rep, cm) in enumerate(zip(reps, data.h0_maps())):
+        assert data.chain_map(rep) == cm == dense_chain_map(data, rep)
+        assert data.h0_coordinates(cm) == {i: 1}
+    boundary = data.delta(-1)[0]
+    assert boundary
+    shifted = {i: 2 * reps[0].get(i, 0) + boundary.get(i, 0)
+               for i in set(reps[0]) | set(boundary)}
+    assert data.h0_coordinates(data.chain_map(shifted)) == {0: 2}
 
 
 def test_h0_coordinates_reject_non_cycle(c3):
@@ -324,12 +326,133 @@ def test_h0_coordinates_reject_non_cycle(c3):
     D = right_mutation(lb(c3, 0, 0), lb(c3, 1, 1))
     data = hom_complex(D, D)
     assert data.ext_dims() == {0: 1} and data.rank(0)
-    assert data.h0_coordinates(identity_chain_map(D)) == (1,)
+    assert data.h0_coordinates(identity_chain_map(D)) == {0: 1}
     ident_e = hom_space(c3, 0, 0, 0).identity_element()
     with pytest.raises(InvalidParameter):
         ChainMap(D, D, {0: {(0, 0): ident_e}})
     with pytest.raises(BasisMismatch):
         data.h0_coordinates(ChainMap(D, D, {0: {(0, 0): ident_e}}, check=False))
+
+
+def dense_chain_map(data, coords):
+    """The chain map of Hom^0 coordinates {index: c} by visiting every
+    basis slot of every Hom^0 slice, as `chain_map` did before it found
+    the slices of the nonzero coordinates by bisection."""
+    vector = [coords.get(i, CycNum.zero()) for i in range(data.dim(0))]
+    blocks = {}
+    for p, s, t, space, offset in data._slices(0):
+        total = None
+        for i, base in enumerate(space.basis):
+            c = vector[offset + i]
+            if c:
+                part = base * c
+                total = part if total is None else total + part
+        if total is not None and total:
+            blocks.setdefault(p, {})[(t, s)] = total
+    return ChainMap(data.source, data.target, blocks)
+
+
+def _window_pairs(p1, bd2, c3):
+    """Every ordered pair of window line bundles of p1, bd2 and c3, and the
+    bd2 cone {O@rho_2->O(1)@rho_0} paired with each bd2 line bundle both
+    ways."""
+    for setup in (p1, bd2, c3):
+        bundles = [lb(setup, i, j) for i in range(setup.n + 1)
+                   for j in range(setup.r_plus_1)]
+        yield from ((C, D) for C in bundles for D in bundles)
+    cone = right_mutation(lb(bd2, 0, 2), lb(bd2, 1, 0))
+    assert not cone.is_line_bundle()
+    for i in range(bd2.n + 1):
+        for j in range(bd2.r_plus_1):
+            yield cone, lb(bd2, i, j)
+            yield lb(bd2, i, j), cone
+
+
+def _boundary_pairs(c3):
+    """The c3 pairs of test_h0_coordinates_modulo_nonzero_boundary, whose
+    Hom complexes have a boundary and an 8-dimensional H^0."""
+    for j, j2 in [(0, 1), (1, 2), (2, 0)]:
+        yield lb(c3, 0, j, degree=1), right_mutation(lb(c3, 0, j), lb(c3, 1, j2))
+
+
+def _combine(terms):
+    """The sum of sparse vectors given as (scale, row) pairs, as
+    {index: c} with the zeros dropped."""
+    out = {}
+    for scale, row in terms:
+        for i, c in row.items():
+            total = out.get(i, CycNum.zero()) + scale * c
+            if total:
+                out[i] = total
+            else:
+                out.pop(i, None)
+    return out
+
+
+def _random_cycle(rng, rows):
+    """A random combination of one to three of the given sparse rows, with
+    small integer coefficients."""
+    picked = rng.sample(rows, rng.randint(1, min(len(rows), 3)))
+    return _combine((CycNum.from_rat(rng.choice([-2, -1, 1, 3])), row)
+                    for row in picked)
+
+
+def test_chain_map_matches_the_dense_loop_on_window_pairs(p1, bd2, c3):
+    # every H^0 row, and random cycles: combinations of the boundary rows
+    # and the H^0 rows, which for two line bundles are every sparse vector
+    rng = random.Random(23)
+    pairs = cones = rows_checked = 0
+    for C, D in itertools.chain(_window_pairs(p1, bd2, c3), _boundary_pairs(c3)):
+        data = hom_complex(C, D)
+        if not data.dim(0):
+            continue
+        pairs += 1
+        cones += not (C.is_line_bundle() and D.is_line_bundle())
+        span, _, count = data._h0
+        for row, cm in zip(span[count:], data.h0_maps()):
+            assert cm == data.chain_map(row) == dense_chain_map(data, row)
+            rows_checked += 1
+        for _ in range(3 if span else 0):
+            cycle = _random_cycle(rng, span)
+            assert data.chain_map(cycle) == dense_chain_map(data, cycle)
+    assert (pairs, cones, rows_checked) == (48, 9, 95)
+
+
+def test_h0_coordinates_invert_chain_map_modulo_boundaries(p1, bd2, c3):
+    # c over the H^0 rows plus a random boundary reads back as c
+    rng = random.Random(7)
+    checked = boundaries = 0
+    for C, D in itertools.chain(_window_pairs(p1, bd2, c3), _boundary_pairs(c3)):
+        data = hom_complex(C, D)
+        span, _, count = data._h0
+        h0_rows = span[count:]
+        if not h0_rows:
+            continue
+        for _ in range(3):
+            coords = _random_cycle(rng, [{i: CycNum.one()}
+                                         for i in range(len(h0_rows))])
+            terms = [(c, h0_rows[i]) for i, c in coords.items()]
+            if count:
+                terms.append((CycNum.one(), _random_cycle(rng, span[:count])))
+                boundaries += 1
+            cycle = _combine(terms)
+            assert data.h0_coordinates(data.chain_map(cycle)) == coords
+            checked += 1
+    assert (checked, boundaries) == (3 * 46, 3 * 3)
+
+
+def test_chain_map_rejects_a_coordinate_outside_hom0(bd2):
+    data = hom_complex(lb(bd2, 0, 0), lb(bd2, 1, 2))
+    assert data.dim(0) == 1
+    one = CycNum.one()
+    assert data.chain_map({0: one}) == data.h0_maps()[0]
+    for index in (-1, 1, 5):
+        with pytest.raises(InvalidParameter, match="outside Hom\\^0"):
+            data.chain_map({index: one})
+    empty = hom_complex(lb(bd2, 0, 0), lb(bd2, 0, 1))
+    assert empty.dim(0) == 0
+    with pytest.raises(InvalidParameter):
+        empty.chain_map({0: one})
 
 
 def test_chain_map_block_in_zero_space_rejected(c3):

@@ -778,7 +778,7 @@ def test_quiver_arrows_match_every_middle(case, rows, monkeypatch):
 
 def test_h0_coordinates_without_neighbours_are_the_hom0_coordinates(bd2):
     # Hom^-1 = Hom^1 = 0 between line bundles: no boundaries, every vector a
-    # cycle, and h0_vectors are the unit vectors of Hom^0
+    # cycle, and the H^0 rows are the unit vectors of Hom^0
     coll = beilinson_collection(bd2)
     checked = 0
     for i, j in itertools.combinations(range(len(coll)), 2):
@@ -787,10 +787,13 @@ def test_h0_coordinates_without_neighbours_are_the_hom0_coordinates(bd2):
             continue
         assert not data.dim(-1) and not data.dim(1)
         size = data.dim(0)
-        assert data.h0_vectors() == [tuple(CycNum.one() if c == r else CycNum.zero()
-                                           for c in range(size))
-                                     for r in range(size)]
+        span, _, count = data._h0
+        assert count == 0
+        assert span == [{r: CycNum.one()} for r in range(size)]
         for f in cohomology_basis(coll.objects[i], coll.objects[j]):
-            assert list(data.h0_coordinates(f)) == _oracle_h0_coordinates(data, f)
+            coords = data.h0_coordinates(f)
+            assert set(coords) <= set(range(size)) and all(coords.values())
+            assert ([coords.get(r, CycNum.zero()) for r in range(size)]
+                    == _oracle_h0_coordinates(data, f))
             checked += 1
     assert checked == 8

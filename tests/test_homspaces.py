@@ -30,6 +30,12 @@ def _zero(space):
     return HomElement(space, [CycNum.zero()] * space.ambient_dim)
 
 
+def _dense(elem):
+    """The ambient coordinates of an element, zeros included."""
+    return tuple(elem.entries.get(j, CycNum.zero())
+                 for j in range(elem.space.ambient_dim))
+
+
 def _coordinates(space, elem):
     """The dense tuple of `sparse_coordinates`."""
     coords = space.sparse_coordinates(elem)
@@ -82,7 +88,7 @@ def _apply_group_action(space, elem, gi):
                 poly = new
         for s in range(space.dim_sigma):
             for t in range(space.dim_rho):
-                c = elem.coords[space.flat_index_by_mono(mi, s, t)]
+                c = elem.entries.get(space.flat_index_by_mono(mi, s, t))
                 if not c:
                     continue
                 sig = sigma.matrix(gi)
@@ -110,7 +116,7 @@ def test_basis_vectors_are_equivariant(bd2, c3):
             space = hom_space(setup, m, rho, sigma)
             assert len(space)
             for f in space.basis:
-                irrational += any(c.reduced().conductor != 1 for c in f.coords)
+                irrational += any(c.reduced().conductor != 1 for c in _dense(f))
                 for gi in range(setup.group.order):
                     assert _apply_group_action(space, f, gi) == f
     assert irrational
@@ -222,9 +228,9 @@ def test_coordinates_round_trip(c3):
 
 def _solve_coordinates(space, elem):
     """The column solve that sparse_coordinates replaced, kept as its oracle."""
-    columns = CycMatrix([[b.coords[i] for b in space.basis]
-                         for i in range(space.ambient_dim)])
-    return oracle_solve(columns, elem.coords)
+    basis = [_dense(b) for b in space.basis]
+    columns = CycMatrix([[b[i] for b in basis] for i in range(space.ambient_dim)])
+    return oracle_solve(columns, _dense(elem))
 
 
 def _spaces(setup, degrees):
@@ -247,7 +253,7 @@ def test_coordinates_match_solve_oracle(bd2, c3):
             if not len(space):
                 continue
             irrational_basis += any(c.reduced().conductor != 1
-                                    for b in space.basis for c in b.coords)
+                                    for b in space.basis for c in _dense(b))
             for _ in range(3):
                 coeffs = [rng.choice(scalars + [CycNum.zero()]) for _ in space.basis]
                 elem = _zero(space)
@@ -344,12 +350,12 @@ def test_generator_kernel_matches_reynolds_average(spec):
                 space = hom_space(setup, m, rho, sigma)
                 rows, pivots = _reynolds_basis(setup, m, rho, sigma)
                 assert list(space.pivots) == list(pivots)
-                assert [_stored(b.coords) for b in space.basis] == \
+                assert [_stored(_dense(b)) for b in space.basis] == \
                     [_stored(row) for row in rows]
                 if not setup.group.generators:
                     # no generator, no constraint: every unit vector
                     assert space.pivots == list(range(space.ambient_dim))
-                    assert all(b.coords[p] == 1 and sum(map(bool, b.coords)) == 1
+                    assert all(b.entries == {p: 1}
                                for b, p in zip(space.basis, space.pivots))
 
 
@@ -358,7 +364,7 @@ def _dense_compose(f, g):
     every ambient pair of f and g, zeros included."""
     fs, gs = f.space, g.space
     target = hom_space(fs.setup, fs.m + gs.m, fs.rho_index, gs.sigma_index)
-    fc, gc = f.coords, g.coords
+    fc, gc = _dense(f), _dense(g)
     coords = [CycNum.zero()] * target.ambient_dim
     for ai, alpha in enumerate(fs.monomials):
         for s in range(fs.dim_sigma):
@@ -381,12 +387,12 @@ def _dense_coordinates(space, elem):
     """The dense coordinate read sparse_coordinates replaced, kept as its
     oracle: the entries at the pivots, then the whole ambient residual;
     None when the element is outside the span."""
-    values = elem.coords
+    values = _dense(elem)
     coords = tuple(values[p] for p in space.pivots)
     residual = list(values)
     for c, b in zip(coords, space.basis):
         if c:
-            for j, x in enumerate(b.coords):
+            for j, x in enumerate(_dense(b)):
                 residual[j] = residual[j] - c * x
     return None if any(residual) else coords
 
@@ -452,7 +458,7 @@ def test_sparse_composition_and_coordinates_match_dense_oracles(spec):
                             comp = compose_hom(f, g)
                             target, expected = _dense_compose(f, g)
                             assert comp.space is target
-                            assert comp.coords == expected
+                            assert _dense(comp) == expected
                             assert all(comp.entries.values())
                             assert _check_coordinates(target, comp)
 
@@ -473,8 +479,6 @@ def test_element_invariants(bd2):
         assert empty == _zero(space)
         assert hash(empty) == hash(_zero(space))
     assert all(f.entries.values())
-    assert f.coords == tuple(f.entries.get(j, CycNum.zero())
-                             for j in range(space.ambient_dim))
     other = hom_space(bd2, 1, 2, 0).basis[0]
     with pytest.raises(BasisMismatch):
         f + other

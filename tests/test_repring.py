@@ -192,8 +192,11 @@ def test_modular_image_refuses_vanishing_denominators():
 def test_certificate_refuses_a_corrupted_character_table():
     # rho_2 is the defining representation V (= V-dual); claiming twice the
     # trivial character for it leaves V-dual tensor rho_0 with no summand,
-    # which fails the dimension certificate of L_1
+    # which fails the dimension certificate of L_1.  The tables read the
+    # character residues that verify_irreps took, so those are corrupted.
     setup = binary_dihedral(3)
-    setup.irreps[2]._character = setup.irreps[0].character() * 2
+    image, left, right = setup._residues
+    left[2] = [2 * x % image.p for x in left[0]]
+    right[2] = [2 * x % image.p for x in right[0]]
     with pytest.raises(CertificateFailure, match="dimension certificate"):
         _lambda_tables(setup)

@@ -255,6 +255,46 @@ def test_integer_fields_reject_bools_and_non_integers(data, tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+def _explicit_with(path, value):
+    """q8_explicit with the field at the given key path set to value."""
+    data = json.loads((SCENARIOS / "q8_explicit.json").read_text())
+    *keys, last = path
+    node = data
+    for key in keys:
+        node = node.setdefault(key, {}) if isinstance(key, str) else node[key]
+    node[last] = value
+    return data
+
+
+BAD_EXPLICIT_FIELDS = {
+    "generators_int": (("group", "generators"), 5),
+    "generators_object": (("group", "generators"), {"a": 1}),
+    "images_int": (("group", "irreps", 1, "images"), 5),
+    "images_string": (("group", "irreps", 1, "images"), "1"),
+    "name_int": (("group", "irreps", 1, "name"), 5),
+    "name_empty": (("group", "irreps", 1, "name"), ""),
+    "name_null": (("group", "irreps", 1, "name"), None),
+    "dot_string": (("output", "dot"), "no"),
+    "dot_int": (("output", "dot"), 0),
+}
+
+
+@pytest.mark.parametrize("path, value", BAD_EXPLICIT_FIELDS.values(),
+                         ids=BAD_EXPLICIT_FIELDS.keys())
+def test_explicit_fields_of_the_wrong_type_are_validation_errors(path, value):
+    # generators and images must be lists, an irrep name a nonempty string
+    # and output.dot a bool; none of them may reach a TypeError or run
+    with pytest.raises(ValidationError):
+        run_scenario(parse_scenario(_explicit_with(path, value)))
+
+
+@pytest.mark.parametrize("dot", [True, False])
+def test_output_dot_takes_a_bool(dot):
+    report = run_scenario(parse_scenario(
+        _explicit_with(("output", "dot"), dot) | {"tasks": ["beilinson", "quiver"]}))
+    assert ("dot" in report["tasks"]["quiver"]) is dot
+
+
 def test_invariant_mode_rejects_non_sl_group():
     data = minimal(
         group={"kind": "cyclic_diagonal", "m": 4, "weights": [1, 0]},
