@@ -8,9 +8,10 @@ update G -> U^T G U is checked against a recomputed Euler pairing on the
 spot.  replay_gram() re-runs the whole trail from the recorded entries alone,
 so a finished collection can be audited without trusting the builders.
 
-A step changes few classes, so U differs from the identity in few columns;
-the unimodularity check, the conjugation and the fresh pairings all touch
-those columns only (see _unimodular_columns and _Workbench._record).
+A step changes few classes, so U differs from the identity in few columns,
+passed as {column: {row: value}} without zeros: each step hands them to
+_Workbench._record, replay_gram reads them back from the dense rows, and
+both check and conjugate with them alone (_unimodular, _conjugate_columns).
 """
 
 from __future__ import annotations
@@ -262,8 +263,9 @@ def _fmt_table(table: dict[int, int]) -> str:
 
 class _Workbench:
     """List-backed state shared by the mutation pipelines.  Each step
-    verifies the recorded base change against a Gram matrix recomputed
-    from the new K-classes before it is trusted.
+    verifies the columns its base change moves against a Gram matrix
+    recomputed from the new K-classes before it is trusted.  The entries
+    store base changes as dense rows; each unit row is one shared tuple.
 
     The recomputation is incremental.  _audited is the Euler Gram matrix of
     the classes _seen, the K-class objects of the last audit, and _supports
@@ -283,18 +285,21 @@ class _Workbench:
         self._audited = [list(row) for row in self.gram]
         self._seen = list(self.kclasses)
         self._supports = [_support(kc) for kc in self.kclasses]
+        size = len(self.kclasses)
+        self._unit_rows = [tuple(int(i == j) for j in range(size))
+                           for i in range(size)]
 
     def freeze(self) -> ExcCollection:
         return ExcCollection(self.setup, self.objects, self.kclasses,
                              self.labels, self.provenance)
 
-    def _record(self, entry: dict, U) -> None:
-        """Audit the step with base change U and append entry to the trail;
-        U is stored in the entry as given."""
-        cols = _unimodular_columns(U, len(self.kclasses))
-        if cols is None:
+    def _record(self, entry: dict, moved: dict) -> None:
+        """Audit the step whose base change differs from the identity in
+        the columns `moved` and append entry to the trail, with the base
+        change stored as dense rows."""
+        if not _unimodular(moved):
             raise InvalidParameter("base change is not unimodular")
-        changed = set(cols)
+        changed = set(moved)
         changed.update(i for i, (kc, seen) in enumerate(
             zip(self.kclasses, self._seen)) if kc is not seen)
         for i in changed:
@@ -305,10 +310,17 @@ class _Workbench:
         self._seen = list(self.kclasses)
         _refresh_pairings(self._audited, self._supports, sorted(changed),
                           _basis_pairing(self.setup))
-        _conjugate_columns(self.gram, U, cols)
+        _conjugate_columns(self.gram, moved)
         if self.gram != self._audited:
             raise InvalidParameter("Gram conjugation audit failed")
-        entry["base_change"] = U
+        rows = list(self._unit_rows)
+        for i in {i for c, col in moved.items() for i in (c, *col)
+                  if col.get(i, 0) != (i == c)}:
+            row = list(rows[i])
+            for c, col in moved.items():
+                row[c] = col.get(i, 0)
+            rows[i] = tuple(row)
+        entry["base_change"] = rows
         self.provenance.append(entry)
 
     def move_left(self, p: int, allow_fallback: bool) -> None:
@@ -344,46 +356,29 @@ class _Workbench:
             op = "right_mutation"
             self.labels[p] = result.label()
 
-        size = len(self.objects)
-        U = _identity_rows(size)
-        U[p - 1][p - 1] = 0
-        U[p][p - 1] = 1
-        U[p - 1][p] = 1
-        U[p][p] = -chi
         entry = {"op": op, "positions": [p - 1, p], "chi": chi}
         if stub_reason is not None:
             entry["reason"] = stub_reason
-        self._record(entry, U)
+        self._record(entry, {p - 1: {p: 1},
+                             p: {p - 1: 1, p: -chi} if chi else {p - 1: 1}})
 
     def permute(self, perm, entry: dict) -> None:
         """Reorder by perm (new index -> old index); legitimate only for
         mutually orthogonal moves, which the caller has verified."""
-        size = len(self.objects)
         self.objects = [self.objects[i] for i in perm]
         self.kclasses = [self.kclasses[i] for i in perm]
         self.labels = [self.labels[i] for i in perm]
-        U = [[0] * size for _ in range(size)]
-        for new, old in enumerate(perm):
-            U[old][new] = 1
-        self._record(dict(entry, permutation=list(perm)), U)
+        self._record(dict(entry, permutation=list(perm)),
+                     {new: {old: 1} for new, old in enumerate(perm) if new != old})
 
-    def replace(self, updates: dict[int, tuple], entry: dict, U) -> None:
+    def replace(self, updates: dict[int, tuple], entry: dict, moved) -> None:
         """Swap in new (object, kclass, label) triples at given positions
-        with an explicit base change (helix rotations)."""
+        with the base-change columns they move (helix rotations)."""
         for pos, (obj, kc, label) in updates.items():
             self.objects[pos] = obj
             self.kclasses[pos] = kc
             self.labels[pos] = label
-        self._record(entry, U)
-
-
-def _identity_rows(n: int):
-    rows = []
-    for i in range(n):
-        row = [0] * n
-        row[i] = 1
-        rows.append(row)
-    return rows
+        self._record(entry, moved)
 
 
 def _support(kc: KClass) -> list[tuple[int, int]]:
@@ -406,46 +401,50 @@ def _refresh_pairings(gram, supports, lines, table) -> None:
             gram[j][s] = sum([d * right[b] for b, d in kj])
 
 
-def _unimodular_columns(U, size: int) -> list[int] | None:
-    """The columns in which U differs from the identity, in increasing
-    order, when U is a unimodular size x size integer matrix, else None.
-    Listing the unchanged columns first makes U block upper triangular with
-    an identity block, so det U is the determinant of its principal block
-    on the changed columns."""
-    if len(U) != size or any(len(row) != size for row in U):
+def _moved_columns(U, size: int) -> dict[int, dict[int, int]] | None:
+    """The columns in which the dense rows U differ from the identity, as
+    {column: {row: value}} with the zeros dropped, or None when U is not a
+    size x size matrix."""
+    if not isinstance(U, list) or len(U) != size or any(
+            not isinstance(row, (list, tuple)) or len(row) != size for row in U):
         return None
-    changed = set()
+    cols = set()
     for i, row in enumerate(U):
         if row[i] != 1 or row.count(0) != size - 1:
-            changed.update(j for j, v in enumerate(row) if v != (i == j))
-    cols = sorted(changed)
-    if cols and abs(_int_det([[U[i][j] for j in cols] for i in cols])) != 1:
-        return None
-    return cols
+            cols.update(j for j, v in enumerate(row) if v != (i == j))
+    return {c: {i: row[c] for i, row in enumerate(U) if row[c]}
+            for c in sorted(cols)}
 
 
-def _conjugate_columns(gram, U, cols) -> None:
+def _unimodular(moved: dict[int, dict[int, int]]) -> bool:
+    """Whether U, the identity but in the columns `moved`, has determinant
+    +-1.  Listing the unmoved columns first makes U block upper triangular
+    with an identity block, so det U is that of its block on `moved`."""
+    cols = list(moved)
+    return not cols or abs(_int_det([[moved[c].get(r, 0) for c in cols]
+                                     for r in cols])) == 1
+
+
+def _conjugate_columns(gram, moved: dict[int, dict[int, int]]) -> None:
     """G <- U^T G U in place, where U differs from the identity only in the
-    columns cols: only those rows and columns of G change."""
+    columns `moved`: only those rows and columns of G change."""
     n = len(gram)
-    supports = [(c, [(i, U[i][c]) for i in range(n) if U[i][c]])
-                for c in cols]
-    gu = {}  # columns cols of G U
-    rows = []  # rows cols of U^T G
-    for c, supp in supports:
-        col, row = [0] * n, [0] * n
-        for i, u in supp:
-            col = [x + u * g[i] for x, g in zip(col, gram)]
+    gu = {}  # the moved columns of G U
+    rows = {}  # the moved rows of U^T G
+    for c, col in moved.items():
+        gcol, row = [0] * n, [0] * n
+        for i, u in col.items():
+            gcol = [x + u * g[i] for x, g in zip(gcol, gram)]
             row = [x + u * y for x, y in zip(row, gram[i])]
-        gu[c] = col
-        rows.append(row)
-    for (c, supp), row in zip(supports, rows):
-        for b in cols:
-            row[b] = sum([u * gu[b][i] for i, u in supp])
-    for b in cols:
-        for a, value in enumerate(gu[b]):
+        gu[c] = gcol
+        rows[c] = row
+    for c, col in moved.items():
+        for b in moved:
+            rows[c][b] = sum([u * gu[b][i] for i, u in col.items()])
+    for b, gcol in gu.items():
+        for a, value in enumerate(gcol):
             gram[a][b] = value
-    for (c, _), row in zip(supports, rows):
+    for c, row in rows.items():
         gram[c][:] = row
 
 
@@ -685,7 +684,6 @@ def _rotate_row(bench: _Workbench, positions: list[int], lead: int,
                 weight: int) -> None:
     setup = bench.setup
     shift = setup.n_plus_1
-    size = len(bench.objects)
     old_kclasses = list(bench.kclasses)
     old_gram = bench.gram
     serre_sign = -1 if setup.n % 2 else 1
@@ -699,7 +697,7 @@ def _rotate_row(bench: _Workbench, positions: list[int], lead: int,
         if k + lead < length:
             updates[pos] = (bench.objects[src], bench.kclasses[src],
                             bench.labels[src])
-            columns[pos] = [1 if i == src else 0 for i in range(size)]
+            columns[pos] = {src: 1}
         else:
             obj = bench.objects[src].twisted(shift)
             kc = twist_kclass(bench.kclasses[src], shift)
@@ -711,15 +709,12 @@ def _rotate_row(bench: _Workbench, positions: list[int], lead: int,
                 raise InvalidParameter(
                     f"twisted {obj.label()} violates Serre duality")
             updates[pos] = (obj, kc, obj.label())
-            columns[pos] = _integral_coordinates(kc, old_kclasses)
+            columns[pos] = {i: v for i, v in enumerate(
+                _integral_coordinates(kc, old_kclasses)) if v}
 
-    U = _identity_rows(size)
-    for pos, col in columns.items():
-        for i in range(size):
-            U[i][pos] = col[i]
     bench.replace(updates, {"op": "helix_rotate", "weight": weight,
                             "shift": lead,
-                            "positions": list(positions)}, U)
+                            "positions": list(positions)}, columns)
 
 
 def _integral_coordinates(kc: KClass, basis: list[KClass]) -> list[int]:
@@ -852,28 +847,32 @@ def replay_gram(provenance) -> tuple[tuple[int, ...], ...]:
     """Recompute the final Gram matrix from the provenance trail alone:
     start from the recorded base Gram and fold in every base change and
     subset.  Unimodularity of each step is re-checked; both the check and
-    the conjugation touch only the columns a base change moves."""
+    the conjugation touch only the columns read back from its dense rows."""
     gram = None
     for entry in provenance:
         op = entry.get("op")
         if op == "beilinson":
             gram = [list(row) for row in entry["gram"]]
-        elif op == "subset":
-            kept = entry["kept"]
-            gram = [[gram[i][j] for j in kept] for i in kept]
-        elif op in ("transpose", "right_mutation", "kclass_fallback",
-                    "block_sort", "helix_rotate"):
-            if gram is None:
-                break
-            U = entry["base_change"]
-            cols = _unimodular_columns(U, len(gram))
-            if cols is None:
-                raise InvalidParameter(f"non-unimodular base change in {op}")
-            _conjugate_columns(gram, U, cols)
         elif op in ("tensor_twist", "warning"):
             continue
-        else:
+        elif op not in ("subset", "transpose", "right_mutation",
+                        "kclass_fallback", "block_sort", "helix_rotate"):
             raise InvalidParameter(f"unknown provenance op {op!r}")
+        elif gram is None:
+            break
+        elif op == "subset":
+            kept = entry.get("kept")
+            if not isinstance(kept, list) or not all(
+                    isinstance(i, int) and 0 <= i < len(gram) for i in kept):
+                raise InvalidParameter("subset kept is not a list of Gram indices")
+            gram = [[gram[i][j] for j in kept] for i in kept]
+        else:
+            moved = _moved_columns(entry.get("base_change"), len(gram))
+            if moved is None:
+                raise InvalidParameter(f"{op} base change does not fit the Gram")
+            if not _unimodular(moved):
+                raise InvalidParameter(f"non-unimodular base change in {op}")
+            _conjugate_columns(gram, moved)
     if gram is None:
         raise InvalidParameter("provenance has no base Gram")
     return tuple(tuple(row) for row in gram)

@@ -109,20 +109,10 @@ class HomElement:
 
     __slots__ = ("space", "entries")
 
-    def __init__(self, space: "HomSpace", coords):
-        coords = tuple(coords)
-        if len(coords) != space.ambient_dim:
-            raise BasisMismatch("coordinate length does not match the space")
+    def __init__(self, space: "HomSpace", entries: dict[int, CycNum]):
+        """An element from its entries, a dict that holds no zero value."""
         self.space = space
-        self.entries: dict[int, CycNum] = {j: c for j, c in enumerate(coords) if c}
-
-    @classmethod
-    def _from_entries(cls, space: "HomSpace", entries: dict) -> "HomElement":
-        """An element from a dict that already holds no zero value."""
-        elem = cls.__new__(cls)
-        elem.space = space
-        elem.entries = entries
-        return elem
+        self.entries = entries
 
     def __bool__(self) -> bool:
         return bool(self.entries)
@@ -148,7 +138,7 @@ class HomElement:
                     entries[j] = new
                 else:
                     del entries[j]
-        return HomElement._from_entries(self.space, entries)
+        return HomElement(self.space, entries)
 
     def __add__(self, other: "HomElement") -> "HomElement":
         if self.space is not other.space:
@@ -161,8 +151,7 @@ class HomElement:
         return self._merged(other, True)
 
     def __neg__(self) -> "HomElement":
-        return HomElement._from_entries(
-            self.space, {j: -c for j, c in self.entries.items()})
+        return HomElement(self.space, {j: -c for j, c in self.entries.items()})
 
     def __mul__(self, scalar) -> "HomElement":
         entries = {}
@@ -170,7 +159,7 @@ class HomElement:
             v = c * scalar
             if v:
                 entries[j] = v
-        return HomElement._from_entries(self.space, entries)
+        return HomElement(self.space, entries)
 
     __rmul__ = __mul__
 
@@ -263,8 +252,7 @@ class HomSpace:
         # come out stored there; reducing once here keeps later arithmetic on
         # the rational fast paths.
         self.basis = tuple(
-            HomElement._from_entries(self, {j: v.reduced()
-                                            for j, v in enumerate(row) if v})
+            HomElement(self, {j: v.reduced() for j, v in enumerate(row) if v})
             for row in basis_rows)
         self._pivot_at = {p: i for i, p in enumerate(self.pivots)}
         expected = setup.hom_dim(0, m, rho_index, sigma_index)
@@ -286,8 +274,8 @@ class HomSpace:
         if self.m != 0 or self.rho_index != self.sigma_index:
             raise BasisMismatch("identity exists only in degree-0 endomorphisms")
         one = CycNum.one()
-        return HomElement._from_entries(self, {self.flat_index_by_mono(0, s, s): one
-                                               for s in range(self.dim_sigma)})
+        return HomElement(self, {self.flat_index_by_mono(0, s, s): one
+                                 for s in range(self.dim_sigma)})
 
     def sparse_coordinates(self, elem: HomElement) -> dict[int, CycNum]:
         """Coordinates of an invariant morphism in the echelon basis, as
@@ -348,5 +336,4 @@ def compose_hom(f: HomElement, g: HomElement) -> HomElement:
             j = (mono_index[gamma] * dim_tau + s2) * dim_rho + t
             old = entries.get(j)
             entries[j] = cf * cg if old is None else old + cf * cg
-    return HomElement._from_entries(target,
-                                    {j: c for j, c in entries.items() if c})
+    return HomElement(target, {j: c for j, c in entries.items() if c})

@@ -81,6 +81,10 @@ def parse_scenario(data, default_name: str = "scenario") -> Scenario:
     name = data.get("name", default_name)
     if not isinstance(name, str) or not name:
         raise ValidationError("name must be a nonempty string")
+    if name in (".", "..") or any(c in name for c in "/\\\0"):
+        raise ValidationError(
+            f"name {name!r} must be a plain file name: the DOT output is"
+            " written to <name>.dot")
 
     group = data.get("group")
     if not isinstance(group, dict) or "kind" not in group:

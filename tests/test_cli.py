@@ -128,6 +128,20 @@ def test_run_exit_two_on_dot_under_a_file(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_run_exit_two_on_a_name_outside_the_dot_directory(tmp_path, capsys):
+    data = json.loads((SCENARIOS / "z3_d1.json").read_text())
+    data["name"] = "../escaped"
+    scenario = tmp_path / "escaped.json"
+    scenario.write_text(json.dumps(data))
+    dot_dir = tmp_path / "dots"
+    dot_dir.mkdir()
+    code = main(["run", str(scenario), "--out", str(tmp_path / "r.json"),
+                 "--dot", str(dot_dir)])
+    assert code == 2
+    assert "plain file name" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["dots", "escaped.json"]
+
+
 def test_run_dot_directory(tmp_path, capsys):
     dot_dir = tmp_path / "dots"
     code = main(["run", str(SCENARIOS / "q8_veronese_d2.json"),

@@ -35,8 +35,9 @@ from eqcol.errors import (
     NonConcentratedHom,
     WindowViolation,
 )
-from eqcol.homspaces import HomElement, hom_space
+from eqcol.homspaces import hom_space
 from eqcol.reps import binary_dihedral, cyclic_diagonal
+from test_homspaces import _element
 from test_repring import build as build_repring_setup, specs as repring_specs
 
 
@@ -462,7 +463,7 @@ def test_chain_map_block_in_zero_space_rejected(c3):
     data = hom_complex(C, D)
     assert data.dim(0) == 0
     space = hom_space(c3, 0, 0, 1)
-    stray = HomElement(space, [CycNum.one()] + [CycNum.zero()] * (space.ambient_dim - 1))
+    stray = _element(space, [CycNum.one()] + [CycNum.zero()] * (space.ambient_dim - 1))
     cm = ChainMap(C, D, {0: {(0, 0): stray}}, check=False)
     with pytest.raises(BasisMismatch, match="zero morphism space"):
         data.h0_coordinates(cm)

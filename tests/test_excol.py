@@ -30,7 +30,9 @@ from eqcol.excol import (
     _euler_gram,
     _int_det,
     _int_product,
-    _unimodular_columns,
+    _integral_coordinates,
+    _moved_columns,
+    _unimodular,
     _Workbench,
     beilinson_collection,
     cascade_mutation,
@@ -546,7 +548,7 @@ def test_non_unimodular_base_change_rejected(bd2):
     assert _int_det(doubled) == 2
     bench = _Workbench(coll)
     with pytest.raises(InvalidParameter, match="not unimodular"):
-        bench._record({"op": "transpose"}, doubled)
+        bench._record({"op": "transpose"}, {0: {0: 2}})
     trail = list(coll.provenance) + [{"op": "transpose",
                                       "base_change": doubled}]
     with pytest.raises(InvalidParameter, match="non-unimodular"):
@@ -636,38 +638,72 @@ def test_changed_column_conjugation_matches_dense_oracle():
             for i in range(n):
                 if i not in cols:
                     U[i][j] = rng.choice([0, 0, 1, -1, 4])
-        moved = [j for j in range(n)
-                 if any(U[i][j] != (i == j) for i in range(n))]
-        found = _unimodular_columns(U, n)
-        assert (found is not None) == _is_unimodular(U)
-        assert _unimodular_columns(U, n + 1) is None
-        if found is None:
+        moved = {j: {i: U[i][j] for i in range(n) if U[i][j]} for j in range(n)
+                 if any(U[i][j] != (i == j) for i in range(n))}
+        found = _moved_columns(U, n)
+        assert found == moved
+        assert _moved_columns(U, n + 1) is None
+        assert _unimodular(found) == _is_unimodular(U)
+        if not _unimodular(found):
             continue
         unimodular += 1
-        assert found == moved
         gram = [[rng.choice([0, 0, 1, -1, 2, 5]) for _ in range(n)]
                 for _ in range(n)]
         expected = _conjugate(gram, U)
-        _conjugate_columns(gram, U, found)
+        _conjugate_columns(gram, found)
         assert gram == expected
     assert unimodular > 150
+
+
+def _dense_base_change(entry, old_kclasses, new_kclasses):
+    """Oracle: the dense U of a recorded step, built from the entry's own
+    fields; a helix column wrapped past the end of its row is the new class
+    in coordinates of the old ones."""
+    n = len(old_kclasses)
+    U = [[int(i == j) for j in range(n)] for i in range(n)]
+    if entry["op"] == "block_sort":
+        for new, old in enumerate(entry["permutation"]):
+            U[new][new], U[old][new] = 0, 1
+    elif entry["op"] == "helix_rotate":
+        positions, shift = entry["positions"], entry["shift"]
+        for k, pos in enumerate(positions):
+            column = [int(i == positions[(k + shift) % len(positions)])
+                      for i in range(n)]
+            if k + shift >= len(positions):
+                column = _integral_coordinates(new_kclasses[pos], old_kclasses)
+            for i in range(n):
+                U[i][pos] = column[i]
+    else:
+        a, b = entry["positions"]
+        U[a][a], U[b][a], U[a][b], U[b][b] = 0, 1, 1, -entry["chi"]
+    return U
 
 
 def test_record_matches_full_gram_on_every_shipped_step(monkeypatch):
     # every step of every shipped scenario: the incrementally audited Gram
     # equals the Euler Gram of the new classes recomputed from scratch, and
-    # the old Gram conjugated by the dense oracle
+    # the old Gram conjugated by the dense oracle; the stored base change
+    # is the one the entry's fields describe, and its columns express the
+    # new K-classes in the old ones
     record = _Workbench._record
     steps = []
 
-    def checked(bench, entry, U):
+    def checked(bench, entry, moved):
         before = [list(row) for row in bench.gram]
-        record(bench, entry, U)
+        old_kclasses = list(bench._seen)
+        record(bench, entry, moved)
         full = [list(row) for row in _euler_gram(bench.kclasses)]
         assert bench.gram == full
         assert bench._audited == full
+        U = [list(row) for row in entry["base_change"]]
+        assert U == _dense_base_change(entry, old_kclasses, bench.kclasses)
         assert _is_unimodular(U)
         assert _conjugate(before, U) == full
+        for j, kc in enumerate(bench.kclasses):
+            combination = KClass.zero(kc.setup)
+            for i, old in enumerate(old_kclasses):
+                combination = combination + old * U[i][j]
+            assert combination == kc
         steps.append(entry["op"])
 
     monkeypatch.setattr(_Workbench, "_record", checked)
@@ -675,6 +711,52 @@ def test_record_matches_full_gram_on_every_shipped_step(monkeypatch):
         assert run_scenario(path)["passed"] is True
     assert {"transpose", "right_mutation", "block_sort",
             "helix_rotate"} <= set(steps)
+
+
+@pytest.mark.parametrize("setup_name, build", [
+    ("bd2", lambda s: cascade_mutation(beilinson_collection(s))),
+    ("c3", lambda s: cascade_mutation(beilinson_collection(s))),
+    ("c3", lambda s: dsing_collection(s, 1, "invariant_veronese")),
+], ids=["bd2_cascade", "c3_cascade", "c3_helix_dsing"])
+def test_unit_rows_are_shared_by_the_steps_of_one_workbench(setup_name, build,
+                                                            request):
+    coll = build(request.getfixturevalue(setup_name))
+    changes = [e["base_change"] for e in coll.provenance if "base_change" in e]
+    assert len(changes) > 1
+    n = len(changes[0])
+    touched = 0
+    for i in range(n):
+        unit = tuple(int(i == j) for j in range(n))
+        rows = [U[i] for U in changes if U[i] == unit]
+        touched += len(changes) - len(rows)
+        assert all(row is rows[0] for row in rows)
+    assert touched
+
+
+@pytest.mark.parametrize("trail, match", [
+    ([{"op": "subset", "kept": [0]}], "provenance has no base Gram"),
+    ([{"op": "transpose", "base_change": [[1]]}], "provenance has no base Gram"),
+    ([{"op": "subset", "kept": [0, 2]}], "subset kept is not a list of Gram indices"),
+    ([{"op": "subset", "kept": [-1]}], "subset kept is not a list of Gram indices"),
+    ([{"op": "subset"}], "subset kept is not a list of Gram indices"),
+    ([{"op": "transpose"}], "transpose base change does not fit"),
+    ([{"op": "block_sort", "base_change": [[0, 1]]}],
+     "block_sort base change does not fit"),
+    ([{"op": "helix_rotate", "base_change": [[1, 0], 5]}],
+     "helix_rotate base change does not fit"),
+    ([{"op": "right_mutation", "base_change": [[1, 1], [1, 1]]}],
+     "non-unimodular base change in right_mutation"),
+], ids=["subset_first", "base_change_first", "kept_past_end",
+        "kept_negative", "kept_missing", "base_change_missing",
+        "base_change_short", "base_change_row_not_a_list",
+        "base_change_singular"])
+def test_replay_gram_refuses_a_malformed_trail(trail, match):
+    base = {"op": "beilinson", "n_plus_1": 2, "r_plus_1": 1,
+            "gram": [[1, 2], [0, 1]]}
+    if match != "provenance has no base Gram":
+        trail = [base] + trail
+    with pytest.raises(InvalidParameter, match=match):
+        replay_gram(trail)
 
 
 # -- quiver through arrow targets ----------------------------------------

@@ -66,6 +66,14 @@ def test_parse_rejects_bad_name():
         parse_scenario(minimal(name=""))
 
 
+@pytest.mark.parametrize("name", ["../escaped", "a/b", "/abs", "a\\b", "a\0b",
+                                  ".", ".."])
+def test_parse_rejects_a_name_that_is_not_a_plain_file_name(name):
+    # the name becomes the DOT file name, so it may not leave the directory
+    with pytest.raises(ValidationError, match="plain file name"):
+        parse_scenario(minimal(name=name))
+
+
 def test_parse_rejects_missing_group():
     data = minimal()
     del data["group"]
@@ -456,7 +464,7 @@ print(json.dumps({"passed": report["passed"],
     # flat integer coordinates at conductor 192, and the 134.7 MB report
     # is streamed.
     ("bd96", {"kind": "binary_dihedral", "l": 96}, 2, 1, True,
-     "a4400db43722cfe9253737c40a854ca0e2132098bb465ee9815d7fba15dc9faf", 200),
+     "a4400db43722cfe9253737c40a854ca0e2132098bb465ee9815d7fba15dc9faf", 100),
     # Z/8 and Z/16 acting on C^4 by four distinct primitive roots of unity,
     # a non-scalar action: unlike the scalar inputs above, their pipelines
     # read Ext tables off the ranks of 116 and 148 Hom-complex differentials.
