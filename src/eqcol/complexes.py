@@ -301,8 +301,14 @@ class HomComplexData:
     """The complex Hom^k = sum over p of Hom(C^p, D^(p+k)), with exact
     differentials delta(f) = d_D o f - (-1)^k f o d_C.
 
-    The dimensions come from the representation ring; the Hom spaces of a
-    degree are built when its differential is first needed."""
+    One pass over the setup's integer tables (`Setup.hom_dim`), with no Hom
+    space built, gives the dimensions and one table per degree: the first
+    row in Hom^k of each nonzero Hom(C^p[s], D^(p+k)[t]), keyed by
+    (p, s, t), rows running over p, then s, then t.  That table places the
+    columns of `delta`, the coordinates `chain_map` reads and the blocks
+    the H^0 read-back writes, so the read-back costs the chain map's
+    blocks.  The Hom spaces of a degree are built when its differential is
+    first needed."""
 
     def __init__(self, C: EqComplex, D: EqComplex):
         if C.setup is not D.setup:
@@ -318,53 +324,32 @@ class HomComplexData:
                 "Ext classes that the Hom complex cannot see")
         c_degrees = C.degrees
         d_degrees = D.degrees
+        hom_dim, cap = setup.hom_dim, hom_complex_cap()
         self.dims: dict[int, int] = {}
+        self._rows: dict[int, dict[tuple[int, int, int], int]] = {}
         for k in range(d_degrees[0] - c_degrees[-1], d_degrees[-1] - c_degrees[0] + 1):
-            total = sum(sum(map(sum, dims)) for _, dims in self._pair_dims(k))
-            if total > hom_complex_cap():
+            rows, total = {}, 0
+            for p in c_degrees:
+                targets = D.terms.get(p + k, ())
+                for s, a in enumerate(C.terms[p]):
+                    for t, b in enumerate(targets):
+                        d = hom_dim(a.twist, b.twist, a.irrep, b.irrep)
+                        if d:
+                            rows[(p, s, t)] = total
+                            total += d
+            if total > cap:
                 raise HomComplexCapExceeded(
                     f"Hom complex {C.label()} -> {D.label()} has dimension"
                     f" {total} in degree {k}, above the cap"
-                    f" EQCOL_HOM_COMPLEX_CAP={hom_complex_cap()}")
+                    f" EQCOL_HOM_COMPLEX_CAP={cap}")
             if total:
                 self.dims[k] = total
-        self._layouts: dict[int, dict[int, list[list[int | None]]]] = {}
+                self._rows[k] = rows
         self._deltas: dict[int, list[SparseVec]] = {}
         self._ranks: dict[int, int] = {}
 
     def dim(self, k: int) -> int:
         return self.dims.get(k, 0)
-
-    def _pair_dims(self, k: int):
-        """(p, dims) for each p with C^p and D^(p+k) nonzero, dims[s][t] the
-        dimension of Hom(C^p[s], D^(p+k)[t]), read off the setup's integer
-        tables (`Setup.hom_dim`) with no Hom space built."""
-        C, D, hom_dim = self.source, self.target, self.setup.hom_dim
-        for p in C.degrees:
-            targets = D.terms.get(p + k)
-            if targets:
-                yield p, [[hom_dim(a.twist, b.twist, a.irrep, b.irrep)
-                           for b in targets] for a in C.terms[p]]
-
-    def _layout(self, k: int) -> dict[int, list[list[int | None]]]:
-        """The first row of Hom^k of each Hom(C^p[s], D^(p+k)[t]), as
-        layout[p][s][t], None where that space is zero; built on first use.
-        Rows run over p, then s, then t."""
-        layout = self._layouts.get(k)
-        if layout is None:
-            layout, offset = {}, 0
-            if k in self.dims:
-                for p, dims in self._pair_dims(k):
-                    starts = []
-                    for row in dims:
-                        row_starts = []
-                        for d in row:
-                            row_starts.append(offset if d else None)
-                            offset += d
-                        starts.append(row_starts)
-                    layout[p] = starts
-            self._layouts[k] = layout
-        return layout
 
     def _space(self, a: EqLineBundle, b: EqLineBundle) -> HomSpace:
         """The Hom space from a to b, from the setup's memo."""
@@ -374,12 +359,8 @@ class HomComplexData:
         """(p, s, t, space, offset) for each nonzero Hom(C^p[s], D^(p+k)[t]),
         in row order."""
         C, D = self.source, self.target
-        for p, starts in self._layout(k).items():
-            sources, targets = C.terms[p], D.terms[p + k]
-            for s, row_starts in enumerate(starts):
-                for t, offset in enumerate(row_starts):
-                    if offset is not None:
-                        yield p, s, t, self._space(sources[s], targets[t]), offset
+        for (p, s, t), offset in self._rows.get(k, {}).items():
+            yield p, s, t, self._space(C.terms[p][s], D.terms[p + k][t]), offset
 
     @cached_property
     def _diff_index(self):
@@ -408,25 +389,18 @@ class HomComplexData:
             return self._deltas[k]
         C, D = self.source, self.target
         post_index, pre_index = self._diff_index
-        outs = self._layout(k + 1)
+        outs = self._rows.get(k + 1, {})
         negate_pre = k % 2 == 0
         columns = []
         for p, s, t, space, _ in self._slices(k):
             q = p + k
-            posts = []
-            if p in outs:
-                a = C.terms[p][s]
-                for u, g in post_index.get((q, t), ()):
-                    start = outs[p][s][u]
-                    if start is not None:
-                        posts.append((g, start, self._space(a, D.terms[q + 1][u])))
-            pres = []
-            if p - 1 in outs:
-                b = D.terms[q][t]
-                for sp, e in pre_index.get((p, s), ()):
-                    start = outs[p - 1][sp][t]
-                    if start is not None:
-                        pres.append((e, start, self._space(C.terms[p - 1][sp], b)))
+            a, b = C.terms[p][s], D.terms[q][t]
+            posts = [(g, outs[(p, s, u)], self._space(a, D.terms[q + 1][u]))
+                     for u, g in post_index.get((q, t), ())
+                     if (p, s, u) in outs]
+            pres = [(e, outs[(p - 1, sp, t)], self._space(C.terms[p - 1][sp], b))
+                    for sp, e in pre_index.get((p, s), ())
+                    if (p - 1, sp, t) in outs]
             for f in space.basis:
                 column: SparseVec = {}
                 for g, start, out in posts:
@@ -482,26 +456,30 @@ class HomComplexData:
         return span, position, count
 
     @cached_property
-    def _hom0_slices(self):
-        """The slices of Hom^0 in row order, and their first rows."""
-        slices = list(self._slices(0))
-        return slices, [offset for *_, offset in slices]
+    def _hom0_starts(self):
+        """The (p, s, t) keys of Hom^0's table and their first rows, in row
+        order, for bisection."""
+        rows = self._rows.get(0, {})
+        return list(rows), list(rows.values())
 
     def chain_map(self, coords) -> ChainMap:
         """The chain map with Hom^0 coordinates {index: c}, an index
         outside Hom^0 an InvalidParameter.  Each coordinate finds its slice
-        by bisection over the slices' first rows, so the map costs its
-        support, not dim Hom^0."""
-        slices, starts = self._hom0_slices
+        by bisection over the first rows of Hom^0's table, so the map costs
+        its support, not dim Hom^0."""
+        C, D = self.source, self.target
+        keys, starts = self._hom0_starts
         blocks: dict[int, dict] = {}
         for index in sorted(coords):
             if not 0 <= index < self.dim(0):
                 raise InvalidParameter(f"coordinate {index} is outside Hom^0")
-            p, s, t, space, offset = slices[bisect_right(starts, index) - 1]
-            part = space.basis[index - offset] * coords[index]
+            i = bisect_right(starts, index) - 1
+            p, s, t = keys[i]
+            space = self._space(C.terms[p][s], D.terms[p][t])
+            part = space.basis[index - starts[i]] * coords[index]
             entry = blocks.setdefault(p, {})
             entry[(t, s)] = entry[(t, s)] + part if (t, s) in entry else part
-        return ChainMap(self.source, self.target, blocks)
+        return ChainMap(C, D, blocks)
 
     def h0_maps(self) -> list[ChainMap]:
         """Cycle representatives of a basis of H^0, by echelon lifting:
@@ -513,23 +491,23 @@ class HomComplexData:
 
     def _sparse_vector(self, cm: ChainMap) -> SparseVec:
         """The Hom^0 coordinates of a chain map, {row: value} with the
-        zeros dropped, read block by block with `sparse_coordinates`."""
+        zeros dropped: each of its blocks is read with `sparse_coordinates`
+        at the first row of its slice in Hom^0's table, so the cost is the
+        chain map's blocks, not the slices of Hom^0."""
         if cm.source != self.source or cm.target != self.target:
             raise BasisMismatch("chain map belongs to a different Hom complex")
+        C, D = self.source, self.target
+        rows = self._rows.get(0, {})
         vector: SparseVec = {}
-        covered = set()
-        for p, s, t, space, offset in self._slices(0):
-            covered.add((p, t, s))
-            elem = cm.block(p, t, s)
-            if elem is None:
-                continue
-            for i, c in space.sparse_coordinates(elem).items():
-                vector[offset + i] = c
-        for degree, entry in cm.blocks.items():
-            for key in entry:
-                if (degree, *key) not in covered:
+        for p, entry in cm.blocks.items():
+            for (t, s), elem in entry.items():
+                offset = rows.get((p, s, t))
+                if offset is None:
                     raise BasisMismatch(
                         "chain map has a block in a zero morphism space")
+                space = self._space(C.terms[p][s], D.terms[p][t])
+                for i, c in space.sparse_coordinates(elem).items():
+                    vector[offset + i] = c
         return vector
 
     def h0_coordinates(self, cm: ChainMap) -> dict[int, CycNum]:
@@ -567,9 +545,7 @@ def pair_ext_dims(C: EqComplex, D: EqComplex) -> dict[int, int]:
     return ext_dims(C, D)
 
 
-def cohomology_basis(C: EqComplex, D: EqComplex, degree: int = 0) -> list[ChainMap]:
-    if degree != 0:
-        raise InvalidParameter("only degree-0 representatives are supported")
+def cohomology_basis(C: EqComplex, D: EqComplex) -> list[ChainMap]:
     return HomComplexData(C, D).h0_maps()
 
 

@@ -401,12 +401,25 @@ def _refresh_pairings(gram, supports, lines, table) -> None:
             gram[j][s] = sum([d * right[b] for b, d in kj])
 
 
+def _is_int(value) -> bool:
+    """True for an integer, false for a bool: JSON true and false load as
+    bool, a subclass of int, so the test is on the exact type."""
+    return type(value) is int
+
+
+def _int_rows(U, size: int) -> bool:
+    """Whether U is a size x size matrix of integers, given as rows: the
+    test of `_is_int` on every entry, run over each row's types in C."""
+    return isinstance(U, list) and len(U) == size and all(
+        isinstance(row, (list, tuple)) and len(row) == size
+        and {int}.issuperset(map(type, row)) for row in U)
+
+
 def _moved_columns(U, size: int) -> dict[int, dict[int, int]] | None:
     """The columns in which the dense rows U differ from the identity, as
     {column: {row: value}} with the zeros dropped, or None when U is not a
-    size x size matrix."""
-    if not isinstance(U, list) or len(U) != size or any(
-            not isinstance(row, (list, tuple)) or len(row) != size for row in U):
+    size x size integer matrix."""
+    if not _int_rows(U, size):
         return None
     cols = set()
     for i, row in enumerate(U):
@@ -847,12 +860,21 @@ def replay_gram(provenance) -> tuple[tuple[int, ...], ...]:
     """Recompute the final Gram matrix from the provenance trail alone:
     start from the recorded base Gram and fold in every base change and
     subset.  Unimodularity of each step is re-checked; both the check and
-    the conjugation touch only the columns read back from its dense rows."""
+    the conjugation touch only the columns read back from its dense rows.
+    An entry it cannot check (not a dict, a base Gram or base change that
+    is not a square integer matrix of the right size, a `kept` that repeats
+    or leaves the Gram's indices) raises an InvalidParameter naming it."""
     gram = None
-    for entry in provenance:
+    for index, entry in enumerate(provenance):
+        if not isinstance(entry, dict):
+            raise InvalidParameter(f"provenance entry {index} is not a dict")
         op = entry.get("op")
         if op == "beilinson":
-            gram = [list(row) for row in entry["gram"]]
+            base = entry.get("gram")
+            if not (isinstance(base, list) and _int_rows(base, len(base))):
+                raise InvalidParameter(
+                    "beilinson base Gram is not a square integer matrix")
+            gram = [list(row) for row in base]
         elif op in ("tensor_twist", "warning"):
             continue
         elif op not in ("subset", "transpose", "right_mutation",
@@ -863,13 +885,16 @@ def replay_gram(provenance) -> tuple[tuple[int, ...], ...]:
         elif op == "subset":
             kept = entry.get("kept")
             if not isinstance(kept, list) or not all(
-                    isinstance(i, int) and 0 <= i < len(gram) for i in kept):
-                raise InvalidParameter("subset kept is not a list of Gram indices")
+                    _is_int(i) and 0 <= i < len(gram) for i in kept) \
+                    or len(set(kept)) < len(kept):
+                raise InvalidParameter(
+                    "subset kept is not a list of Gram indices, each once")
             gram = [[gram[i][j] for j in kept] for i in kept]
         else:
             moved = _moved_columns(entry.get("base_change"), len(gram))
             if moved is None:
-                raise InvalidParameter(f"{op} base change does not fit the Gram")
+                raise InvalidParameter(f"{op} base change does not fit the Gram"
+                                       f" as a {len(gram)} x {len(gram)} integer matrix")
             if not _unimodular(moved):
                 raise InvalidParameter(f"non-unimodular base change in {op}")
             _conjugate_columns(gram, moved)

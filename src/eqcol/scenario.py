@@ -21,9 +21,10 @@ from pathlib import Path
 from .cyclotomic import parse_cyc
 from .errors import (EqcolError, HomComplexCapExceeded, InvalidParameter,
                      ParseError, ScenarioError, ValidationError)
-from .excol import (beilinson_collection, cascade_mutation, check_exceptional,
-                    check_strong, dsing_collection, is_unitriangular, quiver,
-                    replay_gram, tensor_twist, veronese_blocks)
+from .excol import (_is_int, beilinson_collection, cascade_mutation,
+                    check_exceptional, check_strong, dsing_collection,
+                    is_unitriangular, quiver, replay_gram, tensor_twist,
+                    veronese_blocks)
 from .groups import generate_group
 from .linalg import CycMatrix
 from .report import emit_dot
@@ -46,12 +47,6 @@ class Scenario:
     mode: str
     tasks: tuple[dict, ...]
     output: dict
-
-
-def _is_int(value) -> bool:
-    """True for an integer, false for a bool: JSON true and false load as
-    bool, a subclass of int."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def load_scenario(path) -> Scenario:
@@ -385,9 +380,8 @@ def _task_beilinson(state, entry) -> dict:
 
 def _task_cascade(state, entry) -> dict:
     coll = cascade_mutation(_grid(state))
-    if state["collection_source"] in (None, "beilinson"):
-        state["collection"] = coll
-        state["collection_source"] = "cascade"
+    state["collection"] = coll
+    state["collection_source"] = "cascade"
     return {"labels": list(coll.labels),
             "op_counts": _op_counts(coll),
             "has_stubs": coll.has_stub(),

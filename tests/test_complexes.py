@@ -400,23 +400,94 @@ def _random_cycle(rng, rows):
 
 def test_chain_map_matches_the_dense_loop_on_window_pairs(p1, bd2, c3):
     # every H^0 row, and random cycles: combinations of the boundary rows
-    # and the H^0 rows, which for two line bundles are every sparse vector
+    # and the H^0 rows, which for two line bundles are every sparse vector;
+    # each random cycle also reads back through `_sparse_vector`, which on
+    # the three boundary pairs meets three Hom^0 slices
     rng = random.Random(23)
-    pairs = cones = rows_checked = 0
+    pairs = cones = rows_checked = multi_slice = 0
     for C, D in itertools.chain(_window_pairs(p1, bd2, c3), _boundary_pairs(c3)):
         data = hom_complex(C, D)
         if not data.dim(0):
             continue
         pairs += 1
         cones += not (C.is_line_bundle() and D.is_line_bundle())
+        multi_slice += len(list(data._slices(0))) > 1
         span, _, count = data._h0
         for row, cm in zip(span[count:], data.h0_maps()):
             assert cm == data.chain_map(row) == dense_chain_map(data, row)
             rows_checked += 1
         for _ in range(3 if span else 0):
             cycle = _random_cycle(rng, span)
-            assert data.chain_map(cycle) == dense_chain_map(data, cycle)
-    assert (pairs, cones, rows_checked) == (48, 9, 95)
+            cm = data.chain_map(cycle)
+            assert cm == dense_chain_map(data, cycle)
+            assert data._sparse_vector(cm) == cycle
+    assert (pairs, cones, rows_checked, multi_slice) == (48, 9, 95, 3)
+
+
+def test_row_table_is_consecutive_and_asks_each_hom_dim_once(p1, bd2, c3,
+                                                             monkeypatch):
+    # The first rows of each degree's table sit at exactly the (p, s, t)
+    # with Setup.hom_dim nonzero, in row order, each the last one plus the
+    # dimension of the built Hom space, ending at dims[k]; building the
+    # table asks hom_dim once per (k, p, s, t).  The self Hom complexes of
+    # the boundary pairs' cones have Hom^0 slices in two degrees.
+    pairs = itertools.chain(_window_pairs(p1, bd2, c3), _boundary_pairs(c3),
+                            ((D, D) for _, D in _boundary_pairs(c3)))
+    slices = 0
+    for C, D in pairs:
+        setup = C.setup
+        asked = []
+        true_dim = setup.hom_dim
+        monkeypatch.setattr(setup, "hom_dim",
+                            lambda *args: asked.append(args) or true_dim(*args))
+        data = hom_complex(C, D)
+        monkeypatch.undo()
+        degrees = range(D.degrees[0] - C.degrees[-1],
+                        D.degrees[-1] - C.degrees[0] + 1)
+        assert len(asked) == sum(len(C.terms[p]) * len(D.terms.get(p + k, ()))
+                                 for k in degrees for p in C.terms)
+        for k in degrees:
+            nonzero = [(p, s, t) for p in C.degrees
+                       for s, a in enumerate(C.terms[p])
+                       for t, b in enumerate(D.terms.get(p + k, ()))
+                       if setup.hom_dim(a.twist, b.twist, a.irrep, b.irrep)]
+            table = data._rows.get(k, {})
+            assert list(table) == nonzero
+            row = 0
+            for p, s, t, space, offset in data._slices(k):
+                assert table[(p, s, t)] == offset == row
+                row += len(space.basis)
+                slices += 1
+            assert row == data.dim(k)
+    assert slices == 99
+
+
+def test_sparse_vector_reads_back_cycles_across_degrees(c3):
+    # the self Hom complex of each boundary pair's cone O -> O(1)^3 has
+    # Hom^0 slices at p = 0 (one) and p = 1 (nine); random cycles built
+    # from its boundaries and H^0 read back to themselves
+    rng = random.Random(25)
+    for _, D in _boundary_pairs(c3):
+        data = hom_complex(D, D)
+        assert [p for p, *_ in data._slices(0)] == [0] + [1] * 9
+        span = data._h0[0]
+        for _ in range(5):
+            cycle = _random_cycle(rng, span)
+            assert data._sparse_vector(data.chain_map(cycle)) == cycle
+
+
+def test_sparse_vector_rejects_a_block_from_another_hom_space(c3):
+    # Hom(O rho_0, O(1) rho_1) has a slice in Hom^0, but the block's
+    # element lives in Hom(O rho_1, O(1) rho_2), which has the same
+    # dimension
+    C, D = lb(c3, 0, 0), lb(c3, 1, 1)
+    data = hom_complex(C, D)
+    assert data.dims == {0: 3}
+    stray = hom_space(c3, 1, 1, 2).basis[0]
+    assert len(stray.space.basis) == 3
+    cm = ChainMap(C, D, {0: {(0, 0): stray}}, check=False)
+    with pytest.raises(BasisMismatch, match="different space"):
+        data.h0_coordinates(cm)
 
 
 def test_h0_coordinates_invert_chain_map_modulo_boundaries(p1, bd2, c3):

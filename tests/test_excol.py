@@ -746,10 +746,27 @@ def test_unit_rows_are_shared_by_the_steps_of_one_workbench(setup_name, build,
      "helix_rotate base change does not fit"),
     ([{"op": "right_mutation", "base_change": [[1, 1], [1, 1]]}],
      "non-unimodular base change in right_mutation"),
+    ([{"op": "right_mutation", "base_change": [[0, 1], [1, 0.5]]}],
+     "right_mutation base change does not fit the Gram as a 2 x 2 integer"),
+    ([{"op": "transpose", "base_change": [["a", 1], [1, 0]]}],
+     "transpose base change does not fit"),
+    ([{"op": "block_sort", "base_change": [[True, False], [False, True]]}],
+     "block_sort base change does not fit"),
+    ([{"op": "beilinson"}], "beilinson base Gram is not a square integer"),
+    ([{"op": "beilinson", "gram": 5}], "beilinson base Gram"),
+    ([{"op": "beilinson", "gram": [[1, "x"], [0, 1]]}], "beilinson base Gram"),
+    ([{"op": "beilinson", "gram": [[1, 2], [0]]}], "beilinson base Gram"),
+    (["subset"], "provenance entry 1 is not a dict"),
+    ([{"op": "subset", "kept": [1, 1]}],
+     "subset kept is not a list of Gram indices, each once"),
+    ([{"op": "subset", "kept": [True]}], "subset kept is not a list"),
 ], ids=["subset_first", "base_change_first", "kept_past_end",
         "kept_negative", "kept_missing", "base_change_missing",
         "base_change_short", "base_change_row_not_a_list",
-        "base_change_singular"])
+        "base_change_singular", "base_change_float", "base_change_string",
+        "base_change_bool", "gram_missing", "gram_not_a_list",
+        "gram_string_entry", "gram_not_square", "entry_not_a_dict",
+        "kept_repeats", "kept_bool"])
 def test_replay_gram_refuses_a_malformed_trail(trail, match):
     base = {"op": "beilinson", "n_plus_1": 2, "r_plus_1": 1,
             "gram": [[1, 2], [0, 1]]}
