@@ -166,32 +166,51 @@ def _decompose(setup: Setup, chi: CharacterVec) -> list[tuple[int, int]]:
 
 
 @setup_memo
+def _twist_rows(setup: Setup, below: bool) -> list[tuple[KClass, ...]]:
+    """The reduced classes of the twists 0, 1, 2, ..., or of -1, -2, ...
+    when below, one tuple over the irreps per twist, in that order.  The
+    window's rows are its basis classes; _reduce_bundle extends the list."""
+    if below:
+        return []
+    return [tuple(KClass.basis(setup, m, j) for j in range(setup.r_plus_1))
+            for m in range(setup.n_plus_1)]
+
+
 def _reduce_bundle(setup: Setup, m: int, j: int) -> KClass:
     """K-class of O(m) tensor rho_j, reduced into the twist window 0..n.
 
     Uses the Koszul relation
         sum_{k=0}^{n+1} (-1)^k [Lambda^k V-dual tensor O(m-k)] = 0
-    recursively downward for m > n and upward for m < 0, reading the
-    decompositions from the tables L_k (and the det permutation upward).
+    downward for m > n and upward for m < 0, reading the decompositions
+    from the tables L_k (and the det permutation upward).  The twists
+    between the window and m are reduced first, in order, and kept, so
+    each is reduced once and the call depth stays at two.
     """
-    n = setup.n
-    if 0 <= m <= n:
-        result = KClass.basis(setup, m, j)
-    elif m > n:
-        result = KClass.zero(setup)
+    rows = _twist_rows(setup, m < 0)
+    index = -m - 1 if m < 0 else m
+    while len(rows) <= index:
+        d = -1 - len(rows) if m < 0 else len(rows)
+        rows.append(tuple(_koszul_step(setup, d, l) for l in range(setup.r_plus_1)))
+    return rows[index][j]
+
+
+def _koszul_step(setup: Setup, m: int, j: int) -> KClass:
+    """O(m) tensor rho_j outside the window, from the n + 1 twists next to
+    it on the window's side, which are already reduced."""
+    n, result = setup.n, KClass.zero(setup)
+    if m > n:
         for k in range(1, n + 2):
             sign = 1 if k % 2 == 1 else -1
             for l, mult in setup.lambda_table(k)[j]:
                 result = result + _reduce_bundle(setup, m - k, l) * (sign * mult)
-    else:
-        result = KClass.zero(setup)
-        outer_sign = 1 if n % 2 == 0 else -1
-        for k in range(0, n + 1):
-            sign = outer_sign * (1 if k % 2 == 0 else -1)
-            row = setup.lambda_table(k)[j] if k else ((j, 1),)
-            for l, mult in row:
-                result = result + _reduce_bundle(
-                    setup, m + n + 1 - k, setup.det_twist(l)) * (sign * mult)
+        return result
+    outer_sign = 1 if n % 2 == 0 else -1
+    for k in range(0, n + 1):
+        sign = outer_sign * (1 if k % 2 == 0 else -1)
+        row = setup.lambda_table(k)[j] if k else ((j, 1),)
+        for l, mult in row:
+            result = result + _reduce_bundle(
+                setup, m + n + 1 - k, setup.det_twist(l)) * (sign * mult)
     return result
 
 

@@ -62,12 +62,7 @@ class EqComplex:
         self.triangle = None
         self._line_bundle = (len(cleaned) == 1
                              and len(next(iter(cleaned.values()))) == 1)
-        self.diffs = {}
-        for degree, blocks in (diffs or {}).items():
-            degree = int(degree)
-            kept = {key: val for key, val in blocks.items() if val}
-            if kept:
-                self.diffs[degree] = kept
+        self.diffs = _nonzero_blocks(diffs or {})
         if check:
             self._validate()
 
@@ -79,35 +74,14 @@ class EqComplex:
         for degree, blocks in self.diffs.items():
             if degree not in self.terms or degree + 1 not in self.terms:
                 raise InvalidParameter(f"differential at empty degree {degree}")
-            sources = self.terms[degree]
-            targets = self.terms[degree + 1]
-            for (t, s), elem in blocks.items():
-                if not (0 <= s < len(sources) and 0 <= t < len(targets)):
-                    raise InvalidParameter("differential block out of range")
-                space = elem.space
-                a, b = sources[s], targets[t]
-                if (space.setup is not self.setup
-                        or space.m != b.twist - a.twist
-                        or space.rho_index != a.irrep
-                        or space.sigma_index != b.irrep):
-                    raise BasisMismatch(
-                        f"differential block ({t},{s}) at degree {degree} "
-                        "lives in the wrong morphism space")
-        for degree in self.diffs:
-            if degree + 1 not in self.diffs:
-                continue
-            middle = range(len(self.terms[degree + 1]))
-            for s in range(len(self.terms[degree])):
-                for u in range(len(self.terms[degree + 2])):
-                    if _composite_sum((self.diff_block(degree, t, s),
-                                       self.diff_block(degree + 1, u, t))
-                                      for t in middle) is not None:
-                        raise InvalidParameter(
-                            f"d following d is nonzero at degree {degree}, "
-                            f"source {s}, target {u}")
-
-    def diff_block(self, degree: int, t: int, s: int) -> HomElement | None:
-        return self.diffs.get(degree, {}).get((t, s))
+            _check_blocks(self.setup, blocks, self.terms[degree],
+                          self.terms[degree + 1], f"differential at degree {degree}")
+        for degree, blocks in self.diffs.items():
+            square = _block_product(blocks, self.diffs.get(degree + 1, {}))
+            if square:
+                s, u = min((s, u) for u, s in square)
+                raise InvalidParameter(f"d following d is nonzero at degree {degree}, "
+                                       f"source {s}, target {u}")
 
     @property
     def degrees(self) -> list[int]:
@@ -194,43 +168,29 @@ class ChainMap:
                  check: bool = True):
         self.source = source
         self.target = target
-        self.blocks = {}
-        for degree, entry in blocks.items():
-            kept = {key: val for key, val in entry.items() if val}
-            if kept:
-                self.blocks[int(degree)] = kept
+        self.blocks = _nonzero_blocks(blocks)
         if check:
             self._validate()
 
-    def block(self, degree: int, t: int, s: int) -> HomElement | None:
-        return self.blocks.get(degree, {}).get((t, s))
-
     def _validate(self) -> None:
+        """Every block lies in its Hom space over the common setup, and
+        d_D f = f d_C, both sides compared as block products, in every
+        degree where f meets d_D or d_C meets f."""
         C, D = self.source, self.target
+        if C.setup is not D.setup:
+            raise BasisMismatch("chain map between complexes over different setups")
         for degree, entry in self.blocks.items():
             if degree not in C.terms or degree not in D.terms:
                 raise InvalidParameter(f"chain map block at empty degree {degree}")
-            for (t, s), elem in entry.items():
-                a = C.terms[degree][s]
-                b = D.terms[degree][t]
-                space = elem.space
-                if (space.m != b.twist - a.twist or space.rho_index != a.irrep
-                        or space.sigma_index != b.irrep):
-                    raise BasisMismatch("chain map block in the wrong space")
-        for degree in C.terms:
-            if degree + 1 not in D.terms:
-                continue
-            for s in range(len(C.terms[degree])):
-                for u in range(len(D.terms[degree + 1])):
-                    down_then_across = _composite_sum(
-                        (self.block(degree, t, s), D.diff_block(degree, u, t))
-                        for t in range(len(D.terms.get(degree, ()))))
-                    across_then_down = _composite_sum(
-                        (C.diff_block(degree, sp, s), self.block(degree + 1, u, sp))
-                        for sp in range(len(C.terms.get(degree + 1, ()))))
-                    if down_then_across != across_then_down:
-                        raise InvalidParameter(
-                            "chain map does not commute with differentials")
+            _check_blocks(C.setup, entry, C.terms[degree], D.terms[degree],
+                          f"chain map at degree {degree}")
+        for degree in sorted((self.blocks.keys() & D.diffs.keys())
+                             | {p for p in C.diffs if p + 1 in self.blocks}):
+            if (_block_product(self.blocks.get(degree, {}), D.diffs.get(degree, {}))
+                    != _block_product(C.diffs.get(degree, {}),
+                                      self.blocks.get(degree + 1, {}))):
+                raise InvalidParameter(
+                    f"chain map does not commute with differentials at degree {degree}")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ChainMap):
@@ -242,25 +202,52 @@ class ChainMap:
         return hash((self.source, self.target, tuple(sorted(self.blocks))))
 
 
-def _composite_sum(pairs) -> HomElement | None:
-    """The sum of g o f over the (f, g) pairs in which both blocks exist;
-    None when that sum is empty or zero."""
-    total = None
-    for f, g in pairs:
-        if f is not None and g is not None:
+def _nonzero_blocks(maps) -> dict[int, dict]:
+    """{degree: {(t, s): block}} with the zero blocks and the degrees left
+    empty dropped."""
+    out = {}
+    for degree, entry in maps.items():
+        kept = {key: elem for key, elem in entry.items() if elem}
+        if kept:
+            out[int(degree)] = kept
+    return out
+
+
+def _check_blocks(setup: Setup, blocks, sources, targets, what: str) -> None:
+    """Each block (t, s) must index summand s of sources and summand t of
+    targets, an InvalidParameter otherwise, and lie in
+    Hom(sources[s], targets[t]) over setup, a BasisMismatch otherwise."""
+    for (t, s), elem in blocks.items():
+        if not (0 <= s < len(sources) and 0 <= t < len(targets)):
+            raise InvalidParameter(f"{what}: block ({t},{s}) out of range")
+        space, a, b = elem.space, sources[s], targets[t]
+        if (space.setup is not setup or space.m != b.twist - a.twist
+                or space.rho_index != a.irrep or space.sigma_index != b.irrep):
+            raise BasisMismatch(
+                f"{what}: block ({t},{s}) lives in the wrong morphism space")
+
+
+def _block_product(first, second) -> dict:
+    """The blocks of second o first, for block maps {(t, s): f} and
+    {(u, t): g}: block (u, s) sums g o f over the t where both blocks
+    exist.  Only the pairs of blocks that meet are composed, and the sums
+    that vanish are dropped."""
+    after: dict[int, list] = {}
+    for (u, t), g in second.items():
+        after.setdefault(t, []).append((u, g))
+    product: dict[tuple[int, int], HomElement] = {}
+    for (t, s), f in first.items():
+        for u, g in after.get(t, ()):
             comp = compose_hom(f, g)
-            total = comp if total is None else total + comp
-    return total if total else None
+            old = product.get((u, s))
+            product[(u, s)] = comp if old is None else old + comp
+    return {key: elem for key, elem in product.items() if elem}
 
 
 def identity_chain_map(C: EqComplex) -> ChainMap:
-    blocks = {}
-    for degree, summands in C.terms.items():
-        entry = {}
-        for s, bundle in enumerate(summands):
-            space = hom_space(C.setup, 0, bundle.irrep, bundle.irrep)
-            entry[(s, s)] = space.identity_element()
-        blocks[degree] = entry
+    blocks = {degree: {(s, s): hom_space(C.setup, 0, b.irrep, b.irrep).identity_element()
+                       for s, b in enumerate(summands)}
+              for degree, summands in C.terms.items()}
     return ChainMap(C, C, blocks, check=False)
 
 
@@ -268,20 +255,8 @@ def compose_chain_maps(f: ChainMap, g: ChainMap) -> ChainMap:
     """g after f."""
     if f.target != g.source:
         raise BasisMismatch("chain maps do not compose")
-    blocks = {}
-    for degree in f.blocks:
-        if degree not in g.blocks:
-            continue
-        entry = {}
-        middle = range(len(f.target.terms[degree]))
-        for s in range(len(f.source.terms[degree])):
-            for u in range(len(g.target.terms[degree])):
-                total = _composite_sum((f.block(degree, t, s), g.block(degree, u, t))
-                                       for t in middle)
-                if total is not None:
-                    entry[(u, s)] = total
-        if entry:
-            blocks[degree] = entry
+    blocks = {degree: _block_product(entry, g.blocks[degree])
+              for degree, entry in f.blocks.items() if degree in g.blocks}
     return ChainMap(f.source, g.target, blocks, check=False)
 
 

@@ -9,8 +9,8 @@ downstream report is reproducible.
 
 The closure is a breadth-first search that forms m * g for every element
 m and generator g, so it also yields the right action of each generator
-as a permutation of the elements and a spanning tree of words (each
-element is its parent times one generator, its last letter).  It runs on
+as a permutation of the elements and a spanning tree (each element is
+its parent times one generator, the letter of its tree edge).  It runs on
 the flat forms of `linalg.flatten` at N, the lcm of the generator
 entries' conductors: m * g is one `RightMultiplier` application, and the
 elements found are keyed by their flat tuples, which are equal exactly
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .config import order_cap as configured_order_cap
+from .config import order_cap
 from .cyclotomic import CycNum, common_conductor
 from .errors import GroupMismatch, InvalidParameter, NotInvertible, OrderCapExceeded
 from .linalg import CycMatrix, RightMultiplier, flat_identity, unflatten
@@ -37,12 +37,11 @@ from .linalg import CycMatrix, RightMultiplier, flat_identity, unflatten
 class FiniteMatrixGroup:
     """Closure of a finite set of invertible matrices."""
 
-    def __init__(self, elements: list[CycMatrix], words: list[tuple[int, ...]],
+    def __init__(self, elements: list[CycMatrix],
                  generators: list[CycMatrix], table: tuple[tuple[int, ...], ...],
                  orders: tuple[int, ...], tree: tuple[tuple[int, int, int], ...]):
         # Internal: use generate_group.
         self.elements = tuple(elements)
-        self.words = tuple(words)
         self.generators = tuple(generators)
         self.order = len(elements)
         self.dimension = elements[0].nrows
@@ -139,21 +138,21 @@ class FiniteMatrixGroup:
         return f"FiniteMatrixGroup(order={self.order}, dim={self.dimension})"
 
 
-def generate_group(generators: list[CycMatrix], dimension: int | None = None,
-                   order_cap: int | None = None) -> FiniteMatrixGroup:
-    """Close a generator list under multiplication.
+def generate_group(generators: list[CycMatrix],
+                   dimension: int | None = None) -> FiniteMatrixGroup:
+    """Close a generator list under multiplication, up to the configured
+    order cap.
 
     An empty generator list needs an explicit ambient dimension and gives
-    the trivial group.  order_cap defaults to the configured cap.
+    the trivial group.
     """
-    if order_cap is None:
-        order_cap = configured_order_cap()
+    cap = order_cap()
     generators = list(generators)
     if not generators:
         if dimension is None:
             raise InvalidParameter("trivial group needs an explicit dimension")
         identity = CycMatrix.identity(dimension)
-        return FiniteMatrixGroup([identity], [()], [], ((0,),), (1,), ())
+        return FiniteMatrixGroup([identity], [], ((0,),), (1,), ())
     dim = generators[0].nrows
     for g in generators:
         if g.nrows != g.ncols or g.nrows != dim:
@@ -170,7 +169,6 @@ def generate_group(generators: list[CycMatrix], dimension: int | None = None,
     actions = [RightMultiplier(g, conductor) for g in generators]
     found = [flat_identity(dim, conductor)]
     index = {found[0]: 0}
-    words: list[tuple[int, ...]] = [()]
     tree: list[tuple[int, int, int]] = []
     right: list[list[int]] = [[] for _ in generators]
     for i, m in enumerate(found):
@@ -180,10 +178,9 @@ def generate_group(generators: list[CycMatrix], dimension: int | None = None,
             if j is None:
                 j = index[prod] = len(found)
                 found.append(prod)
-                words.append(words[i] + (gi,))
                 tree.append((j, i, gi))
-                if len(found) > order_cap:
-                    raise OrderCapExceeded(f"group order exceeds cap {order_cap}")
+                if len(found) > cap:
+                    raise OrderCapExceeded(f"group order exceeds cap {cap}")
             right[gi].append(j)
     n = len(found)
     # column j of the Cayley table: i * j for every i, from its parent's
@@ -213,7 +210,7 @@ def generate_group(generators: list[CycMatrix], dimension: int | None = None,
     table = tuple(tuple([rank[row[j]] for j in ordered])
                   for row in (rows[i] for i in ordered))
     return FiniteMatrixGroup(
-        [matrices[i] for i in ordered], [words[i] for i in ordered], generators,
+        [matrices[i] for i in ordered], generators,
         table, tuple(orders[i] for i in ordered),
         tuple((rank[j], rank[parent], letter) for j, parent, letter in tree))
 

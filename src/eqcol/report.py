@@ -116,12 +116,13 @@ def _float(value: float) -> str:
     return float.__repr__(value)
 
 
-def emit_dot(labels, arrows, name: str = "quiver") -> str:
+def emit_dot(labels, arrows) -> str:
     """Directed graph, one edge per arrow (parallel edges kept), nodes in
-    collection order; arrows[i][j] counts the arrows from node i to j."""
-    lines = [f"digraph {name} {{", "  rankdir=LR;"]
+    collection order; arrows[i][j] counts the arrows from node i to j.
+    Labels escape backslashes, then quotes."""
+    lines = ["digraph quiver {", "  rankdir=LR;"]
     for i, label in enumerate(labels):
-        escaped = label.replace('"', '\\"')
+        escaped = label.replace("\\", "\\\\").replace('"', '\\"')
         lines.append(f'  n{i} [label="{escaped}"];')
     for i in range(len(labels)):
         for j in range(len(labels)):

@@ -7,7 +7,7 @@ in the flat form of `linalg.flatten` at the irrep's conductor N, the lcm
 of its images' conductors, i.e. the power-basis numerators of its entries
 over one common denominator.  That form is unique, so matrices are
 compared as tuples.  The images are extended along the group's spanning
-tree of words by one `RightMultiplier` per generator, X -> X A as a cached
+tree by one `RightMultiplier` per generator, X -> X A as a cached
 Q-linear map on integer coordinates, and then verified once, when the
 Setup is built: the identity, the generator images, multiplicativity on
 the Schreier edges (the pairs off the tree), character orthonormality from
@@ -419,27 +419,31 @@ class Setup:
         m = b - a
         return self.sym_decomposition(m, sigma)[rho] if m >= 0 else 0
 
-    @setup_memo
     def sym_decomposition(self, m: int, sigma: int) -> tuple[int, ...]:
         """Irrep multiplicities u_m of Sym^m V-dual tensor rho_sigma, by the
         Koszul relation u_m = sum_{k>=1} (-1)^(k+1) L_k u_(m-k), u_0 = e_sigma.
-        A miss fetches the lower degrees in ascending order, so the call
-        depth stays at two."""
+        Each sigma keeps its rows u_0, u_1, ... in one list, and a miss
+        extends it in ascending order, each row read from the n + 1 before
+        it, so nothing recurses and a table up to degree M costs M rows."""
         if m < 0:
             raise NegativeDegree(f"symmetric power of negative degree {m}")
-        out = [0] * len(self.irreps)
-        if m == 0:
-            out[sigma] = 1
-            return tuple(out)
-        lower = [self.sym_decomposition(d, sigma) for d in range(m)]
-        for k in range(1, min(m, self.n_plus_1) + 1):
-            sign = 1 if k % 2 else -1
-            table = self.lambda_table(k)
-            for tau, u in enumerate(lower[m - k]):
-                if u:
-                    for rho, mult in table[tau]:
-                        out[rho] += sign * u * mult
-        return tuple(out)
+        rows = self._sym_rows(sigma)
+        while len(rows) <= m:
+            d, out = len(rows), [0] * len(self.irreps)
+            for k in range(1, min(d, self.n_plus_1) + 1):
+                sign = 1 if k % 2 else -1
+                table = self.lambda_table(k)
+                for tau, u in enumerate(rows[d - k]):
+                    if u:
+                        for rho, mult in table[tau]:
+                            out[rho] += sign * u * mult
+            rows.append(tuple(out))
+        return rows[m]
+
+    @setup_memo
+    def _sym_rows(self, sigma: int) -> list[tuple[int, ...]]:
+        """The rows of `sym_decomposition` for sigma so far, from u_0 on."""
+        return [tuple(int(rho == sigma) for rho in range(len(self.irreps)))]
 
     def lambda_table(self, k: int) -> tuple[tuple[tuple[int, int], ...], ...]:
         """L_k for 1 <= k <= n+1: row sigma lists the nonzero (rho,

@@ -39,6 +39,24 @@ def test_run_exit_one_on_failed_check(tmp_path, capsys):
     assert report["tasks"]["quiver"]["ok"] is False
 
 
+@pytest.mark.parametrize("k", [5000, -5000])
+def test_run_twists_far_outside_the_window(tmp_path, capsys, k):
+    # the twists between the window and k are reduced in order and kept,
+    # so a far twist does not recurse once per twist
+    scenario = {
+        "name": "far_twist",
+        "group": {"kind": "cyclic_diagonal", "m": 3, "weights": [1, 1, 1]},
+        "n_plus_1": 3,
+        "tasks": ["beilinson", {"task": "twist", "k": k}],
+    }
+    path = tmp_path / "far_twist.json"
+    path.write_text(json.dumps(scenario))
+    code = main(["run", str(path)])
+    assert code == 0
+    twist = json.loads(capsys.readouterr().out)["tasks"]["twist"]
+    assert twist["k"] == k and twist["gram_invariant"] is True
+
+
 def test_run_exit_two_on_parse_error(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{nope")
@@ -220,6 +238,11 @@ def test_gram_text(capsys):
 def test_dot_escapes_quotes():
     dot = emit_dot(('say "hi"',), ((0,),))
     assert 'label="say \\"hi\\""' in dot
+    # a backslash is escaped before the quotes, so a trailing one cannot
+    # escape the closing quote
+    dot = emit_dot(("O@a\\", 'b\\"c'), ((0, 0), (0, 0)))
+    assert 'n0 [label="O@a\\\\"];' in dot
+    assert 'n1 [label="b\\\\\\"c"];' in dot
 
 
 def test_dot_empty_quiver():

@@ -9,7 +9,9 @@ and inner products), not from the integer tables behind
 ext_dim_equivariant and the reduction.
 """
 
+import inspect
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -209,6 +211,28 @@ def test_reduction_preserves_euler_pairing(p1, bd2, c3, c4_nonsl):
                             euler_oracle(setup, bundle, basis_bundle)
                         assert euler_pairing(basis_class, reduced) == \
                             euler_oracle(setup, basis_bundle, bundle)
+
+
+def test_far_twists_reduce_with_bounded_depth():
+    # A fresh setup, so every twist outside the window is a miss.  The
+    # twists between the window and m are reduced in order and kept, so the
+    # call depth must not grow with |m|; the Euler pairing with each window
+    # class is read from the integer tables of ext_table, which share no
+    # code with the Koszul reduction.
+    setup = cyclic_diagonal(3, [1, 1, 1])
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 60)
+    try:
+        classes = {(m, j): line_bundle_class(setup, EqLineBundle(m, j))
+                   for m in (700, 5000, -5000) for j in range(setup.r_plus_1)}
+    finally:
+        sys.setrecursionlimit(limit)
+    for (m, j), cls in classes.items():
+        for i in range(setup.n + 1):
+            for l in range(setup.r_plus_1):
+                table = ext_table(setup, EqLineBundle(i, l), EqLineBundle(m, j))
+                assert euler_pairing(KClass.basis(setup, i, l), cls) == \
+                    sum((-1) ** k * dim for k, dim in table.items()), (m, j, i, l)
 
 
 def test_euler_pairing_on_the_line(p1):

@@ -6,15 +6,18 @@ independent oracle for every Hom-complex rank computed here.
 
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import eqcol.complexes as complexes
 from eqcol.cohomology import EqLineBundle, KClass, ext_dim_equivariant, euler_pairing, koszul_reduce
 from eqcol.complexes import (
     ChainMap,
     EqComplex,
     HomComplexData,
+    _block_product,
     _cone as mapping_cone,
     cohomology_basis,
     compose_chain_maps,
@@ -35,10 +38,13 @@ from eqcol.errors import (
     NonConcentratedHom,
     WindowViolation,
 )
-from eqcol.homspaces import hom_space
+from eqcol.homspaces import compose_hom, hom_space
 from eqcol.reps import binary_dihedral, cyclic_diagonal
+from eqcol.scenario import parse_scenario, run_scenario
 from test_homspaces import _element
 from test_repring import build as build_repring_setup, specs as repring_specs
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 @pytest.fixture(scope="module")
@@ -122,13 +128,26 @@ def test_complex_span_cap(p1):
 def test_complex_differential_square(p2):
     x1 = hom_space(p2, 1, 0, 0)
     d0 = x1.basis[0]
-    with pytest.raises(InvalidParameter):
+    with pytest.raises(InvalidParameter, match="d following d is nonzero at"
+                                               " degree 0, source 0, target 0"):
         EqComplex(
             p2,
             {0: (EqLineBundle(0, 0),), 1: (EqLineBundle(1, 0),),
              2: (EqLineBundle(2, 0),)},
             {0: {(0, 0): d0},
              1: {(0, 0): hom_space(p2, 1, 0, 0).basis[0]}},
+        )
+    # the error names the first (source, target) pair whose composite is
+    # nonzero: source 0 passes through its own middle summand to nothing
+    with pytest.raises(InvalidParameter, match="d following d is nonzero at"
+                                               " degree 0, source 1, target 0"):
+        EqComplex(
+            p2,
+            {0: (EqLineBundle(0, 0), EqLineBundle(0, 0)),
+             1: (EqLineBundle(1, 0), EqLineBundle(1, 0)),
+             2: (EqLineBundle(2, 0),)},
+            {0: {(0, 0): d0, (1, 1): d0},
+             1: {(0, 1): d0}},
         )
 
 
@@ -154,7 +173,7 @@ def test_right_mutation_cone_shape(bd2):
     R = right_mutation(lb(bd2, 0, 2), lb(bd2, 1, 0))
     assert R.terms == {0: (EqLineBundle(0, 2),), 1: (EqLineBundle(1, 0),)}
     space = hom_space(bd2, 1, 2, 0)
-    assert R.diff_block(0, 0, 0) == space.basis[0]
+    assert R.diffs[0][(0, 0)] == space.basis[0]
     assert R.label() == "{O@rho_2->O(1)@rho_0}"
 
 
@@ -265,7 +284,7 @@ def test_h0_coordinates_scaling(bd2):
     data = hom_complex(E, F)
     rep = cohomology_basis(E, F)[0]
     assert data.h0_coordinates(rep) == {0: 1}
-    doubled = ChainMap(E, F, {0: {(0, 0): rep.block(0, 0, 0) * 2}})
+    doubled = ChainMap(E, F, {0: {(0, 0): rep.blocks[0][(0, 0)] * 2}})
     coords = data.h0_coordinates(doubled)
     assert {i: str(c) for i, c in coords.items()} == {0: "2"}
 
@@ -683,3 +702,168 @@ def test_cone_of_the_identity_is_acyclic(bd2):
         for L in window:
             assert ext_dims(Z, L) == {}
             assert ext_dims(L, Z) == {}
+
+
+# -- one block check and one block product ------------------------------------
+
+
+def _bad_block(c3, other, case):
+    """(the block key, the element, the error) of one malformed block of a
+    map from O rho_0 to O(1) rho_1 on Z/3 acting on P^2."""
+    good = hom_space(c3, 1, 0, 1).basis[0]
+    return {
+        "index_minus_one": ((0, -1), good, InvalidParameter),
+        "index_five": ((0, 5), good, InvalidParameter),
+        "target_five": ((5, 0), good, InvalidParameter),
+        "other_setup": ((0, 0), hom_space(other, 1, 0, 1).basis[0], BasisMismatch),
+        "wrong_space": ((0, 0), hom_space(c3, 1, 1, 2).basis[0], BasisMismatch),
+    }[case]
+
+
+@pytest.mark.parametrize("case", ["index_minus_one", "index_five", "target_five",
+                                  "other_setup", "wrong_space"])
+@pytest.mark.parametrize("kind", ["differential", "chain_map"])
+def test_one_block_check_refuses_a_bad_block_in_both(c3, kind, case):
+    # the same check serves a differential and a chain map: an index outside
+    # the summands is an InvalidParameter, a block from another Hom space,
+    # also one of another Setup's with the same twist and irreps, a
+    # BasisMismatch
+    other = cyclic_diagonal(3, [1, 1, 1])
+    assert other is not c3
+    key, elem, error = _bad_block(c3, other, case)
+    a, b = EqLineBundle(0, 0), EqLineBundle(1, 1)
+    with pytest.raises(error, match="block"):
+        if kind == "differential":
+            EqComplex(c3, {0: (a,), 1: (b,)}, {0: {key: elem}})
+        else:
+            ChainMap(lb(c3, 0, 0), lb(c3, 1, 1), {0: {key: elem}})
+
+
+def test_chain_map_refuses_complexes_over_different_setups(c3):
+    other = cyclic_diagonal(3, [1, 1, 1])
+    f = hom_space(c3, 1, 0, 1).basis[0]
+    with pytest.raises(BasisMismatch, match="different setups"):
+        ChainMap(lb(c3, 0, 0), lb(other, 1, 1), {0: {(0, 0): f}})
+    assert ChainMap(lb(c3, 0, 0), lb(c3, 1, 1), {0: {(0, 0): f}}).blocks == \
+        {0: {(0, 0): f}}
+
+
+def dense_block_product(first, second):
+    """second o first by the s x u x t loop that composed block maps
+    before `_block_product`: every (s, u) sums g o f over every middle t,
+    each index up to the largest that occurs, and keeps a nonzero sum.
+    Also returns the number of (s, u, t) triples it visits."""
+    if not first or not second:
+        return {}, 0
+    sources = 1 + max(s for _, s in first)
+    middle = 1 + max(t for t, _ in itertools.chain(first, second))
+    targets = 1 + max(u for u, _ in second)
+    out = {}
+    for s in range(sources):
+        for u in range(targets):
+            total = None
+            for t in range(middle):
+                f, g = first.get((t, s)), second.get((u, t))
+                if f is not None and g is not None:
+                    comp = compose_hom(f, g)
+                    total = comp if total is None else total + comp
+            if total:
+                out[(u, s)] = total
+    return out, sources * targets * middle
+
+
+PIPELINE_TASKS = ["beilinson", "cascade", "blocks", "dsing", "check", "gram",
+                  "quiver"]
+
+
+def _pipeline(name, group, n_plus_1):
+    return parse_scenario({"name": name, "group": group, "n_plus_1": n_plus_1,
+                           "mode": "invariant_veronese", "veronese_d": 1,
+                           "tasks": PIPELINE_TASKS})
+
+
+def test_block_product_matches_the_dense_loop_on_shipped_scenarios(monkeypatch):
+    # every block product formed by the shipped scenarios and by the
+    # pipelines of Z/4 on P^3 and of Z/8 acting on C^4 with weights
+    # 1, 3, 5, 7, in the d o d check of their cones, the chain-map checks
+    # of their H^0 representatives and the quiver's composites, equals the
+    # dense loop.  The product composes only the pairs of blocks that meet:
+    # on Z/8 those are 488 of the 1,072 triples the dense loop visits.  The
+    # other shipped scenarios form no product.
+    met = {}
+    true_product = complexes._block_product
+
+    def checked(first, second):
+        product = true_product(first, second)
+        expected, triples = dense_block_product(first, second)
+        assert product == expected
+        counts = met.setdefault(name, [0, 0])
+        counts[0] += sum(1 for t, _ in first for _, t2 in second if t == t2)
+        counts[1] += triples
+        return product
+
+    monkeypatch.setattr(complexes, "_block_product", checked)
+    scenarios = [(path.stem, path) for path in sorted(SCENARIOS.glob("*.json"))]
+    scenarios += [
+        ("z4p3", _pipeline("z4p3", {"kind": "cyclic_diagonal", "m": 4,
+                                    "weights": [1, 1, 1, 1]}, 4)),
+        ("z8w1357", _pipeline("z8w1357", {"kind": "cyclic_diagonal", "m": 8,
+                                          "weights": [1, 3, 5, 7]}, 4)),
+    ]
+    for name, scenario in scenarios:
+        assert run_scenario(scenario)["passed"] is True
+    # {name: [pairs of blocks that meet, dense triples]}, over the
+    # scenarios that form a product at all
+    assert met == {"q8_d1": [0, 0], "z3_d1": [0, 0], "z4p3": [64, 64],
+                   "z8w1357": [488, 1072]}
+
+
+def _random_block_map(rng, setup, sources, targets):
+    """A random block map from the summands sources to targets: each block
+    a small integer combination of its Hom space's basis, about half the
+    blocks absent."""
+    blocks = {}
+    for s, a in enumerate(sources):
+        for t, b in enumerate(targets):
+            if b.twist < a.twist or rng.random() < 0.5:
+                continue
+            basis = hom_space(setup, b.twist - a.twist, a.irrep, b.irrep).basis
+            terms = [v * rng.choice([-2, -1, 1, 3]) for v in basis
+                     if rng.random() < 0.6]
+            if terms:
+                total = terms[0]
+                for v in terms[1:]:
+                    total = total + v
+                if total:
+                    blocks[(t, s)] = total
+    return blocks
+
+
+def test_block_product_matches_the_dense_loop_on_random_block_maps(c3):
+    rng = random.Random(26)
+
+    def bundles(twists):
+        return [EqLineBundle(rng.choice(twists), rng.randrange(3))
+                for _ in range(rng.randint(1, 4))]
+
+    visited = dense = 0
+    for _ in range(60):
+        A, B, C = bundles([0]), bundles([0, 1]), bundles([1, 2])
+        first = _random_block_map(rng, c3, A, B)
+        second = _random_block_map(rng, c3, B, C)
+        product = _block_product(first, second)
+        expected, triples = dense_block_product(first, second)
+        assert product == expected
+        assert all(product[(u, s)].space is hom_space(
+            c3, C[u].twist - A[s].twist, A[s].irrep, C[u].irrep)
+            for u, s in product)
+        visited += sum(1 for t, _ in first for _, t2 in second if t == t2)
+        dense += triples
+    assert 0 < visited < dense
+    # two paths through copies of one middle summand that cancel leave no
+    # block at all
+    f = hom_space(c3, 1, 0, 1).basis[0]
+    g = hom_space(c3, 1, 1, 2).basis[1]
+    assert _block_product({(0, 0): f, (1, 0): -f}, {(0, 0): g, (0, 1): g}) == {}
+    assert dense_block_product({(0, 0): f, (1, 0): -f},
+                               {(0, 0): g, (0, 1): g}) == ({}, 2)

@@ -8,6 +8,7 @@ up by index, classes by conjugation with the generator matrices).
 import pytest
 from hypothesis import example, given, strategies as st
 
+from eqcol.config import order_cap
 from eqcol.cyclotomic import CycNum
 from eqcol.errors import (
     GroupMismatch,
@@ -64,10 +65,21 @@ def test_binary_dihedral_general_orders():
         assert sum(r.dim ** 2 for r in s.irreps) == 4 * l
 
 
+def tree_words(group):
+    """Each element's word in the generator letters, read off the spanning
+    tree: the parent's word followed by the letter of the tree edge.  The
+    tree lists the elements in the order the closure found them, so every
+    parent comes before its children."""
+    words = [()] * group.order
+    for j, parent, letter in group.tree:
+        words[j] = words[parent] + (letter,)
+    return tuple(words)
+
+
 def test_words_reproduce_elements():
     s = binary_dihedral(2)
     g = s.group
-    for i, word in enumerate(g.words):
+    for i, word in enumerate(tree_words(g)):
         m = CycMatrix.identity(2)
         for gi in word:
             m = m * g.generators[gi]
@@ -126,10 +138,20 @@ def test_cyclic_diagonal_requires_exact_order():
         cyclic_diagonal(4, [2])
 
 
-def test_order_cap():
+def test_order_cap(monkeypatch):
+    # the cap is read from the environment on first use
     gen = CycMatrix.diagonal([CycNum.zeta(16)])
-    with pytest.raises(OrderCapExceeded):
-        generate_group([gen], order_cap=8)
+    monkeypatch.setenv("EQCOL_ORDER_CAP", "8")
+    order_cap.cache_clear()
+    try:
+        with pytest.raises(OrderCapExceeded, match="exceeds cap 8"):
+            generate_group([gen])
+        monkeypatch.setenv("EQCOL_ORDER_CAP", "16")
+        order_cap.cache_clear()
+        assert generate_group([gen]).order == 16
+    finally:
+        monkeypatch.delenv("EQCOL_ORDER_CAP")
+        order_cap.cache_clear()
 
 
 def test_singular_generator_rejected():
@@ -244,7 +266,7 @@ def test_group_law_matches_matrix_products(spec):
     group = group_of(spec)
     oracle = OracleGroup(group.generators, group.dimension)
     assert [str(m) for m in group.elements] == [str(m) for m in oracle.elements]
-    assert group.words == oracle.words
+    assert tree_words(group) == oracle.words
     n = group.order
     for i in range(n):
         assert group.inv(i) == oracle.inv(i)
@@ -282,7 +304,7 @@ def test_spanning_tree_and_schreier_edges(case):
     assert len(group.tree) == n - 1
     assert sorted(j for j, _, _ in group.tree) == list(range(1, n))
     for j, parent, letter in group.tree:
-        assert group.words[j] == group.words[parent] + (letter,)
+        assert group.elements[parent] * group.generators[letter] == group.elements[j]
         assert group.mul(parent, gens[letter]) == j
     edges = group.schreier_edges()
     assert len(edges) == n * k - n + 1
