@@ -17,6 +17,7 @@ products.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from itertools import repeat
 from numbers import Rational
@@ -166,14 +167,20 @@ def _decompose(setup: Setup, chi: CharacterVec) -> list[tuple[int, int]]:
 
 
 @setup_memo
-def _twist_rows(setup: Setup, below: bool) -> list[tuple[KClass, ...]]:
-    """The reduced classes of the twists 0, 1, 2, ..., or of -1, -2, ...
-    when below, one tuple over the irreps per twist, in that order.  The
-    window's rows are its basis classes; _reduce_bundle extends the list."""
-    if below:
-        return []
-    return [tuple(KClass.basis(setup, m, j) for j in range(setup.r_plus_1))
-            for m in range(setup.n_plus_1)]
+def _window_rows(setup: Setup) -> tuple[tuple[KClass, ...], ...]:
+    """The basis classes of the window's twists 0..n, one tuple over the
+    irreps per twist."""
+    return tuple(tuple(KClass.basis(setup, m, j) for j in range(setup.r_plus_1))
+                 for m in range(setup.n_plus_1))
+
+
+@setup_memo
+def _twist_walk(setup: Setup, below: bool) -> list:
+    """One side's walk away from the window, as [d, rows]: rows holds the
+    reduced classes of the twists at distances max(1, d - n), ..., d, one
+    tuple over the irreps per twist.  Twist n + k stands at distance k
+    above the window and twist -k at distance k below it."""
+    return [0, deque(maxlen=setup.n_plus_1)]
 
 
 def _reduce_bundle(setup: Setup, m: int, j: int) -> KClass:
@@ -182,16 +189,28 @@ def _reduce_bundle(setup: Setup, m: int, j: int) -> KClass:
     Uses the Koszul relation
         sum_{k=0}^{n+1} (-1)^k [Lambda^k V-dual tensor O(m-k)] = 0
     downward for m > n and upward for m < 0, reading the decompositions
-    from the tables L_k (and the det permutation upward).  The twists
-    between the window and m are reduced first, in order, and kept, so
-    each is reduced once and the call depth stays at two.
+    from the tables L_k (and the det permutation upward).  A step reads
+    only the n + 1 twists next to it on the window's side, so the walk to
+    m reduces the twists between the window and m in order and keeps the
+    last n + 1 of them: memory stays bounded whatever m is, and the call
+    depth stays at two.  A twist nearer than the kept ones is reached by
+    walking again from the window.
     """
-    rows = _twist_rows(setup, m < 0)
-    index = -m - 1 if m < 0 else m
-    while len(rows) <= index:
-        d = -1 - len(rows) if m < 0 else len(rows)
-        rows.append(tuple(_koszul_step(setup, d, l) for l in range(setup.r_plus_1)))
-    return rows[index][j]
+    n = setup.n
+    if 0 <= m <= n:
+        return _window_rows(setup)[m][j]
+    below = m < 0
+    walk = _twist_walk(setup, below)
+    dist = -m if below else m - n
+    if dist < walk[0] - n:
+        walk[0] = 0
+        walk[1].clear()
+    while walk[0] < dist:
+        d = walk[0] + 1
+        walk[1].append(tuple(_koszul_step(setup, -d if below else n + d, l)
+                             for l in range(setup.r_plus_1)))
+        walk[0] = d
+    return walk[1][dist - walk[0] - 1][j]
 
 
 def _koszul_step(setup: Setup, m: int, j: int) -> KClass:

@@ -843,7 +843,7 @@ def tensor_twist(coll: ExcCollection, k: int) -> ExcCollection:
     objects = [obj.twisted(k) if obj is not None else None
                for obj in coll.objects]
     kclasses = [twist_kclass(kc, k) for kc in coll.kclasses]
-    labels = [obj.label() if obj is not None else f"{lbl}(+{k})"
+    labels = [obj.label() if obj is not None else f"{lbl}({k:+d})"
               for obj, lbl in zip(objects, coll.labels)]
     entry = {"op": "tensor_twist", "k": k}
     result = ExcCollection(coll.setup, objects, kclasses, labels,

@@ -36,7 +36,7 @@ from operator import add
 
 from .cyclotomic import CycNum
 from .errors import BasisMismatch, NegativeDegree
-from .linalg import _axpy, _dense, rref_rows, sparse_echelon, sparse_kernel
+from .linalg import _axpy, rref_rows, sparse_echelon, sparse_kernel
 from .reps import Setup, setup_memo
 
 Monomial = tuple[int, ...]
@@ -246,13 +246,12 @@ class HomSpace:
                 if row:
                     constraints.append(row)
         kernel = sparse_kernel(*sparse_echelon(constraints), total)
-        # dense rows only because perfbench/tracer.py hooks rref_rows
-        basis_rows, self.pivots = rref_rows([_dense(vec, total) for vec in kernel])
+        basis_rows, self.pivots = rref_rows(kernel)
         # The kernel is computed at the group conductor, so rational entries
         # come out stored there; reducing once here keeps later arithmetic on
         # the rational fast paths.
         self.basis = tuple(
-            HomElement(self, {j: v.reduced() for j, v in enumerate(row) if v})
+            HomElement(self, {j: row[j].reduced() for j in sorted(row)})
             for row in basis_rows)
         self._pivot_at = {p: i for i, p in enumerate(self.pivots)}
         expected = setup.hom_dim(0, m, rho_index, sigma_index)

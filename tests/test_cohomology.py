@@ -10,12 +10,16 @@ ext_dim_equivariant and the reduction.
 """
 
 import inspect
+import os
 import random
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import eqcol
 from eqcol.cohomology import (
     EqLineBundle,
     KClass,
@@ -215,8 +219,8 @@ def test_reduction_preserves_euler_pairing(p1, bd2, c3, c4_nonsl):
 
 def test_far_twists_reduce_with_bounded_depth():
     # A fresh setup, so every twist outside the window is a miss.  The
-    # twists between the window and m are reduced in order and kept, so the
-    # call depth must not grow with |m|; the Euler pairing with each window
+    # twists between the window and m are reduced in order, so the call
+    # depth must not grow with |m|; the Euler pairing with each window
     # class is read from the integer tables of ext_table, which share no
     # code with the Koszul reduction.
     setup = cyclic_diagonal(3, [1, 1, 1])
@@ -233,6 +237,60 @@ def test_far_twists_reduce_with_bounded_depth():
                 table = ext_table(setup, EqLineBundle(i, l), EqLineBundle(m, j))
                 assert euler_pairing(KClass.basis(setup, i, l), cls) == \
                     sum((-1) ** k * dim for k, dim in table.items()), (m, j, i, l)
+
+
+def _every_row_walk(setup, m):
+    """The classes of O(m) tensor rho_j over j, from a Koszul walk away from
+    the window that keeps the class of every twist it reaches."""
+    n, irreps = setup.n, range(setup.r_plus_1)
+    rows = {t: [KClass.basis(setup, t, j) for j in irreps] for t in range(n + 1)}
+    step = 1 if m > n else -1
+    t = n if m > n else 0
+    while t != m:
+        t += step
+        rows[t] = []
+        for j in irreps:
+            cls = KClass.zero(setup)
+            if step > 0:
+                for k in range(1, n + 2):
+                    for l, mult in setup.lambda_table(k)[j]:
+                        cls = cls + rows[t - k][l] * ((-1) ** (k + 1) * mult)
+            else:
+                for k in range(n + 1):
+                    for l, mult in setup.lambda_table(k)[j] if k else ((j, 1),):
+                        cls = cls + rows[t + n + 1 - k][setup.det_twist(l)] * \
+                            ((-1) ** (n + k) * mult)
+            rows[t].append(cls)
+    return rows[m]
+
+
+_FAR_TWIST_CHILD = """
+import re
+from eqcol.cohomology import EqLineBundle, line_bundle_class
+from eqcol.reps import cyclic_diagonal
+
+line_bundle_class(cyclic_diagonal(3, [1, 1, 1]), EqLineBundle(50000, 0))
+with open("/proc/self/status") as status:
+    print(re.search(r"^VmHWM:\\s*(\\d+) kB", status.read(), re.M).group(1))
+"""
+
+
+def test_far_twists_keep_only_the_last_rows():
+    # Each Koszul step reads the n + 1 twists next to it, so the walk keeps
+    # only those: k = 50,000 took 61.9 MB when every row was kept.  A fresh
+    # interpreter keeps the peak RSS of this run alone.
+    env = dict(os.environ, PYTHONPATH=str(Path(eqcol.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, *["-O"] * sys.flags.optimize, "-c", _FAR_TWIST_CHILD],
+        capture_output=True, text=True, env=env, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 40 * 1024
+    # Far, then nearer than the kept rows (a second walk from the window),
+    # then within them, on both sides.
+    setup = cyclic_diagonal(3, [1, 1, 1])
+    for m in (5000, 4000, 3997, 3999, -5000, -4998, -4000):
+        assert [line_bundle_class(setup, EqLineBundle(m, j))
+                for j in range(setup.r_plus_1)] == _every_row_walk(setup, m), m
 
 
 def test_euler_pairing_on_the_line(p1):

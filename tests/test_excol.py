@@ -179,6 +179,10 @@ def test_cascade_kclass_fallback(bd2, monkeypatch):
     assert stubbed.gram_matrix() == real.gram_matrix()
     with pytest.raises(InvalidParameter):
         stubbed.ext_table(0, 3)
+    # a stub keeps its label under a twist, with the twist's sign written once
+    stub = stubbed.objects.index(None)
+    for k, suffix in ((2, "(+2)"), (-3, "(-3)")):
+        assert tensor_twist(stubbed, k).labels[stub] == stubbed.labels[stub] + suffix
 
 
 # -- Veronese blocks -----------------------------------------------------

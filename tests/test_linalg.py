@@ -40,9 +40,10 @@ def test_det_hand_values():
 
 def test_rref_known_pivots():
     m = CycMatrix([[0, 1, 2], [0, 2, 4], [1, 0, 1]])
-    reduced, pivots = rref_rows(list(m.rows))
+    reduced, pivots = rref_rows(_sparse(row) for row in m.rows)
     assert pivots == [0, 1]
-    assert reduced == list(CycMatrix([[1, 0, 1], [0, 1, 2]]).rows)
+    assert [_dense(row, 3) for row in reduced] == \
+        list(CycMatrix([[1, 0, 1], [0, 1, 2]]).rows)
     assert m.rank() == 2
 
 
@@ -89,7 +90,7 @@ def _kernel(m: CycMatrix) -> list[tuple[CycNum, ...]]:
 def _check_elimination(m: CycMatrix) -> int:
     """Rank, transpose rank, RREF pivots, determinant and kernel agree."""
     rank = m.rank()
-    assert rank == _transpose(m).rank() == len(rref_rows(list(m.rows))[1])
+    assert rank == _transpose(m).rank() == len(rref_rows(map(_sparse, m.rows))[1])
     assert rank == rank_of_rows(list(m.rows))
     if m.nrows == m.ncols:
         assert bool(m.det()) == (rank == m.nrows)
@@ -141,11 +142,20 @@ def test_matrix_power_and_scalar():
 
 
 def test_rref_rows_canonicalizes_span():
+    def vectors(rows, keep_zeros=False):
+        return [{j: CycNum.from_rat(v) for j, v in enumerate(row) if v or keep_zeros}
+                for row in rows]
+
     rows_a = [[1, 2, 0], [0, 0, 1]]
     rows_b = [[2, 4, 2], [0, 0, 3], [1, 2, 1]]
-    ech_a, piv_a = rref_rows([[CycNum.from_rat(v) for v in row] for row in rows_a])
-    ech_b, piv_b = rref_rows([[CycNum.from_rat(v) for v in row] for row in rows_b])
-    assert ech_a == ech_b and piv_a == piv_b
+    ech_a, piv_a = rref_rows(vectors(rows_a))
+    assert ([_dense(row, 3) for row in ech_a], piv_a) == \
+        oracle_rref_rows([[CycNum.from_rat(v) for v in row] for row in rows_a])
+    assert rref_rows(vectors(rows_b)) == (ech_a, piv_a)
+    # explicit zero values span nothing and are not stored
+    assert rref_rows(vectors(rows_b, keep_zeros=True)) == (ech_a, piv_a)
+    # the zero subspace: no vectors at all, or zero vectors only
+    assert rref_rows([]) == rref_rows(vectors([[0, 0, 0]], keep_zeros=True)) == ([], [])
     assert rank_of_rows([[CycNum.from_rat(v) for v in row] for row in rows_b]) == 2
 
 
@@ -306,7 +316,11 @@ def test_elimination_matches_dense_oracle(m):
     assert m.rank() == oracle_rank(m)
     assert rank_of_rows(list(m.rows)) == oracle_rank(m)
     assert _kernel(m) == oracle_kernel(m)
-    assert rref_rows(list(m.rows)) == oracle_rref_rows(list(m.rows))
+    # every zero of the matrix is passed as an explicit zero value
+    rows, leads = rref_rows(dict(enumerate(row)) for row in m.rows)
+    assert all(c for row in rows for c in row.values())
+    assert ([_dense(row, m.ncols) for row in rows], leads) == \
+        oracle_rref_rows(list(m.rows))
 
 
 def _apply(m: CycMatrix, x) -> list[CycNum]:

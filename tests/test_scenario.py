@@ -441,58 +441,70 @@ print(json.dumps({"passed": report["passed"],
 """
 
 
-@pytest.mark.parametrize("name, group, n_plus_1, veronese_d, passed, sha256, maxrss_mb", [
+_NINE_TASKS = ["beilinson", "cascade", "blocks", "dsing", "check", "gram", "quiver",
+               {"task": "twist", "k": 1}, {"task": "molien", "max_degree": 24}]
+_EIGHT_TASKS = [task for task in _NINE_TASKS if task != "quiver"]
+
+
+@pytest.mark.parametrize("name, group, n_plus_1, veronese_d, tasks, passed, sha256, "
+                         "maxrss_mb", [
     # Z/5 on P^4, the paper's cyclic family one dimension up: its
     # Hom-complex differentials reach 4900 x 4901 with about 5,000
     # nonzeros, which a dense elimination held as 660 MB of zeros.
-    ("z5p4", {"kind": "cyclic_diagonal", "m": 5, "weights": [1] * 5}, 5, 1, True,
+    ("z5p4", {"kind": "cyclic_diagonal", "m": 5, "weights": [1] * 5}, 5, 1,
+     _NINE_TASKS, True,
      "b0e6b630a7071505f0e0352d4b1c3f19afa5684392f0e36fee05a16356615d38", 150),
     # binary dihedral l = 24 (order 96, 27 irreps): the representation-ring
     # tables are built modulo a prime at conductor 48.
-    ("bd24", {"kind": "binary_dihedral", "l": 24}, 2, 1, True,
+    ("bd24", {"kind": "binary_dihedral", "l": 24}, 2, 1, _NINE_TASKS, True,
      "36139ef514217c08b172a9cc831bade6b0c9c6f9c7389ba0dca7ae2847b48a5d", 150),
     # binary dihedral l = 48 (order 192, 51 irreps): 300 Hom-space builds,
     # each a kernel over the two generators; the report is 18.8 MB of text,
     # emitted with one chunk per list of ints.
-    ("bd48", {"kind": "binary_dihedral", "l": 48}, 2, 1, True,
+    ("bd48", {"kind": "binary_dihedral", "l": 48}, 2, 1, _NINE_TASKS, True,
      "e16421e945a449f5365185b3e34f7c9d0caf23c766f455a5cb6158a40b157eef", 120),
     # Z/6 on P^5: about 200,000 compositions of Hom-space elements, each
     # costing the nonzero entries it meets rather than the ambient dimension.
-    ("z6p5", {"kind": "cyclic_diagonal", "m": 6, "weights": [1] * 6}, 6, 1, True,
+    ("z6p5", {"kind": "cyclic_diagonal", "m": 6, "weights": [1] * 6}, 6, 1,
+     _NINE_TASKS, True,
      "a930f7bc10443267df8a618ea1f810ba217734069fd16d35d1036eefe330444f", 150),
     # binary dihedral l = 96 (order 384, 99 irreps): the irrep tables are
     # flat integer coordinates at conductor 192, and the 134.7 MB report
     # is streamed.
-    ("bd96", {"kind": "binary_dihedral", "l": 96}, 2, 1, True,
+    ("bd96", {"kind": "binary_dihedral", "l": 96}, 2, 1, _NINE_TASKS, True,
      "a4400db43722cfe9253737c40a854ca0e2132098bb465ee9815d7fba15dc9faf", 100),
     # Z/8 and Z/16 acting on C^4 by four distinct primitive roots of unity,
     # a non-scalar action: unlike the scalar inputs above, their pipelines
     # read Ext tables off the ranks of 116 and 148 Hom-complex differentials.
     ("z8w1357", {"kind": "cyclic_diagonal", "m": 8, "weights": [1, 3, 5, 7]}, 4,
-     1, True,
+     1, _NINE_TASKS, True,
      "0cc0f60e788ae8599c86f470b7f8fca5161fe87817d5d81753666582cf76232a", 100),
     ("z16w17915", {"kind": "cyclic_diagonal", "m": 16, "weights": [1, 7, 9, 15]},
-     4, 1, True,
+     4, 1, _NINE_TASKS, True,
      "bf9daf1a2d4a9433f426b9e91688ec770b195c08e554a19d04ae137f0e37530b", 100),
     # Z/2 acting by -1 on C^4 with d = 2: the collection is exceptional but
     # not strong, since the quiver finds Ext {-1: 6} from the cone
     # {O(1)@rho_1->O(2)@rho_0^4} to O(3)@rho_1; a shift by [1] would make
     # that pair strong, and the report pins the failure until then.
     ("z2c4d2", {"kind": "cyclic_diagonal", "m": 2, "weights": [1] * 4}, 4,
-     2, False,
+     2, _NINE_TASKS, False,
      "2c2d514c45e508bf8f26c5b1a88a0df9cee5505228e915b67b5ae9b567b89498", 100),
-], ids=["z5p4", "bd24", "bd48", "z6p5", "bd96", "z8w1357", "z16w17915", "z2c4d2"])
+    # Z/8 on P^7 without the quiver: its degree-7 Hom spaces have 3,432
+    # monomials, all invariant, and their basis is built from the sparse
+    # echelon rows; dense rows of the ambient width took 214.5 MB.
+    ("z8p7", {"kind": "cyclic_diagonal", "m": 8, "weights": [1] * 8}, 8, 1,
+     _EIGHT_TASKS, True,
+     "702183805baa12cb3bead8aeb343c225b4d590ea2253eba048ea1a91aeef4ed5", 100),
+], ids=["z5p4", "bd24", "bd48", "z6p5", "bd96", "z8w1357", "z16w17915", "z2c4d2",
+        "z8p7"])
 def test_z5_on_p4_pipeline_pinned_in_bounded_memory(name, group, n_plus_1,
-                                                    veronese_d, passed,
+                                                    veronese_d, tasks, passed,
                                                     sha256, maxrss_mb):
     # A fresh interpreter keeps the peak RSS of this run alone; it inherits
     # the -O flag.
     data = {"name": name, "group": group,
             "n_plus_1": n_plus_1, "mode": "invariant_veronese",
-            "veronese_d": veronese_d,
-            "tasks": ["beilinson", "cascade", "blocks", "dsing", "check", "gram",
-                      "quiver", {"task": "twist", "k": 1},
-                      {"task": "molien", "max_degree": 24}]}
+            "veronese_d": veronese_d, "tasks": tasks}
     env = dict(os.environ, PYTHONPATH=str(Path(eqcol.__file__).resolve().parents[1]))
     proc = subprocess.run(
         [sys.executable, *["-O"] * sys.flags.optimize, "-c", _PIPELINE_CHILD,
