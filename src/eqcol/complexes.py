@@ -13,9 +13,11 @@ dim Ext^k = dim Hom^k - rank delta^k - rank delta^(k-1), each rank taken
 exactly by sparse elimination.  The H^0 representatives that cones and the
 quiver need come from the same exact differentials.
 
-Both mutations are mapping cones of the evaluation map, with
-Cone(f: X -> Y)^d = X^(d+1) + Y^d:
-R = Cone(E -> F tensor Hom(E, F)^*)[-1] and L = Cone(E tensor Hom(E, F) -> F).
+Both mutations glue two complexes along the evaluation maps ev, a basis
+of Hom(E, F) of size h, in one pass and in their own degrees:
+R = Cone(E -> F tensor Hom(E, F)^*)[-1], R^d = E^d + (F^(d-1))^h, carries
+d_E, ev and -d_F; L = Cone(E tensor Hom(E, F) -> F), L^d = (E^(d+1))^h + F^d,
+carries -d_E, ev and d_F.
 """
 
 from __future__ import annotations
@@ -549,38 +551,42 @@ def _evaluation_maps(E: EqComplex, F: EqComplex) -> list[ChainMap]:
     return maps
 
 
-def _copies(C: EqComplex, h: int) -> EqComplex:
-    """The direct sum of h copies of C, copy-major: copy c of C^d[s] is
-    summand c * len(C^d) + s."""
+def _negated_copies(C: EqComplex, h: int) -> EqComplex:
+    """h copies of C, copy-major (copy c of C^d[s] is summand
+    c * len(C^d) + s), with each block of d_C negated once for all copies."""
     sizes = {d: len(summands) for d, summands in C.terms.items()}
     terms = {d: summands * h for d, summands in C.terms.items()}
-    diffs = {d: {(c * sizes[d + 1] + t, c * sizes[d] + s): elem
-                 for c in range(h) for (t, s), elem in blocks.items()}
-             for d, blocks in C.diffs.items()}
+    diffs = {}
+    for d, blocks in C.diffs.items():
+        negated = [(t, s, -elem) for (t, s), elem in blocks.items()]
+        diffs[d] = {(c * sizes[d + 1] + t, c * sizes[d] + s): elem
+                    for c in range(h) for t, s, elem in negated}
     return EqComplex(C.setup, terms, diffs, check=False)
 
 
-def _cone(X: EqComplex, Y: EqComplex, blocks) -> EqComplex:
-    """The mapping cone of the chain map f: X -> Y whose blocks[d][(t, s)]
-    sends X^d[s] to Y^d[t]: Cone^d = X^(d+1) + Y^d, X's summands first,
-    with differential (x, y) -> (-d_X x, f x + d_Y y)."""
+def _glue(X: EqComplex, Y: EqComplex, blocks, lift: int) -> EqComplex:
+    """T^d = X^(d+lift) + Y^(d+lift-1), X's summands first, whose
+    differential takes the blocks of d_X, of d_Y and of the map f with
+    blocks[p][(t, s)]: X^p[s] -> Y^p[t] as given; T is a complex when
+    f d_X + d_Y f = 0.  Cone(f: C -> D) is _glue(C with -d_C, D, f, 1)."""
     offset = {}
     terms = {}
-    for d in sorted({p - 1 for p in X.terms} | set(Y.terms)):
-        x_part = X.terms.get(d + 1, ())
+    for d in sorted({p - lift for p in X.terms} | {q + 1 - lift for q in Y.terms}):
+        x_part = X.terms.get(d + lift, ())
         offset[d] = len(x_part)
-        terms[d] = x_part + Y.terms.get(d, ())
+        terms[d] = x_part + Y.terms.get(d + lift - 1, ())
     diffs: dict[int, dict] = {}
-    for d, entry in X.diffs.items():
-        diffs.setdefault(d - 1, {}).update(
-            ((t, s), -elem) for (t, s), elem in entry.items())
-    for d, entry in Y.diffs.items():
+    for p, entry in X.diffs.items():
+        diffs.setdefault(p - lift, {}).update(entry)
+    for q, entry in Y.diffs.items():
+        d = q + 1 - lift
         diffs.setdefault(d, {}).update(
             ((offset[d + 1] + t, offset[d] + s), elem)
             for (t, s), elem in entry.items())
-    for d, entry in blocks.items():
-        diffs.setdefault(d - 1, {}).update(
-            ((offset[d] + t, s), elem) for (t, s), elem in entry.items())
+    for p, entry in blocks.items():
+        d = p - lift
+        diffs.setdefault(d, {}).update(
+            ((offset[d + 1] + t, s), elem) for (t, s), elem in entry.items())
     return EqComplex(X.setup, terms, diffs)
 
 
@@ -588,9 +594,9 @@ def right_mutation(E: EqComplex, F: EqComplex) -> EqComplex:
     """Move F leftward past E: E is replaced by
     R = Cone(E -> F tensor Hom(E, F)^*)[-1], whose map stacks the
     evaluation maps, a basis of Hom(E, F) concentrated in degree 0, over
-    the h = dim Hom(E, F) copies of F, so R^d = E^d + (F^(d-1))^h.  The
-    cone records (E, F) as its `triangle`.  When the pair is orthogonal
-    the operation is a pure transposition and E is returned unchanged."""
+    the h = dim Hom(E, F) copies of F: R^d = E^d + (F^(d-1))^h, with E's
+    own blocks, ev and -d_F.  R records (E, F) as its `triangle`.  An
+    orthogonal pair is a pure transposition and returns E unchanged."""
     maps = _evaluation_maps(E, F)
     if not maps:
         return E
@@ -599,17 +605,17 @@ def right_mutation(E: EqComplex, F: EqComplex) -> EqComplex:
     for c, phi in enumerate(maps):
         for d, entry in phi.blocks.items():
             ev.setdefault(d, {}).update(
-                ((c * sizes[d] + t, s), -elem) for (t, s), elem in entry.items())
-    cone = _cone(E, _copies(F, len(maps)), ev).shift(-1)
-    cone.triangle = (E, F)
-    return cone
+                ((c * sizes[d] + t, s), elem) for (t, s), elem in entry.items())
+    R = _glue(E, _negated_copies(F, len(maps)), ev, 0)
+    R.triangle = (E, F)
+    return R
 
 
 def left_mutation(E: EqComplex, F: EqComplex) -> EqComplex:
     """Move E rightward past F: F is replaced by
     L = Cone(E tensor Hom(E, F) -> F), whose map sends the h copies of E
-    along the evaluation maps, so L^d = (E^(d+1))^h + F^d.  Orthogonal
-    pairs transpose and return F unchanged."""
+    along the evaluation maps: L^d = (E^(d+1))^h + F^d, with -d_E, ev and
+    F's own blocks.  Orthogonal pairs transpose and return F unchanged."""
     maps = _evaluation_maps(E, F)
     if not maps:
         return F
@@ -619,4 +625,4 @@ def left_mutation(E: EqComplex, F: EqComplex) -> EqComplex:
         for d, entry in phi.blocks.items():
             ev.setdefault(d, {}).update(
                 ((t, c * sizes[d] + s), elem) for (t, s), elem in entry.items())
-    return _cone(_copies(E, len(maps)), F, ev)
+    return _glue(_negated_copies(E, len(maps)), F, ev, 1)

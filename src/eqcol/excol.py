@@ -16,7 +16,6 @@ both check and conjugate with them alone (_unimodular, _conjugate_columns).
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 from .cohomology import (EqLineBundle, KClass, _basis_pairing, euler_pairing,
@@ -44,14 +43,10 @@ class ExcCollection:
     mutation step could not be realized on the nose.  Stubs still carry a
     K-class and a label, so Gram bookkeeping survives, but Ext tables and
     quivers are unavailable for them.
-
-    `sources` counts the Ext tables `ext_table` has filled in by where they
-    came from: "closed_form", "triangle" or "hom_complex".  It is a side
-    channel and stays out of every report.
     """
 
     __slots__ = ("setup", "objects", "kclasses", "labels", "provenance",
-                 "_ext_cache", "_gram", "_known", "sources")
+                 "_ext_cache", "_gram", "_known")
 
     def __init__(self, setup: Setup, objects, kclasses, labels, provenance):
         self.setup = setup
@@ -67,7 +62,6 @@ class ExcCollection:
         self._ext_cache = {}
         self._gram = None
         self._known = {}
-        self.sources = Counter()
 
     def __len__(self) -> int:
         return len(self.objects)
@@ -89,18 +83,17 @@ class ExcCollection:
             if X is None or Y is None:
                 raise InvalidParameter("K-class-only stub has no Ext data")
             if X.is_line_bundle() and Y.is_line_bundle():
-                source, table = "closed_form", pair_ext_dims(X, Y)
+                table = pair_ext_dims(X, Y)
             else:
-                source, table = "triangle", self._by_triangles(X, Y)
+                table = self._by_triangles(X, Y)
                 if table is None:
-                    source, table = "hom_complex", pair_ext_dims(X, Y)
+                    table = pair_ext_dims(X, Y)
                 elif _euler_characteristic(table) != self.gram_matrix()[i][j]:
                     raise CertificateFailure(
                         f"Ext {self.labels[i]} -> {self.labels[j]} derived as"
                         f" {_fmt_table(table)} against the Gram entry"
                         f" {self.gram_matrix()[i][j]}")
             self._known[(id(X), id(Y))] = table
-            self.sources[source] += 1
             self._ext_cache[key] = table
         return self._ext_cache[key]
 
@@ -154,6 +147,8 @@ class ExcCollection:
 
     def subset(self, kept, entry: dict) -> "ExcCollection":
         kept = list(kept)
+        if not _is_index_list(kept, len(self)):
+            raise InvalidParameter("subset kept is not a list of indices, each once")
         return ExcCollection(
             self.setup,
             [self.objects[i] for i in kept],
@@ -407,6 +402,12 @@ def _is_int(value) -> bool:
     return type(value) is int
 
 
+def _is_index_list(kept, size: int) -> bool:
+    """True for a list of distinct integers in range(size)."""
+    return (isinstance(kept, list) and all(_is_int(i) and 0 <= i < size for i in kept)
+            and len(set(kept)) == len(kept))
+
+
 def _int_rows(U, size: int) -> bool:
     """Whether U is a size x size matrix of integers, given as rows: the
     test of `_is_int` on every entry, run over each row's types in C."""
@@ -551,6 +552,8 @@ class VeroneseBlocks:
     pullback_weight: int
 
     def block_collection(self, weight: int) -> ExcCollection:
+        if not 0 <= weight < self.e:
+            raise InvalidParameter(f"weight {weight} is outside 0..{self.e - 1}")
         kept = list(self.blocks[weight])
         entry = {"op": "subset", "kind": "veronese_block",
                  "d": self.d, "weight": weight}
@@ -884,9 +887,7 @@ def replay_gram(provenance) -> tuple[tuple[int, ...], ...]:
             break
         elif op == "subset":
             kept = entry.get("kept")
-            if not isinstance(kept, list) or not all(
-                    _is_int(i) and 0 <= i < len(gram) for i in kept) \
-                    or len(set(kept)) < len(kept):
+            if not _is_index_list(kept, len(gram)):
                 raise InvalidParameter(
                     "subset kept is not a list of Gram indices, each once")
             gram = [[gram[i][j] for j in kept] for i in kept]

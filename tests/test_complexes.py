@@ -12,13 +12,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import eqcol.complexes as complexes
+import eqcol.excol as excol
 from eqcol.cohomology import EqLineBundle, KClass, ext_dim_equivariant, euler_pairing, koszul_reduce
 from eqcol.complexes import (
     ChainMap,
     EqComplex,
     HomComplexData,
     _block_product,
-    _cone as mapping_cone,
+    _glue,
+    _negated_copies,
     cohomology_basis,
     compose_chain_maps,
     ext_dims,
@@ -38,9 +40,10 @@ from eqcol.errors import (
     NonConcentratedHom,
     WindowViolation,
 )
-from eqcol.homspaces import compose_hom, hom_space
+from eqcol.excol import beilinson_collection, cascade_mutation
+from eqcol.homspaces import HomElement, compose_hom, hom_space
 from eqcol.reps import binary_dihedral, cyclic_diagonal
-from eqcol.scenario import parse_scenario, run_scenario
+from eqcol.scenario import build_setup, load_scenario, parse_scenario, run_scenario
 from test_homspaces import _element
 from test_repring import build as build_repring_setup, specs as repring_specs
 
@@ -582,6 +585,18 @@ def test_hom_complex_cap_stops_before_any_differential(c3, monkeypatch):
 # -- Ext dimensions of cones and random complexes -----------------------------
 
 
+def _sweep_pair(setup, draw, bundles):
+    """Two distinct line bundles E, F of bundles with Hom(E, F) nonzero, as
+    complexes in degree 0, or None when the E drawn maps to no other."""
+    a = draw(st.sampled_from(bundles))
+    targets = [b for b in bundles if b != a
+               and setup.hom_dim(a.twist, b.twist, a.irrep, b.irrep)]
+    if not targets:
+        return None
+    return (from_line_bundle(setup, a),
+            from_line_bundle(setup, draw(st.sampled_from(targets))))
+
+
 def _sweep_object(setup, draw, cone):
     """A mutation cone of two line bundles with a nonzero Hom between them
     when `cone`, else a line bundle or a sum of line bundles in one degree;
@@ -589,13 +604,9 @@ def _sweep_object(setup, draw, cone):
     bundles = [EqLineBundle(i, j) for i in range(setup.n + 1)
                for j in range(setup.r_plus_1)]
     if cone:
-        a = draw(st.sampled_from(bundles))
-        targets = [b for b in bundles if b != a
-                   and setup.hom_dim(a.twist, b.twist, a.irrep, b.irrep)]
-        if targets:
-            E = from_line_bundle(setup, a)
-            F = from_line_bundle(setup, draw(st.sampled_from(targets)))
-            return right_mutation(E, F) if draw(st.booleans()) else left_mutation(E, F)
+        pair = _sweep_pair(setup, draw, bundles)
+        if pair:
+            return right_mutation(*pair) if draw(st.booleans()) else left_mutation(*pair)
     degree = draw(st.integers(-1, 1))
     summands = draw(st.lists(st.sampled_from(bundles), min_size=1, max_size=3))
     return EqComplex(setup, {degree: summands})
@@ -697,11 +708,226 @@ def test_cone_of_the_identity_is_acyclic(bd2):
               for j in range(bd2.r_plus_1)]
     for E, F in _hom_pairs(bd2):
         C = right_mutation(E, F)
-        Z = mapping_cone(C, C, identity_chain_map(C).blocks)
+        Z = _glue(_negated_copies(C, 1), C, identity_chain_map(C).blocks, 1)
         assert Z.degrees == [-1, 0, 1]
         for L in window:
             assert ext_dims(Z, L) == {}
             assert ext_dims(L, Z) == {}
+
+
+# -- one gluing for both mutations --------------------------------------------
+
+
+def _oracle_copies(C, h):
+    """The direct sum of h copies of C, copy-major, each copy holding C's
+    own blocks: the copies the mutations glued before `_negated_copies`."""
+    sizes = {d: len(summands) for d, summands in C.terms.items()}
+    terms = {d: summands * h for d, summands in C.terms.items()}
+    diffs = {d: {(c * sizes[d + 1] + t, c * sizes[d] + s): elem
+                 for c in range(h) for (t, s), elem in blocks.items()}
+             for d, blocks in C.diffs.items()}
+    return EqComplex(C.setup, terms, diffs, check=False)
+
+
+def _oracle_cone(X, Y, blocks):
+    """Cone(f: X -> Y)^d = X^(d+1) + Y^d, X's summands first, with
+    differential (x, y) -> (-d_X x, f x + d_Y y): the mapping cone the
+    mutations were built from before `_glue`."""
+    offset = {}
+    terms = {}
+    for d in sorted({p - 1 for p in X.terms} | set(Y.terms)):
+        x_part = X.terms.get(d + 1, ())
+        offset[d] = len(x_part)
+        terms[d] = x_part + Y.terms.get(d, ())
+    diffs = {}
+    for d, entry in X.diffs.items():
+        diffs.setdefault(d - 1, {}).update(
+            ((t, s), -elem) for (t, s), elem in entry.items())
+    for d, entry in Y.diffs.items():
+        diffs.setdefault(d, {}).update(
+            ((offset[d + 1] + t, offset[d] + s), elem)
+            for (t, s), elem in entry.items())
+    for d, entry in blocks.items():
+        diffs.setdefault(d - 1, {}).update(
+            ((offset[d] + t, s), elem) for (t, s), elem in entry.items())
+    return EqComplex(X.setup, terms, diffs)
+
+
+def oracle_right_mutation(E, F):
+    """R as the cone of minus the stacked evaluation maps, shifted by [-1]."""
+    maps = complexes._evaluation_maps(E, F)
+    if not maps:
+        return E
+    sizes = {d: len(summands) for d, summands in F.terms.items()}
+    ev = {}
+    for c, phi in enumerate(maps):
+        for d, entry in phi.blocks.items():
+            ev.setdefault(d, {}).update(
+                ((c * sizes[d] + t, s), -elem) for (t, s), elem in entry.items())
+    cone = _oracle_cone(E, _oracle_copies(F, len(maps)), ev).shift(-1)
+    cone.triangle = (E, F)
+    return cone
+
+
+def oracle_left_mutation(E, F):
+    """L as the cone of the evaluation maps out of the copies of E."""
+    maps = complexes._evaluation_maps(E, F)
+    if not maps:
+        return F
+    sizes = {d: len(summands) for d, summands in E.terms.items()}
+    ev = {}
+    for c, phi in enumerate(maps):
+        for d, entry in phi.blocks.items():
+            ev.setdefault(d, {}).update(
+                ((t, c * sizes[d] + s), elem) for (t, s), elem in entry.items())
+    return _oracle_cone(_oracle_copies(E, len(maps)), F, ev)
+
+
+def _same_complex(A, B):
+    assert A.terms == B.terms
+    assert list(A.terms) == list(B.terms)
+    assert A.diffs == B.diffs
+    assert (A.triangle is None) == (B.triangle is None)
+    if A.triangle is not None:
+        assert all(x is y for x, y in zip(A.triangle, B.triangle))
+
+
+def _check_shared_blocks(E, F, R, L, h):
+    """R holds E's own blocks and L F's own; each block of F in R, and of
+    E in L, is one negated object that its h copies share."""
+    def size(C, d):
+        return len(C.terms.get(d, ()))
+
+    for p, blocks in E.diffs.items():
+        for (t, s), e in blocks.items():
+            assert R.diffs[p][(t, s)] is e
+            copies = [L.diffs[p - 1][(c * size(E, p + 1) + t, c * size(E, p) + s)]
+                      for c in range(h)]
+            assert all(x is copies[0] for x in copies) and copies[0] == -e
+    for q, blocks in F.diffs.items():
+        for (t, s), g in blocks.items():
+            assert L.diffs[q][(h * size(E, q + 2) + t, h * size(E, q + 1) + s)] is g
+            copies = [R.diffs[q + 1][(size(E, q + 2) + c * size(F, q + 1) + t,
+                                      size(E, q + 1) + c * size(F, q) + s)]
+                      for c in range(h)]
+            assert all(x is copies[0] for x in copies) and copies[0] == -g
+
+
+def _mutations_match_the_oracle(E, F):
+    """Both mutations of (E, F) equal the cone-then-shift construction in
+    terms, summand order, diffs and triangle, and share their blocks as
+    `_check_shared_blocks` states; returns dim Hom(E, F)."""
+    R, L = right_mutation(E, F), left_mutation(E, F)
+    _same_complex(R, oracle_right_mutation(E, F))
+    _same_complex(L, oracle_left_mutation(E, F))
+    if R is E:
+        assert L is F
+        return 0
+    h = len(complexes._evaluation_maps(E, F))
+    _check_shared_blocks(E, F, R, L, h)
+    return h
+
+
+def test_mutations_match_the_oracle_on_pipelines(monkeypatch):
+    # every right mutation of the 7 shipped scenarios' cascades and runs and
+    # of the nine-task pipeline of Z/8 acting on C^4 with weights 1, 3, 5,
+    # 7, and the left mutation of the same pair, against the oracle; the
+    # right mutation itself negates no block when F is a line bundle
+    negations = [0]
+    true_neg = HomElement.__neg__
+
+    def counting_neg(self):
+        negations[0] += 1
+        return true_neg(self)
+
+    true_right = complexes.right_mutation
+    seen = {}
+
+    def checked(E, F):
+        before = negations[0]
+        R = true_right(E, F)
+        if F.is_line_bundle():
+            assert negations[0] == before
+        h = _mutations_match_the_oracle(E, F)
+        counts = seen.setdefault(name, [0, 0, 0])
+        counts[0] += 1
+        counts[1] += h > 0
+        counts[2] += bool(h > 1 and E.diffs)
+        return R
+
+    monkeypatch.setattr(HomElement, "__neg__", counting_neg)
+    monkeypatch.setattr(excol, "right_mutation", checked)
+    scenarios = [(path.stem, load_scenario(path))
+                 for path in sorted(SCENARIOS.glob("*.json"))]
+    for name, scenario in scenarios:
+        cascade_mutation(beilinson_collection(build_setup(scenario)))
+        assert run_scenario(scenario)["passed"] is True
+    name = "z8w1357"
+    assert run_scenario(_pipeline(name, {"kind": "cyclic_diagonal", "m": 8,
+                                         "weights": [1, 3, 5, 7]}, 4))["passed"]
+    # {name: [pairs, pairs with Hom nonzero, of those with h > 1 and E a
+    # complex with a differential]}
+    assert seen == {"q8_crossed_veronese_d2": [4, 1, 0], "q8_d1": [12, 3, 0],
+                    "q8_explicit": [4, 1, 0], "q8_veronese_d2": [4, 1, 0],
+                    "z3_crossed_d3": [6, 3, 0], "z3_d1": [19, 6, 0],
+                    "z3_veronese_d3": [6, 3, 0], "z8w1357": [84, 44, 8]}
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(spec=repring_specs, data=st.data())
+def test_mutations_match_the_oracle_on_the_sweep(spec, data):
+    # the sweep's objects: a mutation cone against a cone or a sum of line
+    # bundles, either way round, and the sweep's pair of line bundles
+    setup = build_repring_setup(spec)
+    bundles = [EqLineBundle(i, j) for i in range(setup.n + 1)
+               for j in range(setup.r_plus_1)]
+    pair = _sweep_pair(setup, data.draw, bundles)
+    if pair:
+        assert _mutations_match_the_oracle(*pair) > 0
+    C = _sweep_object(setup, data.draw, cone=True)
+    D = _sweep_object(setup, data.draw, cone=data.draw(st.booleans()))
+    if data.draw(st.booleans()):
+        C, D = D, C
+    try:
+        complexes._evaluation_maps(C, D)
+    except NonConcentratedHom:
+        with pytest.raises(NonConcentratedHom):
+            right_mutation(C, D)
+        return
+    _mutations_match_the_oracle(C, D)
+
+
+def test_mutations_share_blocks_and_negate_each_once(p2, monkeypatch):
+    # on P^2: F = {O^6 -> O(2)} has 6 blocks and Hom(O(1), F) dimension 3,
+    # and X = {O -> O(2)^6} has 6 blocks and Hom(X, O(1)) dimension 3; each
+    # mutation negates the 6 blocks once, whatever h, and the line-bundle
+    # mutations negate none
+    negations = []
+    true_neg = HomElement.__neg__
+
+    def counting_neg(self):
+        negations.append(self)
+        return true_neg(self)
+
+    O, O1, O2 = lb(p2, 0, 0), lb(p2, 1, 0), lb(p2, 2, 0)
+    F = left_mutation(O, O2)
+    X = right_mutation(O, O2)
+    monkeypatch.setattr(HomElement, "__neg__", counting_neg)
+    R = right_mutation(O1, F)
+    assert R.label() == "{O(1)@rho_0+O@rho_0^18->O(2)@rho_0^3}"
+    assert len(negations) == 6
+    negations.clear()
+    L = left_mutation(X, O1)
+    assert L.label() == "{O@rho_0^3->O(2)@rho_0^18+O(1)@rho_0}"
+    assert len(negations) == 6
+    negations.clear()
+    assert right_mutation(O, O1) != O and left_mutation(O, O1) != O1
+    assert negations == []
+    monkeypatch.undo()
+    _check_shared_blocks(O1, F, R, left_mutation(O1, F), 3)
+    _check_shared_blocks(X, O1, right_mutation(X, O1), L, 3)
+    assert _mutations_match_the_oracle(O1, F) == 3
+    assert _mutations_match_the_oracle(X, O1) == 3
 
 
 # -- one block check and one block product ------------------------------------

@@ -370,6 +370,17 @@ def test_tensor_twist_preserves_ext_tables(bd2):
 # -- Ext from mutation triangles -----------------------------------------
 
 
+def _table_source(coll, i, j) -> str:
+    """Where `ext_table` takes the table (i, j) from when it is not cached
+    yet: "closed_form", "triangle" or "hom_complex".  It asks
+    `_by_triangles` first, as `ext_table` would, which memoizes the answer
+    that `ext_table` then reads."""
+    X, Y = coll.objects[i], coll.objects[j]
+    if X.is_line_bundle() and Y.is_line_bundle():
+        return "closed_form"
+    return "hom_complex" if coll._by_triangles(X, Y) is None else "triangle"
+
+
 def _derived_tables_match(coll) -> int:
     """Every table of the collection that its mutation triangles decide
     equals the table of the pair's Hom complex; returns how many there are.
@@ -380,9 +391,9 @@ def _derived_tables_match(coll) -> int:
         X, Y = coll.objects[i], coll.objects[j]
         if X is None or Y is None:
             continue
-        before = coll.sources["triangle"]
+        source = _table_source(coll, i, j)
         table = coll.ext_table(i, j)
-        if coll.sources["triangle"] > before:
+        if source == "triangle":
             derived += 1
             assert table == pair_ext_dims(X, Y), (coll.labels[i], coll.labels[j])
     return derived
@@ -428,7 +439,20 @@ def test_triangle_tables_match_hom_complexes_sweep(setup):
 
 
 def test_z4p3_cascade_check_builds_no_hom_complex(monkeypatch):
+    # the tables by where they come from, counted where `ext_table` fills
+    # them in
+    sources = Counter()
+    ext_table = ExcCollection.ext_table
+
+    def counting_tables(self, i, j):
+        if (i, j) not in self._ext_cache:
+            sources[_table_source(self, i, j)] += 1
+        return ext_table(self, i, j)
+
+    monkeypatch.setattr(ExcCollection, "ext_table", counting_tables)
     coll = cascade_mutation(beilinson_collection(cyclic_diagonal(4, [1] * 4)))
+    assert sources["hom_complex"] == 0
+    sources.clear()
     fresh = coll.subset(range(len(coll)), {"op": "subset", "kind": "test"})
     builds = []
     init = HomComplexData.__init__
@@ -440,9 +464,8 @@ def test_z4p3_cascade_check_builds_no_hom_complex(monkeypatch):
     monkeypatch.setattr(HomComplexData, "__init__", counting)
     assert check_exceptional(fresh).passed
     # 6 cones' self-Ext and the 75 backward pairs with a cone
-    assert fresh.sources == Counter(closed_form=55, triangle=81)
+    assert sources == Counter(closed_form=55, triangle=81)
     assert builds == []
-    assert coll.sources["hom_complex"] == 0
 
 
 @pytest.mark.parametrize("entry", ["diagonal", "backward"])
@@ -470,18 +493,18 @@ def test_triangle_with_unmet_hypothesis_takes_the_hom_complex(bd2):
 
     E, F = right_mutation(lb(0, 2), lb(1, 1)), lb(1, 0)
     derived = _single(right_mutation(E, F))
+    assert _table_source(derived, 0, 0) == "triangle"
     assert derived.ext_table(0, 0) == {0: 1}
-    assert derived.sources == Counter(triangle=1)
     # a twist drops E's own triangle, so Ext(E, E) is not known
     unknown = _single(right_mutation(E.twisted(0), F))
+    assert _table_source(unknown, 0, 0) == "hom_complex"
     assert unknown.ext_table(0, 0) == {0: 1}
-    assert unknown.sources == Counter(hom_complex=1)
     # Ext(F, E) = Hom(E, E) is not zero: the cone of the identity is zero,
     # not exceptional
     O = lb(0, 0)
     zero = _single(right_mutation(O, O))
+    assert _table_source(zero, 0, 0) == "hom_complex"
     assert zero.ext_table(0, 0) == {}
-    assert zero.sources == Counter(hom_complex=1)
 
 
 # -- audit trail ---------------------------------------------------------
@@ -778,6 +801,36 @@ def test_replay_gram_refuses_a_malformed_trail(trail, match):
         trail = [base] + trail
     with pytest.raises(InvalidParameter, match=match):
         replay_gram(trail)
+
+
+@pytest.mark.parametrize("case, index", [
+    ("kept", [0, 0]), ("kept", [-1]), ("kept", [99]),
+    ("weight", -1), ("weight", 3), ("weight", 5),
+], ids=["kept_repeats", "kept_negative", "kept_past_end",
+        "weight_negative", "weight_e", "weight_past_end"])
+def test_subset_refuses_what_replay_gram_refuses(c3, case, index):
+    # a subset that repeats an index or leaves the collection would record
+    # a trail that replay_gram refuses, so it is refused when it is made;
+    # so is a Veronese weight outside 0..e-1 (e = 3 here)
+    coll = beilinson_collection(c3)
+    entry = {"op": "subset", "kind": "test"}
+    if case == "kept":
+        with pytest.raises(InvalidParameter,
+                           match="subset kept is not a list of indices, each once"):
+            coll.subset(index, entry)
+        with pytest.raises(InvalidParameter, match="subset kept is not a list"):
+            replay_gram(list(coll.provenance) + [dict(entry, kept=index)])
+        edge = coll.subset([len(coll) - 1, 0], entry)
+        assert edge.labels == (coll.labels[-1], coll.labels[0])
+        assert replay_gram(edge.provenance) == edge.gram_matrix()
+    else:
+        blocks = veronese_blocks(coll, 3)
+        assert blocks.e == 3
+        with pytest.raises(InvalidParameter, match=rf"weight {index} is outside 0\.\.2"):
+            blocks.block_collection(index)
+        last = blocks.block_collection(2)
+        assert last.provenance[-1]["weight"] == 2
+        assert replay_gram(last.provenance) == last.gram_matrix()
 
 
 # -- quiver through arrow targets ----------------------------------------
