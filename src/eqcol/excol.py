@@ -72,28 +72,25 @@ class ExcCollection:
     def ext_table(self, i: int, j: int) -> dict[int, int]:
         """Ext dimensions from object i to object j, cached per pair.
 
-        Two line bundles take the closed form.  Otherwise the mutation
-        triangles of the objects may decide the table (`_by_triangles`);
-        such a table must have the Euler characteristic of Gram entry
-        (i, j), or CertificateFailure is raised.  Every other pair takes
-        its Hom complex."""
+        `_by_triangles` decides every table it can: the closed form of two
+        line bundles, or one derived from the mutation triangles, which
+        must have the Euler characteristic of Gram entry (i, j), or
+        CertificateFailure is raised.  Every other pair takes its Hom
+        complex."""
         key = (i, j)
         if key not in self._ext_cache:
             X, Y = self.objects[i], self.objects[j]
             if X is None or Y is None:
                 raise InvalidParameter("K-class-only stub has no Ext data")
-            if X.is_line_bundle() and Y.is_line_bundle():
-                table = pair_ext_dims(X, Y)
-            else:
-                table = self._by_triangles(X, Y)
-                if table is None:
-                    table = pair_ext_dims(X, Y)
-                elif _euler_characteristic(table) != self.gram_matrix()[i][j]:
-                    raise CertificateFailure(
-                        f"Ext {self.labels[i]} -> {self.labels[j]} derived as"
-                        f" {_fmt_table(table)} against the Gram entry"
-                        f" {self.gram_matrix()[i][j]}")
-            self._known[(id(X), id(Y))] = table
+            table = self._by_triangles(X, Y)
+            if table is None:
+                table = self._known[(id(X), id(Y))] = pair_ext_dims(X, Y)
+            elif (not (X.is_line_bundle() and Y.is_line_bundle())
+                  and _euler_characteristic(table) != self.gram_matrix()[i][j]):
+                raise CertificateFailure(
+                    f"Ext {self.labels[i]} -> {self.labels[j]} derived as"
+                    f" {_fmt_table(table)} against the Gram entry"
+                    f" {self.gram_matrix()[i][j]}")
             self._ext_cache[key] = table
         return self._ext_cache[key]
 

@@ -10,10 +10,14 @@ The invariant morphisms are the common kernel of (g * -) - 1 over the
 generators g of the group: the action is multiplicative (Setup checks
 every irrep with verify_irreps), so a morphism fixed by the generators
 is fixed by the whole group, and a trivial group, with no generators,
-fixes every morphism.  The constraint rows of all generators are stacked
-and reduced sparsely, and the kernel is echelonized with a graded
-lexicographic monomial order, monomial-major, then target row, then
-source column.  The reduced echelon basis of a subspace is unique, so
+fixes every morphism.  The action on forms is one table per degree: the
+substitution is multiplicative, so each monomial's image is the image of
+a monomial of degree d - 1 times a linear form, and the table climbs from
+degree 0 without keeping the degrees it passes.  Every space of degree d
+shares the table's monomials and their index.  The constraint rows of
+all generators are stacked and reduced sparsely, and the kernel is
+echelonized with a graded lexicographic monomial order, monomial-major,
+then target row, then source column.  The reduced echelon basis of a subspace is unique, so
 the result is deterministic, and its length must equal the
 character-theoretic multiplicity.
 
@@ -57,48 +61,36 @@ def monomial_basis(nvars: int, degree: int) -> list[Monomial]:
     return out
 
 
-def _poly_mul(p: dict, q: dict) -> dict:
-    out: dict[Monomial, CycNum] = {}
-    for ea, ca in p.items():
-        for eb, cb in q.items():
-            key = tuple(x + y for x, y in zip(ea, eb))
-            prod = ca * cb
-            if key in out:
-                out[key] = out[key] + prod
-            else:
-                out[key] = prod
-    return {k: v for k, v in out.items() if v}
-
-
 @setup_memo
 def _monomial_actions(setup: Setup, degree: int):
-    """Per group generator g, the image of each degree-d monomial under
-    x_i -> sum_j (g^-1)_{ij} x_j, as index -> coefficient dicts."""
-    group = setup.group
-    monos = monomial_basis(setup.n_plus_1, degree)
-    midx = {a: i for i, a in enumerate(monos)}
-    zero_exp = tuple([0] * setup.n_plus_1)
-    actions = []
-    for g in group.generators:
-        ginv = group.elements[group.inv(group.index_of(g))]
-        forms = []
-        for i in range(setup.n_plus_1):
-            form = {}
-            for j in range(setup.n_plus_1):
-                c = ginv.rows[i][j]
-                if c:
-                    exp = tuple(1 if t == j else 0 for t in range(setup.n_plus_1))
-                    form[exp] = c
-            forms.append(form)
-        per_mono = []
+    """The degree-d table: the monomials, their index, and per generator g
+    the image of each monomial under x_i -> sum_j (g^-1)_{ij} x_j, as
+    index -> coefficient dicts.  The image of x^alpha is the degree d - 1
+    image of x^alpha / x_i times row i of g^-1, x_i the first variable of
+    alpha; the table climbs from degree 0 and keeps only degree d."""
+    group, nv = setup.group, setup.n_plus_1
+    forms = [[[(j, c) for j, c in enumerate(row) if c]
+              for row in group.elements[group.inv(group.index_of(g))].rows]
+             for g in group.generators]
+    monos, index = [(0,) * nv], {(0,) * nv: 0}
+    images = [[{0: CycNum.one()}] for _ in forms]
+    for d in range(1, degree + 1):
+        below, below_index, lower = monos, index, images
+        monos = monomial_basis(nv, d)
+        index = {a: k for k, a in enumerate(monos)}
+        images = [[] for _ in forms]
         for alpha in monos:
-            poly = {zero_exp: CycNum.one()}
-            for i, e in enumerate(alpha):
-                for _ in range(e):
-                    poly = _poly_mul(poly, forms[i])
-            per_mono.append({midx[beta]: c for beta, c in poly.items()})
-        actions.append(per_mono)
-    return monos, actions
+            i = next(t for t, e in enumerate(alpha) if e)
+            b = below_index[alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]]
+            for out, image, form in zip(images, lower, forms):
+                prod: dict[int, CycNum] = {}
+                for bi, c in image[b].items():
+                    beta = below[bi]
+                    for j, cj in form[i]:
+                        k = index[beta[:j] + (beta[j] + 1,) + beta[j + 1:]]
+                        prod[k] = prod[k] + c * cj if k in prod else c * cj
+                out.append({k: v for k, v in prod.items() if v})
+    return monos, index, images
 
 
 class HomElement:
@@ -204,15 +196,15 @@ class HomSpace:
     def __init__(self, setup: Setup, m: int, rho_index: int, sigma_index: int):
         if m < 0:
             raise NegativeDegree(f"morphisms of negative degree {m}")
+        # hom_dim rejects an index outside the irrep table before any lookup
+        expected = setup.hom_dim(0, m, rho_index, sigma_index)
         self.setup = setup
         self.m = m
         self.rho_index = rho_index
         self.sigma_index = sigma_index
         rho, sigma = setup.irreps[rho_index], setup.irreps[sigma_index]
         self.dim_rho, self.dim_sigma = rho.dim, sigma.dim
-        monos, actions = _monomial_actions(setup, m)
-        self.monomials = monos
-        self._mono_index = {a: i for i, a in enumerate(monos)}
+        self.monomials, self._mono_index, actions = _monomial_actions(setup, m)
         group = setup.group
         total = self.ambient_dim
         # Row k of (g * -) - 1 for each generator g: basis vector j maps to
@@ -254,7 +246,6 @@ class HomSpace:
             HomElement(self, {j: row[j].reduced() for j in sorted(row)})
             for row in basis_rows)
         self._pivot_at = {p: i for i, p in enumerate(self.pivots)}
-        expected = setup.hom_dim(0, m, rho_index, sigma_index)
         if len(self.basis) != expected:
             raise BasisMismatch(
                 f"projector rank {len(self.basis)} != multiplicity {expected}")

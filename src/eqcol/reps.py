@@ -415,7 +415,11 @@ class Setup:
         return self.det_twist(0) == 0
 
     def hom_dim(self, a: int, b: int, rho: int, sigma: int) -> int:
-        """dim Hom(O(a) tensor rho, O(b) tensor sigma); zero when b < a."""
+        """dim Hom(O(a) tensor rho, O(b) tensor sigma); zero when b < a.
+        An irrep index outside the table raises InvalidParameter."""
+        r = len(self.irreps)
+        if not (0 <= rho < r and 0 <= sigma < r):
+            raise InvalidParameter(f"irreps ({rho}, {sigma}) outside the table")
         m = b - a
         return self.sym_decomposition(m, sigma)[rho] if m >= 0 else 0
 
@@ -442,7 +446,10 @@ class Setup:
 
     @setup_memo
     def _sym_rows(self, sigma: int) -> list[tuple[int, ...]]:
-        """The rows of `sym_decomposition` for sigma so far, from u_0 on."""
+        """The rows of `sym_decomposition` for sigma so far, from u_0 on;
+        an index outside the irrep table raises, and nothing is kept."""
+        if not 0 <= sigma < len(self.irreps):
+            raise InvalidParameter(f"irrep {sigma} outside the table")
         return [tuple(int(rho == sigma) for rho in range(len(self.irreps)))]
 
     def lambda_table(self, k: int) -> tuple[tuple[tuple[int, int], ...], ...]:

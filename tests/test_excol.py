@@ -875,14 +875,16 @@ def _oracle_arrows(coll):
 
 
 def _quiver_rows(monkeypatch):
-    """Record the number of rows each quiver rank receives."""
+    """Record the quiver's rows: one composite, and one row, per
+    `compose_chain_maps` call."""
     counts = []
+    true_compose = excol_mod.compose_chain_maps
 
-    def counting(rows):
-        counts.append(len(rows))
-        return rank_of_rows(rows)
+    def counting(f, g):
+        counts.append(1)
+        return true_compose(f, g)
 
-    monkeypatch.setattr(excol_mod, "rank_of_rows", counting)
+    monkeypatch.setattr(excol_mod, "compose_chain_maps", counting)
     return counts
 
 

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,18 +13,35 @@ from hypothesis import example, given, settings
 
 import eqcol
 from eqcol.cyclotomic import CycNum
-from eqcol.errors import BasisMismatch, NegativeDegree
+from eqcol.errors import BasisMismatch, InvalidParameter, NegativeDegree
 from eqcol.homspaces import (
     HomElement,
-    _poly_mul,
+    _monomial_actions,
     compose_hom,
     hom_space,
     monomial_basis,
 )
 from eqcol.linalg import CycMatrix, rank_of_rows
 from eqcol.reps import binary_dihedral, cyclic_diagonal, setup_memo
+from eqcol.scenario import build_setup, parse_scenario, run_scenario
+from test_acceptance import _poly_mul
 from test_linalg import oracle_rref_rows, oracle_solve
 from test_repring import build, specs
+
+# C3 in SL2 generated by [[0, -1], [1, -1]], which is not a monomial
+# matrix: its inverse sends x1^2 to the three terms of (x2 - x1)^2.  The
+# generator is conjugate to diag(z3, z3^2), and rho_j sends it to z3^j.
+C3_ROTATION = {
+    "name": "c3_rotation",
+    "group": {"kind": "explicit", "conductor": 3,
+              "generators": [[["0", "-1"], ["1", "-1"]]],
+              "irreps": [{"name": f"rho_{j}", "images": [[[f"z3^{j}"]]]}
+                         for j in range(3)]},
+    "n_plus_1": 2, "mode": "invariant_veronese", "veronese_d": 1,
+    "tasks": ["beilinson", "cascade", "blocks", "dsing", "check", "gram",
+              "quiver", {"task": "twist", "k": 1},
+              {"task": "molien", "max_degree": 24}],
+}
 
 
 def _element(space, coords):
@@ -226,6 +244,62 @@ def test_negative_degree_raises(bd2):
         hom_space(bd2, -1, 0, 0)
 
 
+@pytest.mark.parametrize("call", [
+    lambda setup: hom_space(setup, 1, -1, 0),
+    lambda setup: hom_space(setup, 1, 0, 3),
+    lambda setup: setup.hom_dim(0, 1, 1, -1),
+    lambda setup: setup.hom_dim(0, 1, 0, 3),
+    lambda setup: setup.hom_dim(1, 0, 3, 0),
+    lambda setup: setup.sym_decomposition(1, 3),
+], ids=["hom_space_rho_-1", "hom_space_sigma_3", "hom_dim_sigma_-1",
+        "hom_dim_sigma_3", "hom_dim_rho_3_below", "sym_decomposition_3"])
+def test_irrep_index_outside_the_table_raises(call):
+    # Z/3 has irreps 0, 1 and 2: a negative index would wrap around to
+    # rho_2, and 3 would index past the table.  Nothing is cached.
+    setup = cyclic_diagonal(3, [1, 1])
+    cached = set(setup._cache)
+    with pytest.raises(InvalidParameter):
+        call(setup)
+    assert set(setup._cache) == cached
+
+
+def _table_degrees(setup):
+    """The degrees whose monomial-action table the setup holds."""
+    return [key[1] for key in setup._cache
+            if key[0] is _monomial_actions.__wrapped__]
+
+
+def test_far_degree_keeps_only_its_own_table():
+    # Z/2 acting by -1 on C^2 fixes every form of even degree, so
+    # Hom(O, O(m)) holds all m + 1 monomials.  The table climbs through
+    # every lower degree in a loop and keeps none of them; keeping them
+    # all would hold about 11,000 image dicts at m = 150.
+    setup = cyclic_diagonal(2, [1, 1])
+    assert len(hom_space(setup, 300, 0, 0)) == 301
+    assert _table_degrees(setup) == [300]
+    setup = cyclic_diagonal(2, [1, 1])
+    tracemalloc.start()
+    try:
+        assert len(hom_space(setup, 150, 0, 0)) == 151
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert _table_degrees(setup) == [150]
+    assert peak < 2**20
+
+
+def test_non_monomial_generator_matches_its_diagonal_form():
+    # The images of C3_ROTATION's monomials have up to three terms, and
+    # its nine pipeline tasks report what cyclic_diagonal(3, [1, 2]) does.
+    _, _, (images,) = _monomial_actions(build_setup(parse_scenario(C3_ROTATION)), 2)
+    assert [len(image) for image in images] == [3, 2, 1]
+    diagonal = dict(C3_ROTATION, group={"kind": "cyclic_diagonal", "m": 3,
+                                        "weights": [1, 2]})
+    rotation = run_scenario(parse_scenario(C3_ROTATION))
+    assert rotation["passed"] is True
+    assert rotation["tasks"] == run_scenario(parse_scenario(diagonal))["tasks"]
+
+
 def test_coordinates_round_trip(c3):
     space = hom_space(c3, 2, 0, 2)
     for i, f in enumerate(space.basis):
@@ -345,11 +419,16 @@ def _stored(coords):
 @example(("cyclic", 1, (1, 1)))
 @example(("binary_dihedral", 6))
 @example(("explicit",))
+@example(("c3_rotation",))
 def test_generator_kernel_matches_reynolds_average(spec):
     # The reduced echelon basis of a subspace is unique, so the kernel of
     # (g * -) - 1 over the generators must reproduce the average over the
     # whole group entry for entry, with the same pivots and stored forms.
-    setup = build(spec)
+    # Every other input acts by monomial matrices; C3_ROTATION does not.
+    if spec == ("c3_rotation",):
+        setup = build_setup(parse_scenario(C3_ROTATION))
+    else:
+        setup = build(spec)
     r = len(setup.irreps)
     for m in range(4):
         for rho in range(r):
