@@ -6,8 +6,8 @@
     eqcol gram <scenario.json> [--out FILE]
 
 Exit codes: 0 when every requested check passed, 1 when a check failed,
-2 when the scenario could not be parsed, validated, or executed, or its
-output could not be written.
+2 when the scenario could not be parsed, validated, or executed (memory
+running out included), or its output could not be written.
 """
 
 from __future__ import annotations
@@ -64,6 +64,10 @@ def main(argv=None) -> int:
         return _cmd_gram(args)
     except EqcolError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        # the frames that held the memory are gone by the time it is caught
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

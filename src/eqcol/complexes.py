@@ -13,11 +13,13 @@ dim Ext^k = dim Hom^k - rank delta^k - rank delta^(k-1), each rank taken
 exactly by sparse elimination.  The H^0 representatives that cones and the
 quiver need come from the same exact differentials.
 
-Both mutations glue two complexes along the evaluation maps ev, a basis
-of Hom(E, F) of size h, in one pass and in their own degrees:
-R = Cone(E -> F tensor Hom(E, F)^*)[-1], R^d = E^d + (F^(d-1))^h, carries
-d_E, ev and -d_F; L = Cone(E tensor Hom(E, F) -> F), L^d = (E^(d+1))^h + F^d,
-carries -d_E, ev and d_F.
+Both mutations glue two complexes along the evaluation maps ev, for each
+k with Ext^k(E, F) != 0 a basis of Hom(E, F[k]) of size h_k, in one pass
+and in their own degrees: R = Cone(E -> sum_k F[k] tensor Ext^k(E, F)^*)[-1],
+R^d = E^d + sum_k (F^(d-1+k))^(h_k), carries d_E, ev and minus the
+differentials of the F[k]; L = Cone(sum_k E[-k] tensor Ext^k(E, F) -> F),
+L^d = sum_k (E^(d+1-k))^(h_k) + F^d, carries minus those of the E[-k], ev
+and d_F.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from .errors import (
     BasisMismatch,
     HomComplexCapExceeded,
     InvalidParameter,
-    NonConcentratedHom,
     WindowViolation,
 )
 from .cyclotomic import CycNum
@@ -45,9 +46,10 @@ class EqComplex:
     """Immutable bounded complex of equivariant line bundles.
 
     `triangle` is (E, F) on a cone that `right_mutation` built, for its
-    triangle R -> E -> F tensor Hom(E, F)^* -> R[1], and None on every other
-    complex.  It is bookkeeping for Ext, not part of the complex: equality
-    and the hash ignore it, and shifts and twists drop it."""
+    triangle R -> E -> sum_k F[k] tensor Ext^k(E, F)^* -> R[1], and None on
+    every other complex.  It is bookkeeping for Ext, not part of the
+    complex: equality and the hash ignore it, and shifts and twists drop
+    it."""
 
     __slots__ = ("setup", "terms", "diffs", "triangle", "_line_bundle")
 
@@ -526,42 +528,70 @@ def cohomology_basis(C: EqComplex, D: EqComplex) -> list[ChainMap]:
     return HomComplexData(C, D).h0_maps()
 
 
-def _evaluation_maps(E: EqComplex, F: EqComplex) -> list[ChainMap]:
-    """A basis of Hom(E, F), which must be concentrated in degree 0; empty
-    when the pair is orthogonal.  One Hom complex gives both the dimensions
-    and the representatives; a pair of line bundles takes its dimensions
-    from the closed form and builds the complex only when Hom is nonzero."""
+def _evaluation_maps(E: EqComplex, F: EqComplex,
+                     left: bool = False) -> list[ChainMap]:
+    """For each k with Ext^k(E, F) != 0, in ascending k, a basis of
+    Hom(E, F[k]): the H^0 representatives of the Hom complex of (E, F[k]),
+    or with left of (E[-k], F); empty when the pair is orthogonal.  The Hom
+    complex that gives the dimensions also gives the maps for k = 0; a pair
+    of line bundles takes its dimensions from the closed form."""
     data = None
     if E.is_line_bundle() and F.is_line_bundle():
         dims = pair_ext_dims(E, F)
     else:
         data = HomComplexData(E, F)
         dims = data.ext_dims()
-    stray = {k: v for k, v in dims.items() if k != 0}
-    if stray:
-        raise NonConcentratedHom(
-            f"Hom complex has cohomology in degrees {sorted(stray)}")
-    h = dims.get(0, 0)
-    if h == 0:
-        return []
-    maps = (data or HomComplexData(E, F)).h0_maps()
-    if len(maps) != h:
-        raise BasisMismatch(
-            f"{len(maps)} cohomology representatives for a Hom of dimension {h}")
+    maps = []
+    for k, h in sorted(dims.items()):
+        if k:
+            data_k = (HomComplexData(E.shift(-k), F) if left
+                      else HomComplexData(E, F.shift(k)))
+        else:
+            data_k = data or HomComplexData(E, F)
+        basis = data_k.h0_maps()
+        if len(basis) != h:
+            raise BasisMismatch(f"{len(basis)} cohomology representatives"
+                                f" for an Ext^{k} of dimension {h}")
+        maps += basis
     return maps
 
 
-def _negated_copies(C: EqComplex, h: int) -> EqComplex:
-    """h copies of C, copy-major (copy c of C^d[s] is summand
-    c * len(C^d) + s), with each block of d_C negated once for all copies."""
-    sizes = {d: len(summands) for d, summands in C.terms.items()}
-    terms = {d: summands * h for d, summands in C.terms.items()}
-    diffs = {}
-    for d, blocks in C.diffs.items():
-        negated = [(t, s, -elem) for (t, s), elem in blocks.items()]
-        diffs[d] = {(c * sizes[d + 1] + t, c * sizes[d] + s): elem
-                    for c in range(h) for t, s, elem in negated}
-    return EqComplex(C.setup, terms, diffs, check=False)
+def _negated_copies(complexes: list[EqComplex]) -> EqComplex:
+    """The direct sum of the complexes, in each degree the summands of the
+    first, then of the second and so on, with the blocks of each distinct
+    complex negated once and shared by its copies."""
+    terms: dict[int, list] = {}
+    diffs: dict[int, dict] = {}
+    negated: dict[int, dict] = {}
+    for C in complexes:
+        if id(C) not in negated:
+            negated[id(C)] = {d: [(t, s, -elem) for (t, s), elem in blocks.items()]
+                              for d, blocks in C.diffs.items()}
+        for d, blocks in negated[id(C)].items():
+            rows, cols = len(terms.get(d + 1, ())), len(terms.get(d, ()))
+            diffs.setdefault(d, {}).update(
+                ((rows + t, cols + s), elem) for t, s, elem in blocks)
+        for d, summands in C.terms.items():
+            terms.setdefault(d, []).extend(summands)
+    return EqComplex(complexes[0].setup, terms, diffs, check=False)
+
+
+def _stacked(maps: list[ChainMap], left: bool):
+    """The direct sum of the maps' targets, or with left of their sources,
+    negated by `_negated_copies`, and the maps as one map into it, or out
+    of it."""
+    ends = [phi.source if left else phi.target for phi in maps]
+    offsets: dict[int, int] = {}
+    ev: dict[int, dict] = {}
+    for phi, end in zip(maps, ends):
+        for d, entry in phi.blocks.items():
+            o = offsets.get(d, 0)
+            ev.setdefault(d, {}).update(
+                ((t, o + s) if left else (o + t, s), elem)
+                for (t, s), elem in entry.items())
+        for d, summands in end.terms.items():
+            offsets[d] = offsets.get(d, 0) + len(summands)
+    return _negated_copies(ends), ev
 
 
 def _glue(X: EqComplex, Y: EqComplex, blocks, lift: int) -> EqComplex:
@@ -592,37 +622,30 @@ def _glue(X: EqComplex, Y: EqComplex, blocks, lift: int) -> EqComplex:
 
 def right_mutation(E: EqComplex, F: EqComplex) -> EqComplex:
     """Move F leftward past E: E is replaced by
-    R = Cone(E -> F tensor Hom(E, F)^*)[-1], whose map stacks the
-    evaluation maps, a basis of Hom(E, F) concentrated in degree 0, over
-    the h = dim Hom(E, F) copies of F: R^d = E^d + (F^(d-1))^h, with E's
-    own blocks, ev and -d_F.  R records (E, F) as its `triangle`.  An
-    orthogonal pair is a pure transposition and returns E unchanged."""
+    R = Cone(E -> sum_k F[k] tensor Ext^k(E, F)^*)[-1], whose map stacks the
+    evaluation maps over the copies of the F[k], h_k = dim Ext^k(E, F) of
+    each, in ascending k: R^d = E^d + sum_k (F^(d-1+k))^(h_k), with E's own
+    blocks, ev and minus the blocks of the F[k].  R records (E, F) as its
+    `triangle`.  An orthogonal pair is a pure transposition and returns E
+    unchanged."""
     maps = _evaluation_maps(E, F)
     if not maps:
         return E
-    sizes = {d: len(summands) for d, summands in F.terms.items()}
-    ev: dict[int, dict] = {}
-    for c, phi in enumerate(maps):
-        for d, entry in phi.blocks.items():
-            ev.setdefault(d, {}).update(
-                ((c * sizes[d] + t, s), elem) for (t, s), elem in entry.items())
-    R = _glue(E, _negated_copies(F, len(maps)), ev, 0)
+    copies, ev = _stacked(maps, False)
+    R = _glue(E, copies, ev, 0)
     R.triangle = (E, F)
     return R
 
 
 def left_mutation(E: EqComplex, F: EqComplex) -> EqComplex:
     """Move E rightward past F: F is replaced by
-    L = Cone(E tensor Hom(E, F) -> F), whose map sends the h copies of E
-    along the evaluation maps: L^d = (E^(d+1))^h + F^d, with -d_E, ev and
-    F's own blocks.  Orthogonal pairs transpose and return F unchanged."""
-    maps = _evaluation_maps(E, F)
+    L = Cone(sum_k E[-k] tensor Ext^k(E, F) -> F), whose map sends the h_k
+    copies of each E[-k] along the evaluation maps of Hom(E[-k], F):
+    L^d = sum_k (E^(d+1-k))^(h_k) + F^d, with minus the blocks of the E[-k],
+    ev and F's own blocks.  Orthogonal pairs transpose and return F
+    unchanged."""
+    maps = _evaluation_maps(E, F, left=True)
     if not maps:
         return F
-    sizes = {d: len(summands) for d, summands in E.terms.items()}
-    ev: dict[int, dict] = {}
-    for c, phi in enumerate(maps):
-        for d, entry in phi.blocks.items():
-            ev.setdefault(d, {}).update(
-                ((t, c * sizes[d] + s), elem) for (t, s), elem in entry.items())
-    return _glue(_negated_copies(E, len(maps)), F, ev, 1)
+    copies, ev = _stacked(maps, True)
+    return _glue(copies, F, ev, 1)

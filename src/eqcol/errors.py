@@ -57,10 +57,6 @@ class WindowViolation(EqcolError):
     """Twist spread of a Hom computation exceeds the safe window."""
 
 
-class NonConcentratedHom(EqcolError):
-    """Mutation requires Hom concentrated in degree zero."""
-
-
 class NotADivisor(EqcolError):
     """A Veronese parameter must divide the number of coordinates."""
 

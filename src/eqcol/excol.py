@@ -24,8 +24,8 @@ from .complexes import (EqComplex, cohomology_basis, compose_chain_maps,
                         from_line_bundle, hom_complex, pair_ext_dims,
                         right_mutation)
 from .cyclotomic import CycNum
-from .errors import (CertificateFailure, InvalidParameter, NonConcentratedHom,
-                     NotADivisor, NotStrong, OrthogonalityFailure)
+from .errors import (CertificateFailure, InvalidParameter, NotADivisor,
+                     NotStrong, OrthogonalityFailure)
 from .linalg import CycMatrix, _dense, rank_of_rows
 from .reps import Setup
 
@@ -37,16 +37,10 @@ class CheckReport:
 
 
 class ExcCollection:
-    """An ordered collection of equivariant complexes.
-
-    objects may contain None entries: K-class-only stubs left behind when a
-    mutation step could not be realized on the nose.  Stubs still carry a
-    K-class and a label, so Gram bookkeeping survives, but Ext tables and
-    quivers are unavailable for them.
-    """
+    """An ordered collection of equivariant complexes."""
 
     __slots__ = ("setup", "objects", "kclasses", "labels", "provenance",
-                 "_ext_cache", "_gram", "_known")
+                 "_gram", "_known")
 
     def __init__(self, setup: Setup, objects, kclasses, labels, provenance):
         self.setup = setup
@@ -57,42 +51,36 @@ class ExcCollection:
         if not (len(self.objects) == len(self.kclasses) == len(self.labels)):
             raise InvalidParameter("collection fields out of step")
         for obj, kc in zip(self.objects, self.kclasses):
-            if obj is not None and obj.kclass() != kc:
+            if not isinstance(obj, EqComplex):
+                raise InvalidParameter(f"collection object {obj!r} is not a complex")
+            if obj.kclass() != kc:
                 raise InvalidParameter("stored K-class disagrees with the complex")
-        self._ext_cache = {}
         self._gram = None
         self._known = {}
 
     def __len__(self) -> int:
         return len(self.objects)
 
-    def has_stub(self) -> bool:
-        return any(obj is None for obj in self.objects)
-
     def ext_table(self, i: int, j: int) -> dict[int, int]:
-        """Ext dimensions from object i to object j, cached per pair.
+        """Ext dimensions from object i to object j, memoized per pair of
+        objects by `_by_triangles`.
 
         `_by_triangles` decides every table it can: the closed form of two
-        line bundles, or one derived from the mutation triangles, which
+        line bundles, or one derived from the mutation triangles.  Every
+        other pair takes its Hom complex.  Each table but the closed form's
         must have the Euler characteristic of Gram entry (i, j), or
-        CertificateFailure is raised.  Every other pair takes its Hom
-        complex."""
-        key = (i, j)
-        if key not in self._ext_cache:
-            X, Y = self.objects[i], self.objects[j]
-            if X is None or Y is None:
-                raise InvalidParameter("K-class-only stub has no Ext data")
-            table = self._by_triangles(X, Y)
-            if table is None:
-                table = self._known[(id(X), id(Y))] = pair_ext_dims(X, Y)
-            elif (not (X.is_line_bundle() and Y.is_line_bundle())
-                  and _euler_characteristic(table) != self.gram_matrix()[i][j]):
-                raise CertificateFailure(
-                    f"Ext {self.labels[i]} -> {self.labels[j]} derived as"
-                    f" {_fmt_table(table)} against the Gram entry"
-                    f" {self.gram_matrix()[i][j]}")
-            self._ext_cache[key] = table
-        return self._ext_cache[key]
+        CertificateFailure is raised."""
+        X, Y = self.objects[i], self.objects[j]
+        table = self._by_triangles(X, Y)
+        if table is None:
+            table = self._known[(id(X), id(Y))] = pair_ext_dims(X, Y)
+        if (not (X.is_line_bundle() and Y.is_line_bundle())
+                and _euler_characteristic(table) != self.gram_matrix()[i][j]):
+            raise CertificateFailure(
+                f"Ext {self.labels[i]} -> {self.labels[j]} is"
+                f" {_fmt_table(table)} against the Gram entry"
+                f" {self.gram_matrix()[i][j]}")
+        return table
 
     def _by_triangles(self, X: EqComplex, Y: EqComplex) -> dict[int, int] | None:
         """The Ext table from X to Y when it is known without a new Hom
@@ -103,14 +91,15 @@ class ExcCollection:
 
         A table is known from the closed form for two line bundles, from an
         earlier table of the collection, or from the triangle
-        R -> E -> F tensor W -> R[1] of a right-mutation cone R, whose
-        evaluation maps are a basis of Hom(E, F) concentrated in degree 0
-        (Bondal's mutation lemma; Bondal 1989, Gorodentsev-Rudakov 1987):
+        R -> E -> sum_k F[k] tensor W_k -> R[1] of a right-mutation cone R,
+        with W_k = Ext^k(E, F)^* and the evaluation maps a basis of each
+        Hom(E, F[k]) (Bondal's mutation lemma; Bondal 1989,
+        Gorodentsev-Rudakov 1987):
         - Ext(R, F) = 0 when F is exceptional, since precomposition with
-          the evaluation is then an isomorphism Hom(F tensor W, F) ->
-          Hom(E, F);
+          the evaluation is then an isomorphism from
+          Hom(sum_k F[k] tensor W_k, F[j]) = W_j^* to Hom(E, F[j]) for every j;
         - Ext(R, R) = k when E and F are exceptional and Ext(F, E) = 0, by
-          Ext(R, R) = Ext(R, E) = Ext(E, E);
+          Ext(R, R) = Ext(R, E) = Ext(E, E), each F[k] being orthogonal;
         - Ext(X, R) = 0 when Ext(X, E) = Ext(X, F) = 0, and Ext(R, Y) = 0
           when Ext(E, Y) = Ext(F, Y) = 0, by the long exact sequences."""
         key = (id(X), id(Y))
@@ -212,8 +201,6 @@ def beilinson_collection(setup: Setup) -> ExcCollection:
 
 def check_exceptional(coll: ExcCollection) -> CheckReport:
     """Each object exceptional, and all backward Ext spaces zero."""
-    if coll.has_stub():
-        return CheckReport(False, "collection holds K-class-only stubs")
     for i in range(len(coll)):
         table = coll.ext_table(i, i)
         if table != {0: 1}:
@@ -232,8 +219,6 @@ def check_exceptional(coll: ExcCollection) -> CheckReport:
 
 def check_strong(coll: ExcCollection) -> CheckReport:
     """Forward Ext spaces concentrated in degree zero."""
-    if coll.has_stub():
-        return CheckReport(False, "collection holds K-class-only stubs")
     for a in range(len(coll)):
         for b in range(a + 1, len(coll)):
             table = coll.ext_table(a, b)
@@ -315,44 +300,21 @@ class _Workbench:
         entry["base_change"] = rows
         self.provenance.append(entry)
 
-    def move_left(self, p: int, allow_fallback: bool) -> None:
+    def move_left(self, p: int) -> None:
         """Move the object at position p one slot leftward; the bystander at
         p-1 is right-mutated past it (a pure transposition when the pair is
-        orthogonal).  With allow_fallback a non-concentrated pair degrades
-        to a K-class-only stub instead of raising."""
+        orthogonal)."""
         Y, T = self.objects[p - 1], self.objects[p]
         chi = self.gram[p - 1][p]
-        stub_reason = None
-        result = None
-        try:
-            if Y is None or T is None:
-                raise NonConcentratedHom("K-class-only stub in the pair")
-            result = right_mutation(Y, T)
-        except NonConcentratedHom as exc:
-            if not allow_fallback:
-                raise
-            stub_reason = str(exc)
-
-        old_label_y = self.labels[p - 1]
+        result = right_mutation(Y, T)
         self.objects[p - 1], self.objects[p] = T, result
         self.kclasses[p - 1], self.kclasses[p] = (
             self.kclasses[p], self.kclasses[p - 1] - self.kclasses[p] * chi)
-        self.labels[p - 1] = self.labels[p]
-        if stub_reason is not None:
-            op = "kclass_fallback"
-            self.labels[p] = f"K({old_label_y};{self.labels[p - 1]})"
-        elif result is Y:
-            op = "transpose"
-            self.labels[p] = old_label_y
-        else:
-            op = "right_mutation"
-            self.labels[p] = result.label()
-
-        entry = {"op": op, "positions": [p - 1, p], "chi": chi}
-        if stub_reason is not None:
-            entry["reason"] = stub_reason
-        self._record(entry, {p - 1: {p: 1},
-                             p: {p - 1: 1, p: -chi} if chi else {p - 1: 1}})
+        self.labels[p - 1], self.labels[p] = (
+            self.labels[p], self.labels[p - 1] if result is Y else result.label())
+        op = "transpose" if result is Y else "right_mutation"
+        self._record({"op": op, "positions": [p - 1, p], "chi": chi},
+                     {p - 1: {p: 1}, p: {p - 1: 1, p: -chi} if chi else {p - 1: 1}})
 
     def permute(self, perm, entry: dict) -> None:
         """Reorder by perm (new index -> old index); legitimate only for
@@ -520,16 +482,15 @@ def cascade_mutation(coll: ExcCollection) -> ExcCollection:
     for k in range(1, n_plus_1):
         pos = k * r_plus_1
         while pos > k:
-            bench.move_left(pos, allow_fallback=True)
+            bench.move_left(pos)
             pos -= 1
     result = bench.freeze()
     anchors = [EqLineBundle(k, 0).label(coll.setup) for k in range(n_plus_1)]
     if list(result.labels[:n_plus_1]) != anchors:
         raise InvalidParameter("cascade did not surface the twist anchors")
-    if not result.has_stub():
-        report = check_exceptional(result)
-        if not report.passed:
-            raise InvalidParameter(f"cascade output not exceptional: {report.violation}")
+    report = check_exceptional(result)
+    if not report.passed:
+        raise InvalidParameter(f"cascade output not exceptional: {report.violation}")
     return result
 
 
@@ -576,8 +537,6 @@ def veronese_blocks(coll: ExcCollection, d: int) -> VeroneseBlocks:
     setup = coll.setup
     if setup.n_plus_1 % d:
         raise NotADivisor(f"{d} does not divide {setup.n_plus_1}")
-    if coll.has_stub():
-        raise InvalidParameter("cannot partition K-class-only stubs")
     info = setup.central_scalars(d)
     weights = tuple(_object_weight(setup, obj, info) for obj in coll.objects)
     blocks = tuple(tuple(i for i, w in enumerate(weights) if w == target)
@@ -658,7 +617,7 @@ def dsing_collection(setup: Setup, d: int, mode: str) -> ExcCollection:
         if pos < t:
             raise InvalidParameter("removal targets crossed each other")
         while pos > t:
-            bench.move_left(pos, allow_fallback=False)
+            bench.move_left(pos)
             pos -= 1
 
     staged = bench.freeze()
@@ -840,11 +799,9 @@ def quiver(coll: ExcCollection) -> Quiver:
 def tensor_twist(coll: ExcCollection, k: int) -> ExcCollection:
     """Tensor every object with O(k).  Ext tables between objects are
     untouched; K-classes are re-reduced into the twist window."""
-    objects = [obj.twisted(k) if obj is not None else None
-               for obj in coll.objects]
+    objects = [obj.twisted(k) for obj in coll.objects]
     kclasses = [twist_kclass(kc, k) for kc in coll.kclasses]
-    labels = [obj.label() if obj is not None else f"{lbl}({k:+d})"
-              for obj, lbl in zip(objects, coll.labels)]
+    labels = [obj.label() for obj in objects]
     entry = {"op": "tensor_twist", "k": k}
     result = ExcCollection(coll.setup, objects, kclasses, labels,
                            list(coll.provenance) + [entry])

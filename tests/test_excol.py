@@ -21,8 +21,7 @@ import eqcol.scenario as scenario_mod
 from eqcol.complexes import (EqComplex, HomComplexData, cohomology_basis,
                              compose_chain_maps, from_line_bundle, hom_complex,
                              pair_ext_dims, right_mutation)
-from eqcol.errors import (CertificateFailure, InvalidParameter,
-                          NonConcentratedHom, NotADivisor,
+from eqcol.errors import (CertificateFailure, InvalidParameter, NotADivisor,
                           NotStrong, OrthogonalityFailure)
 from eqcol.excol import (
     ExcCollection,
@@ -48,7 +47,7 @@ from eqcol.excol import (
 from eqcol.cyclotomic import CycNum
 from eqcol.linalg import eliminate_along, rank_of_rows
 from eqcol.reps import binary_dihedral, cyclic_diagonal
-from eqcol.scenario import build_setup, load_scenario, run_scenario
+from eqcol.scenario import build_setup, load_scenario, parse_scenario, run_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -163,26 +162,12 @@ def test_cascade_requires_full_grid(bd2):
         cascade_mutation(sub)
 
 
-def test_cascade_kclass_fallback(bd2, monkeypatch):
-    real = cascade_mutation(beilinson_collection(bd2))
-
-    def refuse(E, F):
-        raise NonConcentratedHom("forced for the fallback path")
-
-    monkeypatch.setattr("eqcol.excol.right_mutation", refuse)
-    stubbed = cascade_mutation(beilinson_collection(bd2))
-    assert stubbed.has_stub()
-    ops = {e["op"] for e in stubbed.provenance}
-    assert "kclass_fallback" in ops
-    # The K-level bookkeeping is untouched by the failure.
-    assert stubbed.kclasses == real.kclasses
-    assert stubbed.gram_matrix() == real.gram_matrix()
-    with pytest.raises(InvalidParameter):
-        stubbed.ext_table(0, 3)
-    # a stub keeps its label under a twist, with the twist's sign written once
-    stub = stubbed.objects.index(None)
-    for k, suffix in ((2, "(+2)"), (-3, "(-3)")):
-        assert tensor_twist(stubbed, k).labels[stub] == stubbed.labels[stub] + suffix
+def test_collection_refuses_an_object_that_is_not_a_complex(bd2):
+    base = beilinson_collection(bd2)
+    for obj in (None, "O@rho_0"):
+        with pytest.raises(InvalidParameter, match="is not a complex"):
+            ExcCollection(bd2, [obj] + list(base.objects[1:]), base.kclasses,
+                          base.labels, base.provenance)
 
 
 # -- Veronese blocks -----------------------------------------------------
@@ -389,8 +374,6 @@ def _derived_tables_match(coll) -> int:
     derived = 0
     for i, j in itertools.product(range(len(coll)), repeat=2):
         X, Y = coll.objects[i], coll.objects[j]
-        if X is None or Y is None:
-            continue
         source = _table_source(coll, i, j)
         table = coll.ext_table(i, j)
         if source == "triangle":
@@ -403,10 +386,7 @@ def _pipeline_collections(setup, mode, d):
     colls = [cascade_mutation(beilinson_collection(setup))]
     if mode == "crossed_product" or (mode == "invariant_veronese"
                                      and setup.det_trivial()):
-        try:
-            colls.append(dsing_collection(setup, d, mode))
-        except NonConcentratedHom:
-            pass  # a bubbling step meets a Hom outside degree 0
+        colls.append(dsing_collection(setup, d, mode))
     return colls
 
 
@@ -438,14 +418,57 @@ def test_triangle_tables_match_hom_complexes_sweep(setup):
         _derived_tables_match(coll)
 
 
+# Diagonal Z/m on C^4 and C^6 whose cascades meet pairs with RHom outside
+# degree 0: (m, weights, dsing size, the strong check's stray Ext, whether
+# the derived tables are checked against the Hom complexes).  Every weight
+# but those of the three inputs marked non-free is prime to m.
+THEOREM_ONE = [
+    (3, [1, 1, 2, 2], 8, "{-1: 1}", True),
+    (5, [1, 1, 4, 4], 16, "{-1: 1}", True),
+    (6, [1, 1, 5, 5], 20, "{-1: 1}", True),
+    (7, [1, 1, 6, 6], 24, "{-1: 1}", True),
+    (4, [1, 1, 3, 3], 12, "{-1: 1}", True),
+    (6, [1, 1, 1, 3, 3, 3], 30, "{-1: 24}", False),
+    (4, [1, 3, 2, 2], 12, "{-1: 1}", True),
+    (2, [0, 0, 1, 1], 4, "{-1: 1}", True),
+]
+
+
+@pytest.mark.parametrize("m, weights, size, stray, derived", THEOREM_ONE, ids=[
+    "z3w1122", "z5w1144", "z6w1155", "z7w1166", "z4w1133",
+    "z6w111333-nonfree", "z4w1322-nonfree", "z2w0011-nonfree"])
+def test_graded_mutations_build_an_exceptional_dsing(m, weights, size, stray,
+                                                     derived):
+    report = run_scenario(parse_scenario({
+        "name": "theorem_one",
+        "group": {"kind": "cyclic_diagonal", "m": m, "weights": weights},
+        "n_plus_1": len(weights), "mode": "invariant_veronese", "veronese_d": 1,
+        "tasks": ["beilinson", "cascade", "dsing", "check", "gram"]}))
+    tasks = report["tasks"]
+    assert tasks["cascade"]["op_counts"]["kclass_fallback"] == 0
+    assert tasks["cascade"]["has_stubs"] is False
+    assert tasks["dsing"]["size"] == size
+    assert tasks["check"]["exceptional"] == {"passed": True, "violation": None}
+    assert tasks["check"]["strong"]["passed"] is False
+    assert tasks["check"]["strong"]["violation"].endswith(
+        f"not concentrated in degree 0: {stray}")
+    assert tasks["gram"]["ok"] is True
+    if derived:
+        colls = _pipeline_collections(cyclic_diagonal(m, weights),
+                                      "invariant_veronese", 1)
+        assert all(_derived_tables_match(coll) for coll in colls)
+
+
 def test_z4p3_cascade_check_builds_no_hom_complex(monkeypatch):
     # the tables by where they come from, counted where `ext_table` fills
     # them in
     sources = Counter()
     ext_table = ExcCollection.ext_table
+    seen = set()
 
     def counting_tables(self, i, j):
-        if (i, j) not in self._ext_cache:
+        if (self, i, j) not in seen:
+            seen.add((self, i, j))
             sources[_table_source(self, i, j)] += 1
         return ext_table(self, i, j)
 
@@ -560,11 +583,11 @@ def _tamper_gram(bench):
 def test_gram_audit_fires_on_tampered_state(bd2, tamper):
     grid = beilinson_collection(bd2)
     clean = _Workbench(grid)
-    clean.move_left(1, allow_fallback=False)
+    clean.move_left(1)
     bench = _Workbench(grid)
     tamper(bench)
     with pytest.raises(InvalidParameter, match="Gram conjugation audit failed"):
-        bench.move_left(1, allow_fallback=False)
+        bench.move_left(1)
 
 
 def test_non_unimodular_base_change_rejected(bd2):
