@@ -10,8 +10,8 @@ the same condition is the window precondition, checked pairwise.
 
 Ext dimensions need only the ranks of the Hom-complex differentials:
 dim Ext^k = dim Hom^k - rank delta^k - rank delta^(k-1), each rank taken
-exactly by sparse elimination.  The H^0 representatives that cones and the
-quiver need come from the same exact differentials.
+exactly by sparse elimination.  The H^k representatives C -> D[k] that
+cones and the quiver need come from the same exact differentials.
 
 Both mutations glue two complexes along the evaluation maps ev, for each
 k with Ext^k(E, F) != 0 a basis of Hom(E, F[k]) of size h_k, in one pass
@@ -287,7 +287,9 @@ class HomComplexData:
     columns of `delta`, the coordinates `chain_map` reads and the blocks
     the H^0 read-back writes, so the read-back costs the chain map's
     blocks.  The Hom spaces of a degree are built when its differential is
-    first needed."""
+    first needed.  delta^k and delta^(k-1) are delta^0 and delta^(-1) of
+    (C, D[k]) up to the sign (-1)^k, which the reduced echelon rows that
+    pick the H^k representatives do not see: one complex serves every k."""
 
     def __init__(self, C: EqComplex, D: EqComplex):
         if C.setup is not D.setup:
@@ -326,6 +328,7 @@ class HomComplexData:
                 self._rows[k] = rows
         self._deltas: dict[int, list[SparseVec]] = {}
         self._ranks: dict[int, int] = {}
+        self._records: dict[int, tuple] = {}
 
     def dim(self, k: int) -> int:
         return self.dims.get(k, 0)
@@ -406,23 +409,24 @@ class HomComplexData:
                 out[k] = h
         return out
 
-    @cached_property
-    def _h0(self):
-        """The span of the boundaries and the H^0 representatives, built
-        once: sparse echelon rows, the boundaries' reduced echelon rows
-        first and then one cycle per H^0 basis vector, the index of each
-        row by its lead, and the boundary count.  The cycles are the
-        kernel of delta^0, read off the reduced echelon rows of its
-        transpose; each reduced along the span so far is kept, scaled to 1
-        at its first nonzero entry, when something is left."""
-        span, leads = sparse_echelon(self.delta(-1))
+    def _cohomology(self, k: int):
+        """Degree k's record, built once: sparse echelon rows, those of
+        delta^(k-1) reduced first, then one cycle per H^k basis vector; each
+        row's index by its lead; the boundary count; Hom^k's (p, s, t) keys
+        and first rows, for bisection; and D[k], the target of every map of
+        degree k.  The cycles are the kernel of delta^k, read off the reduced
+        echelon rows of its transpose; each reduced along the span so far is
+        kept, scaled to 1 at its first nonzero entry, when something is left."""
+        if k in self._records:
+            return self._records[k]
+        span, leads = sparse_echelon(self.delta(k - 1))
         count = len(span)
         transposed: dict[int, SparseVec] = {}
-        for j, column in enumerate(self.delta(0)):
+        for j, column in enumerate(self.delta(k)):
             for i, c in column.items():
                 transposed.setdefault(i, {})[j] = c
         kernel = sparse_kernel(*sparse_echelon(transposed[i] for i in sorted(transposed)),
-                               self.dim(0))
+                               self.dim(k))
         position = {lead: i for i, lead in enumerate(leads)}
         for v in kernel:
             _, v = eliminate_along(v, span, position)
@@ -432,41 +436,37 @@ class HomComplexData:
             inv = v[lead].inverse()
             position[lead] = len(span)
             span.append({j: c * inv for j, c in v.items()})
-        return span, position, count
+        rows = self._rows.get(k, {})
+        self._records[k] = (span, position, count, list(rows), list(rows.values()),
+                            self.target.shift(k) if k else self.target)
+        return self._records[k]
 
-    @cached_property
-    def _hom0_starts(self):
-        """The (p, s, t) keys of Hom^0's table and their first rows, in row
-        order, for bisection."""
-        rows = self._rows.get(0, {})
-        return list(rows), list(rows.values())
-
-    def chain_map(self, coords) -> ChainMap:
-        """The chain map with Hom^0 coordinates {index: c}, an index
-        outside Hom^0 an InvalidParameter.  Each coordinate finds its slice
-        by bisection over the first rows of Hom^0's table, so the map costs
-        its support, not dim Hom^0."""
+    def chain_map(self, coords, k: int) -> ChainMap:
+        """The chain map C -> D[k] with Hom^k coordinates {index: c}, an
+        index outside Hom^k an InvalidParameter.  Each coordinate finds its
+        slice by bisection over the first rows of Hom^k's table, so the map
+        costs its support, not dim Hom^k."""
         C, D = self.source, self.target
-        keys, starts = self._hom0_starts
+        *_, keys, starts, target = self._cohomology(k)
         blocks: dict[int, dict] = {}
         for index in sorted(coords):
-            if not 0 <= index < self.dim(0):
-                raise InvalidParameter(f"coordinate {index} is outside Hom^0")
+            if not 0 <= index < self.dim(k):
+                raise InvalidParameter(f"coordinate {index} is outside Hom^{k}")
             i = bisect_right(starts, index) - 1
             p, s, t = keys[i]
-            space = self._space(C.terms[p][s], D.terms[p][t])
+            space = self._space(C.terms[p][s], D.terms[p + k][t])
             part = space.basis[index - starts[i]] * coords[index]
             entry = blocks.setdefault(p, {})
             entry[(t, s)] = entry[(t, s)] + part if (t, s) in entry else part
-        return ChainMap(C, D, blocks)
+        return ChainMap(C, target, blocks)
 
-    def h0_maps(self) -> list[ChainMap]:
-        """Cycle representatives of a basis of H^0, by echelon lifting:
-        each is the unique cycle of its class modulo the boundaries and the
-        earlier representatives that is 0 at all their pivots, built from
-        its sparse row of `_h0`."""
-        span, _, count = self._h0
-        return [self.chain_map(row) for row in span[count:]]
+    def hk_maps(self, k: int) -> list[ChainMap]:
+        """Cycle representatives C -> D[k] of a basis of H^k, by echelon
+        lifting: each is the unique cycle of its class modulo the
+        boundaries and the earlier representatives that is 0 at all their
+        pivots, built from its sparse row of the degree-k record."""
+        span, _, count, *_ = self._cohomology(k)
+        return [self.chain_map(row, k) for row in span[count:]]
 
     def _sparse_vector(self, cm: ChainMap) -> SparseVec:
         """The Hom^0 coordinates of a chain map, {row: value} with the
@@ -490,16 +490,17 @@ class HomComplexData:
         return vector
 
     def h0_coordinates(self, cm: ChainMap) -> dict[int, CycNum]:
-        """Coefficients of a cycle over h0_maps, modulo boundaries, as
-        {index: c} with the zeros dropped.
+        """Coefficients of a degree-0 cycle over hk_maps(0), modulo
+        boundaries, as {index: c} with the zeros dropped, read along the
+        rows of the degree-0 record.
 
         When Hom^-1 and Hom^1 are both 0 there are no boundaries and every
-        vector is a cycle, so H^0 = Hom^0, h0_maps are the unit vectors in
-        order, and the coefficients are the Hom^0 coordinates."""
+        vector is a cycle, so H^0 = Hom^0, hk_maps(0) are the unit vectors
+        in order, and the coefficients are the Hom^0 coordinates."""
         vector = self._sparse_vector(cm)
         if not self.dim(-1) and not self.dim(1):
             return vector
-        span, position, count = self._h0
+        span, position, count, *_ = self._cohomology(0)
         coords, residual = eliminate_along(vector, span, position)
         if residual:
             raise BasisMismatch("map is not a cycle in the given Hom complex")
@@ -525,33 +526,32 @@ def pair_ext_dims(C: EqComplex, D: EqComplex) -> dict[int, int]:
 
 
 def cohomology_basis(C: EqComplex, D: EqComplex) -> list[ChainMap]:
-    return HomComplexData(C, D).h0_maps()
+    return HomComplexData(C, D).hk_maps(0)
 
 
 def _evaluation_maps(E: EqComplex, F: EqComplex,
                      left: bool = False) -> list[ChainMap]:
     """For each k with Ext^k(E, F) != 0, in ascending k, a basis of
-    Hom(E, F[k]): the H^0 representatives of the Hom complex of (E, F[k]),
-    or with left of (E[-k], F); empty when the pair is orthogonal.  The Hom
-    complex that gives the dimensions also gives the maps for k = 0; a pair
-    of line bundles takes its dimensions from the closed form."""
-    data = None
+    Hom(E, F[k]): the H^k representatives of the one Hom complex of (E, F),
+    with left moved up k degrees onto one E[-k]; empty when the pair is
+    orthogonal.  A pair of line bundles takes its dimensions from the
+    closed form, so an orthogonal pair builds no Hom complex."""
+    dims = None
     if E.is_line_bundle() and F.is_line_bundle():
         dims = pair_ext_dims(E, F)
-    else:
-        data = HomComplexData(E, F)
-        dims = data.ext_dims()
+        if not dims:
+            return []
+    data = HomComplexData(E, F)
     maps = []
-    for k, h in sorted(dims.items()):
-        if k:
-            data_k = (HomComplexData(E.shift(-k), F) if left
-                      else HomComplexData(E, F.shift(k)))
-        else:
-            data_k = data or HomComplexData(E, F)
-        basis = data_k.h0_maps()
+    for k, h in sorted((dims or data.ext_dims()).items()):
+        basis = data.hk_maps(k)
         if len(basis) != h:
             raise BasisMismatch(f"{len(basis)} cohomology representatives"
                                 f" for an Ext^{k} of dimension {h}")
+        if left and k:
+            source = E.shift(-k)
+            basis = [ChainMap(source, F, {p + k: entry for p, entry in phi.blocks.items()},
+                              check=False) for phi in basis]
         maps += basis
     return maps
 

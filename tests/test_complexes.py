@@ -6,6 +6,7 @@ independent oracle for every Hom-complex rank computed here.
 
 import itertools
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -273,7 +274,7 @@ def test_chain_map_composition(c3):
     coords = data.h0_coordinates(comp)
     assert coords and set(coords) <= set(range(6))
     assert all(coords.values())
-    assert data.chain_map(coords) == comp
+    assert data.chain_map(coords, 0) == comp
 
 
 def test_identity_composes_neutrally(bd2):
@@ -330,19 +331,19 @@ def test_h0_coordinates_modulo_nonzero_boundary(c3, j, j2):
     data = hom_complex(C, D)
     assert data.dims == {-1: 1, 0: 9}
     assert data.rank(-1) == 1
-    span, _, count = data._h0
+    span, _, count, *_ = data._cohomology(0)
     reps = span[count:]
-    assert len(reps) == 8 == data.ext_dims()[0] == len(data.h0_maps())
+    assert len(reps) == 8 == data.ext_dims()[0] == len(data.hk_maps(0))
     # reduced modulo the boundary e0 + e4 + e8
     assert reps[0] == {4: 1, 8: 1}
-    for i, (rep, cm) in enumerate(zip(reps, data.h0_maps())):
-        assert data.chain_map(rep) == cm == dense_chain_map(data, rep)
+    for i, (rep, cm) in enumerate(zip(reps, data.hk_maps(0))):
+        assert data.chain_map(rep, 0) == cm == dense_chain_map(data, rep)
         assert data.h0_coordinates(cm) == {i: 1}
     boundary = data.delta(-1)[0]
     assert boundary
     shifted = {i: 2 * reps[0].get(i, 0) + boundary.get(i, 0)
                for i in set(reps[0]) | set(boundary)}
-    assert data.h0_coordinates(data.chain_map(shifted)) == {0: 2}
+    assert data.h0_coordinates(data.chain_map(shifted, 0)) == {0: 2}
 
 
 def test_h0_coordinates_reject_non_cycle(c3):
@@ -437,13 +438,13 @@ def test_chain_map_matches_the_dense_loop_on_window_pairs(p1, bd2, c3):
         pairs += 1
         cones += not (C.is_line_bundle() and D.is_line_bundle())
         multi_slice += len(list(data._slices(0))) > 1
-        span, _, count = data._h0
-        for row, cm in zip(span[count:], data.h0_maps()):
-            assert cm == data.chain_map(row) == dense_chain_map(data, row)
+        span, _, count, *_ = data._cohomology(0)
+        for row, cm in zip(span[count:], data.hk_maps(0)):
+            assert cm == data.chain_map(row, 0) == dense_chain_map(data, row)
             rows_checked += 1
         for _ in range(3 if span else 0):
             cycle = _random_cycle(rng, span)
-            cm = data.chain_map(cycle)
+            cm = data.chain_map(cycle, 0)
             assert cm == dense_chain_map(data, cycle)
             assert data._sparse_vector(cm) == cycle
     assert (pairs, cones, rows_checked, multi_slice) == (48, 9, 95, 3)
@@ -495,10 +496,10 @@ def test_sparse_vector_reads_back_cycles_across_degrees(c3):
     for _, D in _boundary_pairs(c3):
         data = hom_complex(D, D)
         assert [p for p, *_ in data._slices(0)] == [0] + [1] * 9
-        span = data._h0[0]
+        span = data._cohomology(0)[0]
         for _ in range(5):
             cycle = _random_cycle(rng, span)
-            assert data._sparse_vector(data.chain_map(cycle)) == cycle
+            assert data._sparse_vector(data.chain_map(cycle, 0)) == cycle
 
 
 def test_sparse_vector_rejects_a_block_from_another_hom_space(c3):
@@ -521,7 +522,7 @@ def test_h0_coordinates_invert_chain_map_modulo_boundaries(p1, bd2, c3):
     checked = boundaries = 0
     for C, D in itertools.chain(_window_pairs(p1, bd2, c3), _boundary_pairs(c3)):
         data = hom_complex(C, D)
-        span, _, count = data._h0
+        span, _, count, *_ = data._cohomology(0)
         h0_rows = span[count:]
         if not h0_rows:
             continue
@@ -533,7 +534,7 @@ def test_h0_coordinates_invert_chain_map_modulo_boundaries(p1, bd2, c3):
                 terms.append((CycNum.one(), _random_cycle(rng, span[:count])))
                 boundaries += 1
             cycle = _combine(terms)
-            assert data.h0_coordinates(data.chain_map(cycle)) == coords
+            assert data.h0_coordinates(data.chain_map(cycle, 0)) == coords
             checked += 1
     assert (checked, boundaries) == (3 * 46, 3 * 3)
 
@@ -542,14 +543,28 @@ def test_chain_map_rejects_a_coordinate_outside_hom0(bd2):
     data = hom_complex(lb(bd2, 0, 0), lb(bd2, 1, 2))
     assert data.dim(0) == 1
     one = CycNum.one()
-    assert data.chain_map({0: one}) == data.h0_maps()[0]
+    assert data.chain_map({0: one}, 0) == data.hk_maps(0)[0]
     for index in (-1, 1, 5):
         with pytest.raises(InvalidParameter, match="outside Hom\\^0"):
-            data.chain_map({index: one})
+            data.chain_map({index: one}, 0)
     empty = hom_complex(lb(bd2, 0, 0), lb(bd2, 0, 1))
     assert empty.dim(0) == 0
     with pytest.raises(InvalidParameter):
-        empty.chain_map({0: one})
+        empty.chain_map({0: one}, 0)
+    # the same pair with F one degree up: Hom^1 is the Hom^0 above, and its
+    # coordinates read a map into F[1], the degree-1 record's one target,
+    # equal to the H^0 map of (E, F[1])
+    C, D = lb(bd2, 0, 0), lb(bd2, 1, 2, degree=1)
+    data = hom_complex(C, D)
+    assert data.dims == {1: 1}
+    phi = data.chain_map({0: one}, 1)
+    assert phi == data.hk_maps(1)[0] == hom_complex(C, D.shift(1)).hk_maps(0)[0]
+    assert phi.target == D.shift(1) and phi.target is data.hk_maps(1)[0].target
+    for index in (-1, 1, 5):
+        with pytest.raises(InvalidParameter, match="outside Hom\\^1"):
+            data.chain_map({index: one}, 1)
+    with pytest.raises(InvalidParameter, match="outside Hom\\^0"):
+        data.chain_map({0: one}, 0)
 
 
 def test_chain_map_block_in_zero_space_rejected(c3):
@@ -791,7 +806,7 @@ def _oracle_maps(E, F, left):
     maps = []
     for k in sorted(pair_ext_dims(E, F)):
         data = hom_complex(E.shift(-k), F) if left else hom_complex(E, F.shift(k))
-        maps += data.h0_maps()
+        maps += data.hk_maps(0)
     return maps
 
 
@@ -876,7 +891,8 @@ def test_mutations_match_the_oracle_on_pipelines(monkeypatch):
     # and of the cascade and dsing of Z/4 with weights 1, 1, 3, 3, whose
     # pairs meet RHom in two degrees, and the left mutation of the same
     # pair, against the oracle; the right mutation itself negates no block
-    # when F is a line bundle
+    # when F is a line bundle, and each right and left mutation builds at
+    # most one Hom complex, whatever degrees its RHom meets
     negations = [0]
     true_neg = HomElement.__neg__
 
@@ -884,7 +900,24 @@ def test_mutations_match_the_oracle_on_pipelines(monkeypatch):
         negations[0] += 1
         return true_neg(self)
 
-    true_right = complexes.right_mutation
+    builds = [0]
+    init = HomComplexData.__init__
+
+    def counting_init(self, C, D):
+        builds[0] += 1
+        init(self, C, D)
+
+    per_call = Counter()
+
+    def counted(mutation):
+        def wrapper(E, F):
+            before = builds[0]
+            out = mutation(E, F)
+            per_call[mutation.__name__, builds[0] - before] += 1
+            return out
+        return wrapper
+
+    true_right = counted(complexes.right_mutation)
     seen = {}
 
     def checked(E, F):
@@ -901,7 +934,10 @@ def test_mutations_match_the_oracle_on_pipelines(monkeypatch):
         return R
 
     monkeypatch.setattr(HomElement, "__neg__", counting_neg)
+    monkeypatch.setattr(HomComplexData, "__init__", counting_init)
     monkeypatch.setattr(excol, "right_mutation", checked)
+    for mutation in (right_mutation, left_mutation):
+        monkeypatch.setitem(globals(), mutation.__name__, counted(mutation))
     scenarios = [(path.stem, load_scenario(path))
                  for path in sorted(SCENARIOS.glob("*.json"))]
     for name, scenario in scenarios:
@@ -921,6 +957,11 @@ def test_mutations_match_the_oracle_on_pipelines(monkeypatch):
                     "z3_crossed_d3": [6, 3, 0, 0], "z3_d1": [19, 6, 0, 0],
                     "z3_veronese_d3": [6, 3, 0, 0], "z8w1357": [84, 44, 8, 0],
                     "z4w1133": [36, 20, 4, 4]}
+    # {(mutation, Hom complexes it built): calls}; each of the 175 pairs
+    # meets the right mutation twice, in the pipeline and in the comparison
+    # with the oracle, and the 57 orthogonal pairs of line bundles build none
+    assert per_call == {("right_mutation", 0): 114, ("right_mutation", 1): 236,
+                        ("left_mutation", 0): 57, ("left_mutation", 1): 118}
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)

@@ -418,45 +418,62 @@ def test_triangle_tables_match_hom_complexes_sweep(setup):
         _derived_tables_match(coll)
 
 
-# Diagonal Z/m on C^4 and C^6 whose cascades meet pairs with RHom outside
-# degree 0: (m, weights, dsing size, the strong check's stray Ext, whether
-# the derived tables are checked against the Hom complexes).  Every weight
-# but those of the three inputs marked non-free is prime to m.
-THEOREM_ONE = [
-    (3, [1, 1, 2, 2], 8, "{-1: 1}", True),
-    (5, [1, 1, 4, 4], 16, "{-1: 1}", True),
-    (6, [1, 1, 5, 5], 20, "{-1: 1}", True),
-    (7, [1, 1, 6, 6], 24, "{-1: 1}", True),
-    (4, [1, 1, 3, 3], 12, "{-1: 1}", True),
-    (6, [1, 1, 1, 3, 3, 3], 30, "{-1: 24}", False),
-    (4, [1, 3, 2, 2], 12, "{-1: 1}", True),
-    (2, [0, 0, 1, 1], 4, "{-1: 1}", True),
-]
+def _theorem_one_inputs():
+    """(m, weights, id) of Theorem 1's sweep, every diagonal Z/m on C^4 with
+    2 <= m <= 7, weights prime to m in ascending order and weight sum 0
+    (mod m), 31 isolated Gorenstein quotient singularities; then three
+    inputs off the sweep, two of them non-free."""
+    for m in range(2, 8):
+        units = [w for w in range(1, m) if gcd(w, m) == 1]
+        for weights in itertools.combinations_with_replacement(units, 4):
+            if sum(weights) % m == 0:
+                yield m, list(weights), f"z{m}w{''.join(map(str, weights))}"
+    yield 6, [1, 1, 1, 3, 3, 3], "z6w111333-nonfree"
+    yield 4, [1, 3, 2, 2], "z4w1322-nonfree"
+    yield 2, [0, 0, 1, 1], "z2w0011-nonfree"
 
 
-@pytest.mark.parametrize("m, weights, size, stray, derived", THEOREM_ONE, ids=[
-    "z3w1122", "z5w1144", "z6w1155", "z7w1166", "z4w1133",
-    "z6w111333-nonfree", "z4w1322-nonfree", "z2w0011-nonfree"])
-def test_graded_mutations_build_an_exceptional_dsing(m, weights, size, stray,
-                                                     derived):
+THEOREM_ONE = list(_theorem_one_inputs())
+# dim Ext^-1 of the pair that the strong check reports, by input: None for
+# the two strong dsing collections, 1 for every input not listed
+THEOREM_ONE_STRAY = {
+    "z2w1111": 6, "z4w1111": None, "z4w3333": None, "z5w1112": 3, "z5w1234": 2,
+    "z5w1333": 3, "z5w2224": 8, "z5w2233": 2, "z5w3444": 3, "z7w1114": 3,
+    "z7w1222": 8, "z7w2336": 2, "z7w2444": 3, "z7w3335": 8, "z7w3344": 2,
+    "z7w3666": 3, "z7w5556": 3, "z6w111333-nonfree": 24}
+
+
+@pytest.mark.parametrize("m, weights, name", THEOREM_ONE,
+                         ids=[name for *_, name in THEOREM_ONE])
+def test_graded_mutations_build_an_exceptional_dsing(m, weights, name):
+    # dsing has len(grid) / e - (n + 1) / d objects, is exceptional and
+    # passes the Gram audit; it is strong only for Z/4 by (1,1,1,1) and
+    # (3,3,3,3), and on C^4 every table that the triangles of the cascade
+    # or of dsing decide is the Hom complex's
     report = run_scenario(parse_scenario({
         "name": "theorem_one",
         "group": {"kind": "cyclic_diagonal", "m": m, "weights": weights},
         "n_plus_1": len(weights), "mode": "invariant_veronese", "veronese_d": 1,
         "tasks": ["beilinson", "cascade", "dsing", "check", "gram"]}))
     tasks = report["tasks"]
+    setup = cyclic_diagonal(m, weights)
     assert tasks["cascade"]["op_counts"]["kclass_fallback"] == 0
     assert tasks["cascade"]["has_stubs"] is False
-    assert tasks["dsing"]["size"] == size
+    assert tasks["dsing"]["size"] == (tasks["beilinson"]["size"]
+                                      // setup.central_scalars(1).e - len(weights))
     assert tasks["check"]["exceptional"] == {"passed": True, "violation": None}
-    assert tasks["check"]["strong"]["passed"] is False
-    assert tasks["check"]["strong"]["violation"].endswith(
-        f"not concentrated in degree 0: {stray}")
+    stray = THEOREM_ONE_STRAY.get(name, 1)
+    strong = tasks["check"]["strong"]
+    assert strong["passed"] is (stray is None)
+    if stray is not None:
+        assert strong["violation"].endswith(
+            f"not concentrated in degree 0: {{-1: {stray}}}")
     assert tasks["gram"]["ok"] is True
-    if derived:
-        colls = _pipeline_collections(cyclic_diagonal(m, weights),
-                                      "invariant_veronese", 1)
-        assert all(_derived_tables_match(coll) for coll in colls)
+    if len(weights) == 4:
+        colls = _pipeline_collections(setup, "invariant_veronese", 1)
+        derived = [_derived_tables_match(coll) for coll in colls]
+        # a strong dsing holds no table that a triangle decides
+        assert all(derived) is (stray is not None)
 
 
 def test_z4p3_cascade_check_builds_no_hom_complex(monkeypatch):
@@ -861,8 +878,8 @@ def test_subset_refuses_what_replay_gram_refuses(c3, case, index):
 
 def _oracle_h0_coordinates(data, cm):
     """H^0 coordinates through the boundary span and cycle representatives
-    of `_h0`, whatever the dimensions of Hom^-1 and Hom^1."""
-    span, position, count = data._h0
+    of the degree-0 record, whatever the dimensions of Hom^-1 and Hom^1."""
+    span, position, count, *_ = data._cohomology(0)
     coords, residual = eliminate_along(data._sparse_vector(cm), span, position)
     assert not residual
     return [coords.get(i, CycNum.zero()) for i in range(count, len(span))]
@@ -968,7 +985,7 @@ def test_h0_coordinates_without_neighbours_are_the_hom0_coordinates(bd2):
             continue
         assert not data.dim(-1) and not data.dim(1)
         size = data.dim(0)
-        span, _, count = data._h0
+        span, _, count, *_ = data._cohomology(0)
         assert count == 0
         assert span == [{r: CycNum.one()} for r in range(size)]
         for f in cohomology_basis(coll.objects[i], coll.objects[j]):
